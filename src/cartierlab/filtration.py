@@ -16,7 +16,7 @@ from .cartiercore import (CartierAlgebraSpec, CartierOp,
                           validate_structure)
 from .errors import ResourceCapError, UnsupportedShapeError
 from .fpmod import PresentedModule, present_submodule
-from .groebner import LiftContext, VecPoly
+from .groebner import LiftContext, VecPoly, memo_scope
 from .idealkit import Ideal
 from .testmod import tau, tau_bms
 
@@ -59,8 +59,10 @@ class _TauSampler:
         self._elements = None
 
     def cache_key(self, t):
+        ring = self.cm.ring
         return {
             "op": "tau-at",
+            "ring": [ring.p, list(ring.vars), ring.order],
             "module": self.cm.serialize(),
             "ideal": self.ideal.serialize(),
             "t": f"{t.numerator}/{t.denominator}",
@@ -136,6 +138,7 @@ class JumpSpectrum:
                 "jumps": [j.serialize() for j in self.jumps]}
 
 
+@memo_scope()
 def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
                     e_max=None, seed=0, cache=None, check_right_continuity=True):
     """Scan tau(M, a^t) over the grid and certify the strict drops.

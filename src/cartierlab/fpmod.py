@@ -9,8 +9,6 @@ Kernels, intersections, colons, annihilators and torsion submodules reduce
 to syzygy computations on the free cover; see :mod:`cartierlab.groebner`.
 """
 
-import threading
-
 from .errors import ResourceCapError
 from .groebner import LiftContext, VecPoly, buchberger, normal_form, syzygies
 from .idealkit import Ideal
@@ -19,7 +17,7 @@ from .idealkit import Ideal
 class PresentedModule:
     """R^rank modulo the span of ``relations`` (VecPoly columns)."""
 
-    __slots__ = ("ring", "rank", "relations", "_relgb", "_lock")
+    __slots__ = ("ring", "rank", "relations", "_relgb")
 
     def __init__(self, ring, rank, relations=()):
         if rank < 0:
@@ -38,7 +36,6 @@ class PresentedModule:
                 rels.append(v)
         self.relations = tuple(rels)
         self._relgb = None
-        self._lock = threading.Lock()
 
     @staticmethod
     def free(ring, rank):
@@ -52,9 +49,7 @@ class PresentedModule:
 
     def relation_gb(self):
         if self._relgb is None:
-            with self._lock:
-                if self._relgb is None:
-                    self._relgb = tuple(buchberger(list(self.relations)))
+            self._relgb = tuple(buchberger(list(self.relations)))
         return list(self._relgb)
 
     def reduce(self, vec):
@@ -119,20 +114,17 @@ class Submodule:
     agree.
     """
 
-    __slots__ = ("parent", "gens", "_gb", "_lock")
+    __slots__ = ("parent", "gens", "_gb")
 
     def __init__(self, parent, gens):
         self.parent = parent
         self.gens = tuple(gens)
         self._gb = None
-        self._lock = threading.Lock()
 
     def basis(self):
         if self._gb is None:
-            with self._lock:
-                if self._gb is None:
-                    self._gb = tuple(buchberger(
-                        list(self.gens) + list(self.parent.relations)))
+            self._gb = tuple(buchberger(
+                list(self.gens) + list(self.parent.relations)))
         return list(self._gb)
 
     def generators_reduced(self):

@@ -10,8 +10,16 @@ reduced Groebner bases and the elimination trick on an augmented module.
 
 Pair selection uses the sugar strategy with deterministic tie-breaking, so
 bases come out identical across runs and platforms.
+
+Inside a ``memo_scope`` (opened by the top-level calls of the test-module,
+filtration and scene layers), ``buchberger`` remembers each reduced basis it
+computed, keyed on its exact input, and the memo is dropped when the
+outermost scope exits.  A hit returns exactly what a fresh computation
+would, so answers never depend on what ran earlier.
 """
 
+import contextlib
+import contextvars
 import heapq
 
 from .errors import ResourceCapError
@@ -210,13 +218,54 @@ def _spair(f, g):
     return f.mul_term(uf, pow(cf, p - 2, p)) - g.mul_term(ug, pow(cg, p - 2, p))
 
 
+# {input key: reduced basis tuple} while a memo_scope is open, else None;
+# a context variable, so threads or tasks that do not share a context do
+# not share a memo
+_MEMO = contextvars.ContextVar("cartierlab_groebner_memo", default=None)
+
+
+@contextlib.contextmanager
+def memo_scope():
+    """Memoise ``buchberger`` for the duration of one top-level call.
+
+    Usable as ``with memo_scope():`` and as the decorator ``@memo_scope()``.
+    Reentrant: the outermost entry creates the memo and its exit drops it,
+    so no basis outlives the call that computed it.
+    """
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
 def buchberger(gens, pair_cap=None):
-    """Reduced Groebner basis of the submodule generated by ``gens``."""
+    """Reduced Groebner basis of the submodule generated by ``gens``.
+
+    The basis depends on the generator order and the pair cap, so both are
+    part of the memo key; a ``ResourceCapError`` is raised afresh each time.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     ring = gens[0].ring
     cap = pair_cap if pair_cap is not None else ring.caps.pair_cap
+    memo = _MEMO.get()
+    if memo is None:
+        return _buchberger(gens, ring, cap)
+    # equal rings may differ in caps, and the basis carries its ring
+    key = (ring, ring.caps, gens[0].rank, cap,
+           tuple(frozenset(g.terms.items()) for g in gens))
+    basis = memo.get(key)
+    if basis is None:
+        basis = memo[key] = tuple(_buchberger(gens, ring, cap))
+    return list(basis)
+
+
+def _buchberger(gens, ring, cap):
     basis = []
     for g in sorted(gens, key=lambda v: v.key(v.lead()[0])):
         nf = normal_form(g, basis)

@@ -8,9 +8,8 @@ asserted by the caller and is tagged as such.
 """
 
 import random
-import threading
 
-from .errors import ResourceCapError, UnsupportedShapeError
+from .errors import CartierLabError, ResourceCapError, UnsupportedShapeError
 from .fppoly import Poly, pe_decompose
 from .groebner import VecPoly, buchberger, normal_form, syzygies
 
@@ -26,7 +25,7 @@ def _vec(f):
 class Ideal:
     """Ideal with a lazily computed, cached reduced Groebner basis."""
 
-    __slots__ = ("ring", "gens", "_gb", "_lock")
+    __slots__ = ("ring", "gens", "_gb")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -35,14 +34,11 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from wrong ring")
         self._gb = None
-        self._lock = threading.Lock()
 
     def groebner(self):
         if self._gb is None:
-            with self._lock:
-                if self._gb is None:
-                    gb = buchberger([_vec(g) for g in self.gens])
-                    self._gb = tuple(v.component(0) for v in gb)
+            gb = buchberger([_vec(g) for g in self.gens])
+            self._gb = tuple(v.component(0) for v in gb)
         return self._gb
 
     def normal_form(self, f):
@@ -650,7 +646,7 @@ def irreducible_factors_best_effort(f):
     """Distinct candidate irreducible factors of f; may be incomplete."""
     try:
         _u, factors, _ok = factor_restricted(f)
-    except Exception:
+    except CartierLabError:
         return [f]
     seen = []
     for g, _m in factors:

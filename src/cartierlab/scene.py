@@ -30,6 +30,7 @@ from .filtration import gr, jumping_numbers, skoda_report
 from .fppoly import EngineCaps, RingSpec
 from .fpmod import PresentedModule
 from .functorops import RingMap, coherent_model, pushforward_point
+from .groebner import memo_scope
 from .idealkit import Ideal, PrimeIdeal
 from .testmod import find_test_elements, is_f_regular, tau, tau_bms, tau_prime
 
@@ -212,6 +213,7 @@ def _expect_check(outcome_value, expected_text):
     return str(outcome_value) == expected_text
 
 
+@memo_scope()
 def run_task(scene, task, flags):
     op = task["op"]
     seed = int(flags.get("seed", task.get("seed", 0)))

@@ -24,9 +24,10 @@ from fractions import Fraction
 import random
 
 from .cartiercore import ass_cartier, graded_sum, underline
-from .errors import (NoStabilizationError, SearchBudgetError,
-                     UnsupportedShapeError)
+from .errors import (CartierLabError, NoStabilizationError,
+                     SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion
+from .groebner import memo_scope
 from .idealkit import (PrimeIdeal, frobenius_root_of_power,
                        irreducible_factors_best_effort, minimal_primes)
 
@@ -96,7 +97,7 @@ def _factor_pool(cm):
         ann = cm.carrier_sub().annihilator()
         for g in ann.groebner():
             add(g)
-    except Exception:
+    except CartierLabError:
         pass
     return pool
 
@@ -177,6 +178,7 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
     return current, [str(c) for c in cands]
 
 
+@memo_scope()
 def is_f_regular(cm, witness=None, candidates=None, seed=0):
     """Decide whether the carrier equals its own test module.
 
@@ -251,7 +253,8 @@ def _verify_test_element(cm, prime, c, core, seed=0):
            str(loc.algebra.serialize()),
            str(loc_piece.serialize()),
            tuple(prime.ideal.serialize()),
-           str(loc.inverted))
+           str(loc.inverted),
+           seed)
     if key in _VERIFY_CACHE:
         return _VERIFY_CACHE[key]
     try:
@@ -316,6 +319,7 @@ def _find_for_primes(cmc, core, ass, seed):
     return TestElementSequence(entries)
 
 
+@memo_scope()
 def find_test_elements(cm, candidates=None, seed=0):
     """Search a verified sequence of per-prime elements.
 
@@ -417,6 +421,7 @@ def _tau_engine(cm, primes, test_elements, e0=0, seed=0, verify=True,
     return TauResult(result, cert)
 
 
+@memo_scope()
 def tau(cm, test_elements=None, candidates=None, e0=0, seed=0, verify=True):
     """Test module via the per-prime closure formula, with verification."""
     core, stab = underline(cm)
@@ -430,6 +435,7 @@ def tau(cm, test_elements=None, candidates=None, e0=0, seed=0, verify=True):
                        verify=verify, known_core=(core, stab))
 
 
+@memo_scope()
 def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0,
               verify=True):
     """Legacy variant: generic agreement at the minimal support primes only.
@@ -507,6 +513,7 @@ def ceil_pattern_window(p, t):
     return max(3, pre + period + 1)
 
 
+@memo_scope()
 def tau_bms(f, t, e_max=None):
     """Stable value of the ascending chain root_e(f^ceil(t*p^e)).
 

@@ -182,3 +182,22 @@ class TestMonotonicity:
         values = [sampler.at(Fraction(k, 6)) for k in range(0, 13)]
         for a, b in zip(values, values[1:]):
             assert a.contains_sub(b)
+
+
+class TestResultCacheKey:
+    def test_one_cache_shared_between_characteristics(self, tmp_path):
+        from cartierlab.cache import ResultCache
+
+        cache = ResultCache(str(tmp_path))
+        spectra = {}
+        for p in (2, 5):
+            R = RingSpec(p, ("x", "y"))
+            cm = validate_structure(
+                PresentedModule.free(R, 1),
+                CartierAlgebraSpec([CartierOp(1, [[R.one()]])]))
+            f = R.parse("x^3 + y^2")
+            spectra[p] = jumping_numbers(cm, Ideal(R, [f]), 1, caps=(2, 2),
+                                         cache=cache).serialize()
+        assert spectra[5]["cache_hits"] == 0
+        assert [j["t"] for j in spectra[2]["jumps"]] == ["1/2", "1/1"]
+        assert [j["t"] for j in spectra[5]["jumps"]] == ["4/5", "1/1"]

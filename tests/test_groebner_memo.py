@@ -1,0 +1,144 @@
+"""The scoped memo of reduced Groebner bases.
+
+Inside a ``memo_scope`` a repeated ``buchberger`` input returns the stored
+basis; these tests pin down that a hit is indistinguishable from a fresh
+computation and that the memo never outlives its outermost scope.
+"""
+
+import random
+
+import pytest
+
+from cartierlab import groebner
+from cartierlab.errors import ResourceCapError
+from cartierlab.fppoly import Poly, RingSpec
+from cartierlab.groebner import VecPoly, buchberger, memo_scope
+from cartierlab.testmod import tau_bms
+
+
+def _vecs(polys):
+    return [VecPoly.from_columns(f.ring, [f]) for f in polys]
+
+
+def _as_set(basis):
+    return {frozenset((m, c) for (_pos, m), c in g.terms.items())
+            for g in basis}
+
+
+def random_ideal(ring, rng):
+    """Two or three polynomials without constant term (so rarely the unit
+    ideal), with one to three terms of degree at most 3."""
+    polys = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 3)
+            mono = [0] * ring.nvars
+            for _ in range(deg):
+                mono[rng.randrange(ring.nvars)] += 1
+            terms[tuple(mono)] = rng.randrange(1, ring.p)
+        polys.append(Poly(ring, terms))
+    return polys
+
+
+def sympy_basis(ring, polys):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(ring.vars)
+    exprs = []
+    for f in polys:
+        expr = 0
+        for m, c in f.terms.items():
+            term = c
+            for s, e in zip(syms, m):
+                term *= s ** e
+            expr += term
+        exprs.append(expr)
+    gb = sympy.groebner(exprs, *syms, modulus=ring.p, order="grevlex")
+    out = set()
+    for g in gb.exprs:
+        terms = sympy.Poly(g, *syms, modulus=ring.p).terms()
+        # sympy prints coefficients in the symmetric range; map to [0, p)
+        out.add(frozenset((tuple(m), int(c) % ring.p) for m, c in terms))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduced_bases_match_sympy_inside_and_outside_a_scope(p):
+    pytest.importorskip("sympy")
+    rng = random.Random(1000 + p)
+    for trial in range(8):
+        ring = RingSpec(p, ("x", "y", "z")[:2 + trial % 2])
+        polys = random_ideal(ring, rng)
+        expected = sympy_basis(ring, polys)
+        assert _as_set(buchberger(_vecs(polys))) == expected
+        with memo_scope():
+            assert _as_set(buchberger(_vecs(polys))) == expected
+            assert _as_set(buchberger(_vecs(polys))) == expected
+
+
+def test_a_hit_equals_a_fresh_computation_and_is_a_fresh_list(monkeypatch):
+    R = RingSpec(3, ("x", "y"))
+    gens = _vecs([R.parse("x^2 - y"), R.parse("x*y - 1")])
+    fresh = buchberger(gens)
+    computed = []
+    real = groebner._buchberger
+
+    def counting(*args):
+        computed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger", counting)
+    with memo_scope():
+        first = buchberger(gens)
+        first.clear()
+        second = buchberger(_vecs([R.parse("x^2 - y"), R.parse("x*y - 1")]))
+        assert second == fresh
+        second.append(gens[0])
+        assert buchberger(gens) == fresh
+    assert computed == [1]
+
+
+def test_the_memo_is_dropped_when_the_outermost_scope_exits():
+    R = RingSpec(2, ("x", "y"))
+    gens = _vecs([R.parse("x^2 + y"), R.parse("x*y")])
+    assert groebner._MEMO.get() is None
+    with memo_scope():
+        with memo_scope():
+            buchberger(gens)
+        assert groebner._MEMO.get()
+    assert groebner._MEMO.get() is None
+
+    @memo_scope()
+    def failing():
+        buchberger(gens)
+        assert groebner._MEMO.get()
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError):
+        failing()
+    assert groebner._MEMO.get() is None
+
+
+def test_top_level_calls_memoise_and_leave_no_memo(monkeypatch):
+    R = RingSpec(2, ("x", "y"))
+    seen = []
+    real = groebner._buchberger
+
+    def recording(*args):
+        seen.append(groebner._MEMO.get() is not None)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger", recording)
+    tau_bms(R.parse("x^3 + y^2"), "5/6")
+    assert seen and all(seen)
+    assert groebner._MEMO.get() is None
+
+
+def test_a_capped_call_still_raises_on_a_repeated_input():
+    R = RingSpec(3, ("x", "y"))
+    gens = _vecs([R.parse("x^2 - y"), R.parse("x*y - 1")])
+    with memo_scope():
+        buchberger(gens)
+        for _ in range(2):
+            with pytest.raises(ResourceCapError):
+                buchberger(gens, pair_cap=0)

@@ -1,9 +1,17 @@
 """Test-element search, regularity decisions, and the tau engines."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import cartierlab
+from cartierlab import scene
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     underline, validate_structure)
 from cartierlab.errors import NoStabilizationError
@@ -268,3 +276,71 @@ class TestNilInvariance:
         t_loc = tau(loc).submodule
         t_amb = tau(cm).submodule
         assert t_loc == loc.canon(t_amb.gens)
+
+
+class TestProcessHistory:
+    """An answer must not depend on what ran earlier in the process."""
+
+    SNIPPET = (
+        "import json\n"
+        "from importlib import resources\n"
+        "from cartierlab import scene\n"
+        "from cartierlab.testmod import find_test_elements\n"
+        "text = resources.files('cartierlab').joinpath(\n"
+        "    'corpus/sec3_example_p3.scene').read_text('utf-8')\n"
+        "cm = scene.parse_scene(text, name='sec3_example_p3').pairs['P']\n"
+        "print(json.dumps(find_test_elements(cm, seed=3).serialize(),\n"
+        "                 sort_keys=True))\n")
+
+    def test_test_elements_for_a_seed_ignore_earlier_seeds(self):
+        env = dict(os.environ)
+        src = str(Path(cartierlab.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        fresh = subprocess.run([sys.executable, "-c", self.SNIPPET],
+                               env=env, capture_output=True, text=True,
+                               check=True).stdout.strip()
+        text = resources.files("cartierlab").joinpath(
+            "corpus/sec3_example_p3.scene").read_text("utf-8")
+        cm = scene.parse_scene(text, name="sec3_example_p3").pairs["P"]
+        find_test_elements(cm, seed=0)
+        after = json.dumps(find_test_elements(cm, seed=3).serialize(),
+                           sort_keys=True)
+        assert after == fresh
+
+
+class TestInternalFaultsPropagate:
+    """Only engine errors may be absorbed by the best-effort factor pool."""
+
+    def test_factor_fault_escapes_the_best_effort_factoriser(self, monkeypatch):
+        from cartierlab import idealkit
+
+        def broken(f, _depth=0):
+            raise AssertionError("internal fault")
+
+        monkeypatch.setattr(idealkit, "factor_restricted", broken)
+        R = RingSpec(3, ("x", "y"))
+        with pytest.raises(AssertionError, match="internal fault"):
+            idealkit.irreducible_factors_best_effort(R.parse("x*y + 1"))
+        with pytest.raises(AssertionError, match="internal fault"):
+            find_test_elements(sec3_module())
+
+    def test_annihilator_fault_escapes_the_factor_pool(self, monkeypatch):
+        from cartierlab import fpmod
+        from cartierlab.errors import UnsupportedShapeError
+        from cartierlab.testmod import _factor_pool
+
+        cm = sec3_module()
+
+        def unsupported(self):
+            raise UnsupportedShapeError("no annihilator here")
+
+        monkeypatch.setattr(fpmod.Submodule, "annihilator", unsupported)
+        assert _factor_pool(cm)  # engine errors are absorbed
+
+        def broken(self):
+            raise AssertionError("internal fault")
+
+        monkeypatch.setattr(fpmod.Submodule, "annihilator", broken)
+        with pytest.raises(AssertionError, match="internal fault"):
+            _factor_pool(cm)
