@@ -21,7 +21,7 @@ Public surface, by layer:
 
 from .cache import ENGINE_VERSION, ResultCache
 from .cartiercore import (CartierAlgebraSpec, CartierModule, CartierOp,
-                          apply_cplus, ass_cartier, closure, is_f_pure,
+                          apply_cplus, ass_cartier, is_f_pure,
                           nil_isomorphism, nilpotence, underline,
                           validate_structure)
 from .errors import (CartierLabError, GaugeBoundError, InvalidStructureError,

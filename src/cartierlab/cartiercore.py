@@ -139,11 +139,6 @@ class CartierAlgebraSpec:
     def rank(self):
         return self.generators[0].rank
 
-    @property
-    def twist(self):
-        """Single-twist view for callers that expect one (ideal, t) pair."""
-        return self.twists[0] if self.twists else None
-
     def is_twisted(self):
         return bool(self.twists)
 
@@ -276,19 +271,7 @@ def validate_structure(module, algebra, carrier=None, inverted=None):
         ring.caps.check_e(ring.p, op.e)
         q = ring.p ** op.e
         for ri, rel in enumerate(module.relations):
-            cols = [rel.component(j) for j in range(module.rank)]
-            per_class = {}
-            for i, row in enumerate(op.matrix):
-                acc = ring.zero()
-                for j, u in enumerate(row):
-                    if not u.is_zero() and not cols[j].is_zero():
-                        acc = acc + u * cols[j]
-                for m, c in acc.terms.items():
-                    b = tuple(x % q for x in m)
-                    per_class.setdefault(b, {})[(i, tuple(x // q
-                                                          for x in m))] = c
-            for b, terms in sorted(per_class.items()):
-                img = VecPoly(ring, module.rank, terms)
+            for b, img in _residue_images(ring, op, rel):
                 if not relsub.contains(img):
                     witness_a = tuple(q - 1 - x for x in b)
                     raise InvalidStructureError(
@@ -399,42 +382,37 @@ def _expand_twist_powers(twists, pendings, cap):
     return out
 
 
-def _apply_generator(cm, op, gens):
-    """Images trace(U * x^a * g) over all e-level basis monomials at once.
+def _residue_images(ring, op, vec):
+    """The nonzero images trace_e(U * x^a * vec), one per residue class.
 
     trace_e(w * x^a) is the decomposition coefficient of w at the residue
-    class q-1-a, so a single pass over the terms of U*g yields every basis
-    image simultaneously instead of q^n separate trace scans.
+    class b = q-1-a, so one pass over the terms of U*vec, split by exponents
+    mod q = p^e, yields every basis image at once instead of q^n separate
+    trace scans.  Returns (b, image) pairs sorted by b.
     """
-    ring = cm.ring
     q = ring.p ** op.e
-    if q ** ring.nvars > ring.caps.basis_enum_cap:
+    cols = [vec.component(j) for j in range(op.rank)]
+    per_class = {}
+    for i, row in enumerate(op.matrix):
+        acc = ring.zero()
+        for j, u in enumerate(row):
+            if not u.is_zero() and not cols[j].is_zero():
+                acc = acc + u * cols[j]
+        # within row i each term m has its own (b, m // q), so no two
+        # terms share a slot and nothing needs summing
+        for m, c in acc.terms.items():
+            b = tuple(x % q for x in m)
+            per_class.setdefault(b, {})[(i, tuple(x // q for x in m))] = c
+    return [(b, VecPoly(ring, op.rank, terms))
+            for b, terms in sorted(per_class.items())]
+
+
+def _apply_generator(cm, op, gens):
+    """Images trace(U * x^a * g) over all e-level basis monomials x^a."""
+    ring = cm.ring
+    if (ring.p ** op.e) ** ring.nvars > ring.caps.basis_enum_cap:
         raise ResourceCapError("basis enumeration exceeds cap")
-    r = op.rank
-    p = ring.p
-    out = []
-    for g in gens:
-        cols = [g.component(j) for j in range(r)]
-        per_class = {}
-        for i, row in enumerate(op.matrix):
-            acc = ring.zero()
-            for j, u in enumerate(row):
-                if not u.is_zero() and not cols[j].is_zero():
-                    acc = acc + u * cols[j]
-            for m, c in acc.terms.items():
-                b = tuple(x % q for x in m)
-                quot = tuple(x // q for x in m)
-                bucket = per_class.setdefault(b, {})
-                key = (i, quot)
-                s = (bucket.get(key, 0) + c) % p
-                if s:
-                    bucket[key] = s
-                else:
-                    bucket.pop(key, None)
-        for _b, terms in sorted(per_class.items()):
-            if terms:
-                out.append(VecPoly(ring, r, dict(terms)))
-    return out
+    return [img for g in gens for _b, img in _residue_images(ring, op, g)]
 
 
 def graded_piece_gens(cm, e, seed_gens):
@@ -489,6 +467,26 @@ def graded_piece_gens(cm, e, seed_gens):
     return out
 
 
+def ceil_pattern_period(p, t):
+    """(preperiod, period) of the exponent pattern e -> ceil(t*p^e).
+
+    The preperiod is v_p(denominator of t); the period is the multiplicative
+    order of p modulo the p-free part of the denominator.
+    """
+    den = Fraction(t).denominator
+    pre = 0
+    while den % p == 0:
+        den //= p
+        pre += 1
+    period = 1
+    if den > 1:
+        acc = p % den
+        while acc != 1:
+            acc = (acc * p) % den
+            period += 1
+    return pre, period
+
+
 def _twist_window(cm, seed_degree):
     """Stabilization window for twisted ascending sums.
 
@@ -505,17 +503,7 @@ def _twist_window(cm, seed_degree):
     period_lcm = 1
     tw_deg = 0
     for ideal, t in algebra.twists:
-        den = t.denominator
-        k = 0
-        while den % p == 0:
-            den //= p
-            k += 1
-        period = 1
-        if den > 1:
-            acc = p % den
-            while acc != 1:
-                acc = (acc * p) % den
-                period += 1
+        k, period = ceil_pattern_period(p, t)
         pre = max(pre, k)
         period_lcm = math.lcm(period_lcm, period)
         tw_deg += max((g.total_degree() for g in ideal.gens), default=0)
@@ -585,11 +573,6 @@ def graded_sum(cm, seed, e_min=0, e_cap=None):
         f"(window {window}, reached degree {top})")
 
 
-def closure(cm, seed, e_min=0):
-    """Smallest approximation to the algebra-span  sum_{e>=e_min} C_e(seed)."""
-    return graded_sum(cm, seed, e_min=e_min)
-
-
 def apply_cplus(cm, sub):
     """The submodule C_+ N = sum_{e>=1} C_e^tw N for an algebra-stable N."""
     total, _info = graded_sum(cm, sub, e_min=1)
@@ -643,7 +626,6 @@ def _candidate_primes(cm, core):
     restricted shapes.
     """
     module = cm.module
-    ring = cm.ring
     gens = core.generators_reduced()
     acc = module.zero_submodule()
     colon_ideals = []

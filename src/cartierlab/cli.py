@@ -19,7 +19,7 @@ from importlib import resources
 from .cache import ENGINE_VERSION, ResultCache, canonical_json
 from .errors import (CartierLabError, InvalidStructureError, ParseError,
                      ResourceCapError)
-from .scene import load_scene, parse_scene, run_scene, run_task
+from .scene import load_scene, parse_scene, run_scene
 
 
 def _build_parser():
@@ -98,34 +98,21 @@ def _emit(report, as_json):
 
 
 def _single_task(args, op):
+    """Run the scene's objects through one task built from the options."""
     scene = load_scene(args.scene)
-    if not scene.pairs and op not in ("taubms",):
-        raise ParseError("scene defines no pairs")
+    task = {"op": op}
     pair = args.pair or next(iter(scene.pairs), None)
-    task = {"op": op, "pair": pair, "line": 0}
-    for key in ("t", "ideal", "e0", "map", "check"):
-        value = getattr(args, key, None)
+    if pair is not None:
+        task["pair"] = pair
+    for key in ("t", "ideal", "e0", "map", "check", "max-t", "denom-caps",
+                "test-elements"):
+        value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             task[key] = value
-    if getattr(args, "test_elements", None):
-        task["test-elements"] = args.test_elements
-    if op == "jumps":
-        task["ideal"] = args.ideal
-        task["max-t"] = args.max_t
-        if args.denom_caps:
-            task["denom-caps"] = args.denom_caps
-    if op == "gr":
-        task["ideal"] = args.ideal
-        task["t"] = args.t
-    outcome = run_task(scene, task, _flags(args))
-    report = {"scene": scene.name, "tasks": [outcome.serialize()],
-              "summary": {"ok": int(outcome.status == "ok"),
-                          "fail": int(outcome.status == "fail"),
-                          "expected_negative":
-                              int(outcome.status == "expected-negative"),
-                          "errors": 0, "cache_hits": 0}}
+    scene.tasks = [task]
+    report, code = run_scene(scene, _flags(args))
     _emit(report, args.json)
-    return 0 if outcome.status in ("ok", "expected-negative") else 5
+    return code
 
 
 def corpus_scene_names():

@@ -11,6 +11,7 @@ as a LOWER-BOUND spectrum with the grid disclosed.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import math
 
 from .cartiercore import (CartierAlgebraSpec, CartierOp,
                           validate_structure)
@@ -56,7 +57,6 @@ class _TauSampler:
         self.fast = _is_fast_path(cm, ideal)
         self.cache = cache
         self._memo = {}
-        self._elements = None
 
     def cache_key(self, t):
         ring = self.cm.ring
@@ -93,8 +93,6 @@ class _TauSampler:
         else:
             twisted = self.cm.with_algebra(
                 twist_algebra(self.cm.algebra, self.ideal, t))
-            if self._elements is None:
-                self._elements = {}
             result = tau(twisted, seed=self.seed)
             sub = result.submodule
         self._memo[t] = sub
@@ -240,7 +238,7 @@ def gr(cm, ideal, t, caps=(2, 2), e_max=None, seed=0):
         extra.append(VecPoly.from_columns(ring, lam))
     quotient = PresentedModule(ring, num_mod.rank,
                                list(num_mod.relations) + extra)
-    mult = f ** _ceil_frac(t * (ring.p - 1))
+    mult = f ** math.ceil(t * (ring.p - 1))
     twisted_op = op.premultiplied(mult)
 
     def action(a, j):
@@ -255,11 +253,6 @@ def gr(cm, ideal, t, caps=(2, 2), e_max=None, seed=0):
     qop = operator_from_action(quotient, 1, action)
     qcm = validate_structure(quotient, CartierAlgebraSpec([qop]))
     return qcm, {"t": t, "delta": delta}
-
-
-def _ceil_frac(x):
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +280,15 @@ def skoda_report(cm, ideal, t, e_max=None, seed=0):
             "ok": inclusion and (equality or t < mu)}
 
 
+def _tau_mixed(cm, pairs, seed):
+    """tau(M, prod a_i^(t_i)) over the twists with t_i > 0."""
+    alg = cm.algebra
+    for ideal, t in pairs:
+        if t > 0:
+            alg = alg.with_twist(ideal, Fraction(t))
+    return tau(cm.with_algebra(alg), seed=seed).submodule
+
+
 def mixed_skoda_report(cm, pairs, index, e_max=None, seed=0):
     """Mixed variant: a_i * tau(prod a_j^(t_j - [j==i])) <= tau(prod a_j^t_j)."""
     pairs = [(ideal, Fraction(t)) for ideal, t in pairs]
@@ -295,16 +297,8 @@ def mixed_skoda_report(cm, pairs, index, e_max=None, seed=0):
         raise ValueError("need t_i >= 1")
     lowered = [(ideal, t - 1 if k == index else t)
                for k, (ideal, t) in enumerate(pairs)]
-
-    def tau_mixed(ps):
-        alg = cm.algebra
-        for ideal, t in ps:
-            if t > 0:
-                alg = alg.with_twist(ideal, t)
-        return tau(cm.with_algebra(alg), seed=seed).submodule
-
-    low = tau_mixed(lowered)
-    high = tau_mixed(pairs)
+    low = _tau_mixed(cm, lowered, seed)
+    high = _tau_mixed(cm, pairs, seed)
     scaled = cm.canon(low.scale_ideal(ideal_i).gens)
     inclusion = high.contains_sub(scaled)
     mu = len(ideal_i.gens)
@@ -319,19 +313,12 @@ def mixed_skoda_report(cm, pairs, index, e_max=None, seed=0):
 
 def mixed_right_continuity(cm, pairs, epsilons, seed=0):
     """tau(prod a_i^(t_i)) == tau(prod a_i^(t_i + eps_i)) for sampled eps."""
-    def tau_mixed(ps):
-        alg = cm.algebra
-        for ideal, t in ps:
-            if t > 0:
-                alg = alg.with_twist(ideal, Fraction(t))
-        return tau(cm.with_algebra(alg), seed=seed).submodule
-
-    base = tau_mixed(pairs)
+    base = _tau_mixed(cm, pairs, seed)
     results = []
     for eps in epsilons:
         bumped = [(ideal, Fraction(t) + Fraction(e))
                   for (ideal, t), e in zip(pairs, eps)]
-        results.append(tau_mixed(bumped) == base)
+        results.append(_tau_mixed(cm, bumped, seed) == base)
     return results
 
 

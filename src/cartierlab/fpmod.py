@@ -10,7 +10,7 @@ to syzygy computations on the free cover; see :mod:`cartierlab.groebner`.
 """
 
 from .errors import ResourceCapError
-from .groebner import LiftContext, VecPoly, buchberger, normal_form, syzygies
+from .groebner import VecPoly, buchberger, normal_form, syzygies
 from .idealkit import Ideal
 
 
@@ -250,20 +250,6 @@ class Submodule:
             result = ideal if result is None else result.intersect(ideal)
         return result
 
-    def annihilator_of_quotient(self):
-        """ann(M/self) = {f : f * M <= self}."""
-        ring = self.parent.ring
-        result = None
-        for i in range(self.parent.rank):
-            e = self.parent.generator(i)
-            syz = syzygies([e] + self.basis(), self.parent.rank)
-            ideal = Ideal(ring, [s.component(0) for s in syz
-                                 if not s.component(0).is_zero()])
-            result = ideal if result is None else result.intersect(ideal)
-        if result is None:
-            result = Ideal(ring, [ring.one()])
-        return result
-
 
 def torsion(module, ideal, within=None):
     """H^0_I: elements killed by a power of I, with certified stabilization.
@@ -391,11 +377,3 @@ def present_submodule(sub):
         if not v.is_zero():
             rels.append(v)
     return PresentedModule(parent.ring, k, rels), gens
-
-
-def lift_through(sub, vec):
-    """Coefficients expressing vec in terms of sub's reduced generators."""
-    parent = sub.parent
-    gens = sub.generators_reduced()
-    ctx = LiftContext(gens, parent.relation_gb(), parent.rank)
-    return ctx.lift(vec)

@@ -177,9 +177,6 @@ class RingSpec:
         return RingSpec(self.p, self.vars + tuple(new_vars), self.order,
                         caps or self.caps)
 
-    def drop_last_var(self):
-        return RingSpec(self.p, self.vars[:-1], self.order, self.caps)
-
     def parse(self, text):
         return _parse_poly(self, text)
 

@@ -21,7 +21,7 @@ core is the model; a contraction certificate on deeper seeds witnesses the
 local nil-isomorphism.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cartiercore import (CartierAlgebraSpec, CartierModule, CartierOp,
                           apply_cplus, ass_cartier, operator_from_action,
@@ -30,7 +30,7 @@ from .errors import GaugeBoundError, UnsupportedShapeError
 from .fppoly import Poly, RingSpec, gauge_of
 from .fpmod import PresentedModule, Submodule
 from .groebner import VecPoly
-from .idealkit import Ideal, PrimeIdeal, minimal_primes
+from .idealkit import Ideal, PrimeIdeal, _coeffs_in_var, minimal_primes
 
 
 class RingMap:
@@ -55,16 +55,13 @@ class RingMap:
         k = g.degree_in(zi)
         if k < 1:
             raise UnsupportedShapeError("relation must involve the new variable")
-        coeffs = _z_coefficients(g, zi)
-        lead = coeffs.get(k)
+        lead = _coeffs_in_var(g, zi).get(k)
         if lead is None or not lead.is_constant():
             raise UnsupportedShapeError(
                 "relation is not monic-convertible in the adjoined variable")
         c = next(iter(lead.terms.values()))
         if c != 1:
-            inv = pow(c, target.p - 2, target.p)
-            g = g.scale(inv)
-            coeffs = _z_coefficients(g, zi)
+            g = g.scale(pow(c, target.p - 2, target.p))
         return RingMap("finite", source, target,
                        {"var": adjoin, "relation": g, "degree": k})
 
@@ -92,15 +89,6 @@ class RingMap:
         return f"<map {self.serialize()}>"
 
 
-def _z_coefficients(g, zi):
-    out = {}
-    for m, c in g.terms.items():
-        e = m[zi]
-        key = tuple(0 if i == zi else x for i, x in enumerate(m))
-        out.setdefault(e, {})[key] = c
-    return {e: Poly(g.ring, terms) for e, terms in out.items()}
-
-
 class FiniteMapData:
     """Precomputed basis data for R -> S = R[z]/(g)."""
 
@@ -111,7 +99,7 @@ class FiniteMapData:
         self.zi = self.ring.nvars - 1
         self.k = rmap.data["degree"]
         g = rmap.data["relation"]
-        coeffs = _z_coefficients(g, self.zi)
+        coeffs = _coeffs_in_var(g, self.zi)
         down = list(range(rmap.source.nvars)) + [0]  # z never occurs below
         # z^k = -(g - z^k) = sum_u reduction[u] z^u
         self.reduction = []
@@ -173,9 +161,6 @@ class FiniteMapData:
             total = total + acc
         return total
 
-    def to_target(self, f):
-        return f.map_ring(self.ring)
-
 
 # ---------------------------------------------------------------------------
 # pullback algebras
@@ -192,7 +177,6 @@ class PulledBackElement:
 
     def multiply(self, other):
         """(kappa (x) s)(kappa' (x) t) = kappa kappa' (x) s^(p^e') t."""
-        p = self.scalar.ring.p
         s_pow = self.scalar.frobenius(other.e)
         return PulledBackElement(self.op.compose(other.op),
                                  s_pow * other.scalar)
@@ -206,7 +190,6 @@ class PulledBackElement:
 class PulledBackAlgebra:
     base: CartierAlgebraSpec
     target_ring: RingSpec
-    elements: list = field(default_factory=list)
 
     def canonical_generators(self):
         one = self.target_ring.one()
@@ -214,9 +197,7 @@ class PulledBackAlgebra:
 
 
 def pullback_algebra(algebra, rmap):
-    pb = PulledBackAlgebra(algebra, rmap.target)
-    pb.elements = pb.canonical_generators()
-    return pb
+    return PulledBackAlgebra(algebra, rmap.target)
 
 
 def check_pullback_laws(pb, samples):
@@ -225,7 +206,6 @@ def check_pullback_laws(pb, samples):
     ``samples`` is a list of (scalar, scalar, scalar) over the target ring.
     """
     gens = pb.canonical_generators()
-    ring = pb.target_ring
     ok = True
     for s, t, u in samples:
         for a in gens:
@@ -304,14 +284,6 @@ def _vec_map_ring(vec, new_ring, var_map):
                 mm[var_map[i]] = e
         terms[(pos, tuple(mm))] = c
     return VecPoly(new_ring, vec.rank, terms)
-
-
-def extend_prime(prime, new_ring, var_map=None):
-    ring = prime.ring
-    var_map = var_map or list(range(ring.nvars))
-    return PrimeIdeal(Ideal(new_ring, [g.map_ring(new_ring, var_map)
-                                       for g in prime.ideal.gens]),
-                      prime.proved)
 
 
 class ShriekFiniteResult:
@@ -676,18 +648,10 @@ class PointSpan:
         red = _reduce_against(self.module, self.rows, self.module.reduce(vec))
         return red.is_zero()
 
-    def contains_span(self, other):
-        return all(self.contains(r) for r in other.rows)
-
     def __eq__(self, other):
         return (self.module == other.module
                 and [r.sorted_terms() for r in self.rows]
                 == [r.sorted_terms() for r in other.rows])
-
-
-def _term_key(module, term):
-    pos, m = term
-    return (-pos, module.ring.monomial_key(m))
 
 
 def _echelonize(module, vectors):
@@ -698,8 +662,7 @@ def _echelonize(module, vectors):
             lt, lc = v.lead()
             p = module.ring.p
             rows.append(v.scale(pow(lc, p - 2, p)))
-            rows.sort(key=lambda r: _term_key(module, r.lead()[0]),
-                      reverse=True)
+            rows.sort(key=lambda r: r.key(r.lead()[0]), reverse=True)
     # interreduce tails so the echelon form is canonical
     changed = True
     while changed:
@@ -717,11 +680,10 @@ def _echelonize(module, vectors):
                 rows[i] = red
                 changed = True
                 break
-        rows.sort(key=lambda r: _term_key(module, r.lead()[0]), reverse=True)
+        rows.sort(key=lambda r: r.key(r.lead()[0]), reverse=True)
     return rows
 
 def _reduce_against(module, rows, v):
-    p = module.ring.p
     changed = True
     while changed and not v.is_zero():
         changed = False
@@ -820,12 +782,10 @@ def commutation_suite(cm, rmap, seed=0):
                             report["cplus_commutes"]))
         return report
     if rmap.kind == "localize":
-        from .testmod import tau as _tau
-
         c = rmap.data["at"]
         loc = shriek_localize(cm, c)
-        tau_loc = _tau(loc, seed=seed).submodule
-        tau_down = _tau(cm, seed=seed).submodule
+        tau_loc = tau(loc, seed=seed).submodule
+        tau_down = tau(cm, seed=seed).submodule
         report["tau_commutes"] = tau_loc == loc.canon(tau_down.gens)
         want = sorted(tuple(p.ideal.serialize()) for p in ass_cartier(cm)
                       if not p.contains(c))

@@ -11,7 +11,8 @@ import random
 
 from .errors import CartierLabError, ResourceCapError, UnsupportedShapeError
 from .fppoly import Poly, pe_decompose
-from .groebner import VecPoly, buchberger, normal_form, syzygies
+from .groebner import (VecPoly, _divides, buchberger, normal_form,
+                       syzygies)
 
 IRREDUCIBILITY_DEGREE_CAP = 8
 _POINT_ENUM_CAP = 4096
@@ -155,24 +156,6 @@ class Ideal:
     def is_monomial(self):
         return all(g.is_monomial() for g in self.groebner())
 
-    def eliminate_to_subring(self, subring, var_map):
-        """Best-effort contraction: members of the reduced basis that only
-        involve the subring's variables."""
-        kept = []
-        allowed = set(var_map)
-        for g in self.groebner():
-            if g.variables_used() <= allowed:
-                kept.append(g.map_ring(subring,
-                                       {v: i for i, v in enumerate(var_map)}))
-        return Ideal(subring, kept)
-
-
-def zero_ideal(ring):
-    return Ideal(ring, [])
-
-
-def unit_ideal(ring):
-    return Ideal(ring, [ring.one()])
 
 
 class PrimeIdeal:
@@ -760,13 +743,9 @@ def standard_monomials(ideal):
 
     out = []
     for exps in iproduct(*[range(b) for b in bounds]):
-        if not any(_divides_mono(lt, exps) for lt in leads):
+        if not any(_divides(lt, exps) for lt in leads):
             out.append(exps)
     return sorted(out, key=ring.monomial_key)
-
-
-def _divides_mono(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _minimal_polynomial(ideal, vi, std):

@@ -19,6 +19,7 @@ grammar.  Every pair is validated before any task runs.  Rationals are
 always N/D in lowest terms.
 """
 
+import os
 import shlex
 from fractions import Fraction
 
@@ -29,10 +30,14 @@ from .errors import (CartierLabError, InvalidStructureError, ParseError,
 from .filtration import gr, jumping_numbers, skoda_report
 from .fppoly import EngineCaps, RingSpec
 from .fpmod import PresentedModule
-from .functorops import RingMap, coherent_model, pushforward_point
+from .functorops import (RingMap, coherent_model, commutation_suite,
+                         composite_pullback_report, pushforward_point,
+                         quasi_finite_check, shriek_finite)
 from .groebner import memo_scope
 from .idealkit import Ideal, PrimeIdeal
-from .testmod import find_test_elements, is_f_regular, tau, tau_bms, tau_prime
+from .testmod import (TestElementEntry, TestElementSequence,
+                      find_test_elements, is_f_regular, tau, tau_bms,
+                      tau_prime)
 
 
 class Scene:
@@ -45,6 +50,66 @@ class Scene:
         self.maps = {}
         self.pairs = {}
         self.tasks = []
+
+
+class _Fields:
+    """The key=value fields of one scene line, read against its scene.
+
+    A missing field, a malformed value or an unknown object name raises
+    ParseError with the line number, so a bad scene never ends in a
+    traceback.  Engine calls on the values read stay outside: their own
+    faults propagate.
+    """
+
+    def __init__(self, scene, kv, line):
+        self.scene = scene
+        self.kv = kv
+        self.line = line
+
+    def __contains__(self, key):
+        return key in self.kv
+
+    def error(self, message):
+        return ParseError(message, line=self.line)
+
+    def text(self, key):
+        if key not in self.kv:
+            raise self.error(f"missing field {key}=")
+        return self.kv[key]
+
+    def make(self, fn, *args):
+        """``fn(*args)``, reporting a rejected value as a ParseError."""
+        try:
+            return fn(*args)
+        except (ValueError, ZeroDivisionError) as ex:
+            raise self.error(str(ex)) from None
+
+    def integer(self, key):
+        return self.make(int, self.text(key))
+
+    def fraction(self, key):
+        return self.make(_parse_fraction, self.text(key))
+
+    def ideal(self, key):
+        return _parse_ideal(self.scene.ring, self.text(key), self.line)
+
+    def prime(self, text):
+        return PrimeIdeal(_parse_ideal(self.scene.ring, text, self.line),
+                          proved=True)
+
+    def prime_pairs(self, key):
+        """``(prime):element ; ...`` as (PrimeIdeal, element text) pairs."""
+        chunks = [c.rpartition(":") for c in _split_list(self.text(key))]
+        return [(self.prime(prime), elem) for prime, _, elem in chunks]
+
+    def lookup(self, table, name):
+        objects = getattr(self.scene, table)
+        if name not in objects:
+            raise self.error(f"no {table[:-1]} named {name!r}")
+        return objects[name]
+
+    def pair(self):
+        return self.lookup("pairs", self.text("pair"))
 
 
 def _kv(parts, line_no):
@@ -64,6 +129,42 @@ def _parse_fraction(text):
     return Fraction(int(text))
 
 
+def _fraction_text(t):
+    return f"{t.numerator}/{t.denominator}"
+
+
+def _split_list(text):
+    return [c.strip() for c in text.split(";") if c.strip()]
+
+
+def _parse_vectors(ring, text):
+    return [[ring.parse(c) for c in chunk.split("|")]
+            for chunk in _split_list(text)]
+
+
+def _parse_ideal(ring, text, line_no):
+    text = text.strip()
+    if not (text.startswith("(") and text.endswith(")")):
+        raise ParseError(f"ideal must be parenthesized: {text!r}",
+                         line=line_no)
+    inner = text[1:-1].strip()
+    if not inner or inner == "0":
+        return Ideal(ring, [])
+    return Ideal(ring, [ring.parse(c) for c in inner.split(",")])
+
+
+def _parse_op(ring, chunk):
+    e_text, matrix_text = chunk.split(":", 1)
+    rows = [[ring.parse(entry) for entry in row.split(",")]
+            for row in matrix_text.split("/")]
+    return CartierOp(int(e_text), rows)
+
+
+def _parse_twist(ring, chunk, line_no):
+    ideal_text, t_text = chunk.rsplit("^", 1)
+    return _parse_ideal(ring, ideal_text, line_no), _parse_fraction(t_text)
+
+
 def parse_scene(text, name="scene"):
     scene = Scene(name)
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -77,114 +178,78 @@ def parse_scene(text, name="scene"):
         head, rest = parts[0], parts[1:]
         if head == "scene":
             scene.name = rest[0] if rest else name
-        elif head == "ring":
-            kv = _kv(rest, line_no)
-            caps = EngineCaps(max_total_degree=int(kv["maxdeg"])) \
-                if "maxdeg" in kv else EngineCaps()
-            variables = [v for v in kv.get("vars", "").split(",") if v]
-            scene.ring = RingSpec(int(kv["p"]), variables,
-                                  kv.get("order", "grevlex"), caps)
-        elif head == "module":
-            kv = _kv(rest[1:], line_no)
-            name_ = rest[0]
-            rels = _parse_vectors(scene, kv.get("relations", ""), line_no)
-            scene.modules[name_] = PresentedModule(
-                scene.ring, int(kv["rank"]), rels)
-        elif head == "submodule":
-            kv = _kv(rest[1:], line_no)
-            parent = scene.modules[kv["of"]]
-            gens = _parse_vectors(scene, kv["gens"], line_no)
-            scene.submodules[rest[0]] = parent.submodule(gens)
-        elif head == "algebra":
-            kv = _kv(rest[1:], line_no)
-            gens = []
-            for chunk in _split_list(kv["gens"]):
-                e_text, matrix_text = chunk.split(":", 1)
-                rows = [[scene.ring.parse(entry) for entry in row.split(",")]
-                        for row in matrix_text.split("/")]
-                gens.append(CartierOp(int(e_text), rows))
-            twists = []
-            for chunk in _split_list(kv.get("twist", "")):
-                ideal_text, t_text = chunk.rsplit("^", 1)
-                twists.append((_parse_ideal(scene, ideal_text, line_no),
-                               _parse_fraction(t_text)))
-            scene.algebras[rest[0]] = CartierAlgebraSpec(gens, twists or None)
-        elif head == "map":
-            kv = _kv(rest[1:], line_no)
-            if "compose" in kv:
-                # left-to-right composition of previously declared maps
-                chain = []
-                base = scene.ring
-                for name_ in kv["compose"].split(","):
-                    step = scene.maps[name_.strip()]
-                    if isinstance(step, list):
-                        chain.extend(step)
-                    else:
-                        chain.append(step)
-                scene.maps[rest[0]] = chain
-                continue
-            kind = kv["kind"]
-            if kind == "finite":
-                m = RingMap.finite(scene.ring, kv["adjoin"], kv["relation"])
-            elif kind == "localize":
-                m = RingMap.localize(scene.ring, kv["at"])
-            elif kind == "affine-line":
-                m = RingMap.affine_line(scene.ring, kv["var"])
-            else:
-                raise ParseError(f"unknown map kind {kind!r}", line=line_no)
-            scene.maps[rest[0]] = m
-        elif head == "pair":
-            kv = _kv(rest[1:], line_no)
-            module = scene.modules[kv["module"]]
-            algebra = scene.algebras[kv["algebra"]]
-            carrier = scene.submodules.get(kv["carrier"]) \
-                if "carrier" in kv else None
-            inverted = scene.ring.parse(kv["invert"]) if "invert" in kv \
-                else None
-            scene.pairs[rest[0]] = validate_structure(
-                module, algebra, carrier=carrier, inverted=inverted)
-        elif head == "task":
-            kv = _kv(rest[1:], line_no)
-            kv["op"] = rest[0]
-            kv["line"] = line_no
-            scene.tasks.append(kv)
-        else:
+            continue
+        if head == "ring":
+            f = _Fields(scene, _kv(rest, line_no), line_no)
+            caps = EngineCaps(max_total_degree=f.integer("maxdeg")) \
+                if "maxdeg" in f else EngineCaps()
+            variables = [v for v in f.kv.get("vars", "").split(",") if v]
+            scene.ring = f.make(RingSpec, f.integer("p"), variables,
+                                f.kv.get("order", "grevlex"), caps)
+            continue
+        if head not in ("module", "submodule", "algebra", "map", "pair",
+                        "task"):
             raise ParseError(f"unknown directive {head!r}", line=line_no)
+        if scene.ring is None:
+            raise ParseError(f"{head} before the ring line", line=line_no)
+        if not rest:
+            raise ParseError(f"{head} needs a name", line=line_no)
+        name_ = rest[0]
+        f = _Fields(scene, _kv(rest[1:], line_no), line_no)
+        ring = scene.ring
+        if head == "module":
+            rels = _parse_vectors(ring, f.kv.get("relations", ""))
+            scene.modules[name_] = f.make(PresentedModule, ring,
+                                          f.integer("rank"), rels)
+        elif head == "submodule":
+            parent = f.lookup("modules", f.text("of"))
+            scene.submodules[name_] = parent.submodule(
+                _parse_vectors(ring, f.text("gens")))
+        elif head == "algebra":
+            gens = [f.make(_parse_op, ring, chunk)
+                    for chunk in _split_list(f.text("gens"))]
+            twists = [f.make(_parse_twist, ring, chunk, line_no)
+                      for chunk in _split_list(f.kv.get("twist", ""))]
+            scene.algebras[name_] = f.make(CartierAlgebraSpec, gens,
+                                           twists or None)
+        elif head == "map":
+            scene.maps[name_] = _parse_map(f)
+        elif head == "pair":
+            module = f.lookup("modules", f.text("module"))
+            algebra = f.lookup("algebras", f.text("algebra"))
+            carrier = f.lookup("submodules", f.text("carrier")) \
+                if "carrier" in f else None
+            inverted = ring.parse(f.text("invert")) if "invert" in f \
+                else None
+            scene.pairs[name_] = validate_structure(
+                module, algebra, carrier=carrier, inverted=inverted)
+        else:
+            scene.tasks.append({**f.kv, "op": name_, "line": line_no})
     return scene
 
 
-def _split_list(text):
-    return [c.strip() for c in text.split(";") if c.strip()]
-
-
-def _parse_vectors(scene, text, line_no):
-    out = []
-    for chunk in _split_list(text):
-        out.append([scene.ring.parse(c) for c in chunk.split("|")])
-    return out
-
-
-def _parse_ideal(scene, text, line_no):
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"ideal must be parenthesized: {text!r}",
-                         line=line_no)
-    inner = text[1:-1].strip()
-    if not inner or inner == "0":
-        return Ideal(scene.ring, [])
-    return Ideal(scene.ring, [scene.ring.parse(c)
-                              for c in inner.split(",")])
-
-
-def _parse_prime(scene, text, line_no=0):
-    return PrimeIdeal(_parse_ideal(scene, text, line_no), proved=True)
+def _parse_map(f):
+    ring = f.scene.ring
+    if "compose" in f:
+        # left-to-right composition of previously declared maps
+        chain = []
+        for name in f.text("compose").split(","):
+            step = f.lookup("maps", name.strip())
+            chain.extend(step if isinstance(step, list) else [step])
+        return chain
+    kind = f.text("kind")
+    if kind == "finite":
+        return RingMap.finite(ring, f.text("adjoin"), f.text("relation"))
+    if kind == "localize":
+        return RingMap.localize(ring, f.text("at"))
+    if kind == "affine-line":
+        return RingMap.affine_line(ring, f.text("var"))
+    raise f.error(f"unknown map kind {kind!r}")
 
 
 def load_scene(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
     return parse_scene(text, name=os.path.splitext(os.path.basename(path))[0])
 
 
@@ -203,236 +268,220 @@ class TaskOutcome:
         return {"task": echo, "status": self.status, "result": self.result}
 
 
-def _submodule_matches(scene, sub, expected_text):
+def _outcome(f, result, *checks):
+    """The task's outcome: ok when every check holds, else fail."""
+    return TaskOutcome(f.kv, "ok" if all(checks) else "fail", result)
+
+
+def _expect(f, key, value):
+    """True unless the task states ``key`` and ``value`` differs from it."""
+    return key not in f or str(value).lower() == f.text(key).lower()
+
+
+def _expect_sub(f, key, sub):
+    """True unless the task states ``key`` and ``sub`` is another submodule."""
+    if key not in f:
+        return True
     parent = sub.parent
-    want = parent.submodule(_parse_vectors(scene, expected_text, 0))
+    want = parent.submodule(_parse_vectors(f.scene.ring, f.text(key)))
     return sub == parent.submodule(tuple(want.gens))
 
 
-def _expect_check(outcome_value, expected_text):
-    return str(outcome_value) == expected_text
+def _prime_label(prime):
+    return ",".join(prime.ideal.serialize()) or "0"
+
+
+def _finite_map(f):
+    rmap = f.lookup("maps", f.text("map"))
+    if isinstance(rmap, list) or rmap.kind != "finite":
+        raise f.error(f"{f.kv['op']} needs one finite map")
+    return rmap
+
+
+def _run_tau(f, flags, seed):
+    cm = f.pair()
+    if "t" in f and "ideal" in f:
+        alg = cm.algebra.with_twist(f.ideal("ideal"), f.fraction("t"))
+        cm = validate_structure(cm.module, alg, carrier=cm.carrier,
+                                inverted=cm.inverted)
+    supplied = None
+    if "test-elements" in f:
+        supplied = TestElementSequence([
+            TestElementEntry(prime, f.scene.ring.parse(elem),
+                             {"provenance": "supplied"})
+            for prime, elem in f.prime_pairs("test-elements")])
+    fn = tau if f.kv["op"] == "tau" else tau_prime
+    res = fn(cm, test_elements=supplied,
+             e0=f.integer("e0") if "e0" in f else 0, seed=seed)
+    return _outcome(f, res.serialize(),
+                    _expect_sub(f, "expect", res.submodule))
+
+
+def _run_taubms(f, flags, seed):
+    e_max = int(flags["e_max"]) if flags.get("e_max") else None
+    J = tau_bms(f.scene.ring.parse(f.text("f")), f.fraction("t"), e_max=e_max)
+    return _outcome(f, {"ideal": J.serialize()},
+                    "expect" not in f or J == f.ideal("expect"))
+
+
+def _run_stabilize(f, flags, seed):
+    core, k = underline(f.pair())
+    return _outcome(f, {"exponent": k, "core": core.serialize()},
+                    "expect-exponent" not in f
+                    or k == f.integer("expect-exponent"),
+                    _expect_sub(f, "expect", core))
+
+
+def _run_nilpotent(f, flags, seed):
+    cm = f.pair()
+    sub = f.lookup("submodules", f.text("sub")) if "sub" in f \
+        else cm.carrier_sub()
+    at = f.prime(f.text("at")) if "at" in f else None
+    value = nilpotence(cm, sub, at=at)
+    return _outcome(f, {"nilpotent": value}, _expect(f, "expect", value))
+
+
+def _run_ass(f, flags, seed):
+    got = [p.ideal.serialize() for p in ass_cartier(f.pair())]
+    return _outcome(f, {"primes": got},
+                    "expect" not in f
+                    or sorted(tuple(g) for g in got)
+                    == sorted(tuple(f.prime(t).ideal.serialize())
+                              for t in _split_list(f.text("expect"))))
+
+
+def _run_fregular(f, flags, seed):
+    value, cert = is_f_regular(f.pair(), seed=seed)
+    return _outcome(f, {"f_regular": value, "certificate": cert},
+                    _expect(f, "expect", value))
+
+
+def _run_testelements(f, flags, seed):
+    seq = find_test_elements(f.pair(), seed=seed)
+    got = [(_prime_label(e.prime), str(e.element)) for e in seq.entries]
+    return _outcome(f, {"sequence": got},
+                    "expect" not in f
+                    or sorted(got) == sorted(
+                        (_prime_label(prime), elem)
+                        for prime, elem in f.prime_pairs("expect")))
+
+
+def _int_pair(text):
+    a, b = text.split(",")
+    return int(a), int(b)
+
+
+def _run_jumps(f, flags, seed):
+    cm = f.pair()
+    ideal = f.ideal("ideal")
+    caps = f.make(_int_pair,
+                  flags.get("denom_caps") or f.kv.get("denom-caps", "2,2"))
+    policy = flags.get("exact_policy") or f.kv.get("exact-policy", "strict")
+    e_max = int(flags["e_max"]) if flags.get("e_max") else None
+    spectrum = jumping_numbers(
+        cm, ideal, f.fraction("max-t"), caps=caps, exact_policy=policy,
+        e_max=e_max, seed=seed, cache=flags.get("cache"))
+    got = [_fraction_text(t) for t in spectrum.jump_values()]
+    return _outcome(f, spectrum.serialize(),
+                    all(j.right_continuity_ok for j in spectrum.jumps),
+                    "expect-jumps" not in f
+                    or got == [_fraction_text(f.make(_parse_fraction, t))
+                               for t in f.text("expect-jumps").split(",")
+                               if t.strip()])
+
+
+def _run_gr(f, flags, seed):
+    qcm, info = gr(f.pair(), f.ideal("ideal"), f.fraction("t"), seed=seed)
+    nonzero = not qcm.module.is_zero_module()
+    nilp = nilpotence(qcm, qcm.module.full_submodule()) if nonzero else True
+    result = {"rank": qcm.module.rank, "nonzero": nonzero,
+              "nilpotent": nilp, "delta": _fraction_text(info["delta"])}
+    return _outcome(f, result, _expect(f, "expect-nonzero", nonzero),
+                    _expect(f, "expect-nilpotent", nilp))
+
+
+def _run_skoda(f, flags, seed):
+    report = skoda_report(f.pair(), f.ideal("ideal"), f.fraction("t"),
+                          seed=seed)
+    return _outcome(f, report, report["ok"])
+
+
+def _run_pullback(f, flags, seed):
+    cm = f.pair()
+    rmap = f.lookup("maps", f.text("map"))
+    if isinstance(rmap, list):
+        report = composite_pullback_report(cm, rmap, seed=seed)
+        return _outcome(f, report, report["ok"])
+    report = commutation_suite(cm, rmap, seed=seed)
+    tau_checked = rmap.kind == "finite" \
+        and f.kv.get("check", "tau-commutes") == "tau-commutes"
+    return _outcome(f, report, report["ok"],
+                    not tau_checked or report.get("tau_equal"))
+
+
+def _run_pushforward(f, flags, seed):
+    cm = f.pair()
+    report = commutation_suite(cm, _finite_map(f), seed=seed)
+    return _outcome(f, report, report["pushforward_tau_commutes"],
+                    report["pushforward_ass_transport"])
+
+
+def _run_quasifinite(f, flags, seed):
+    cm = f.pair()
+    rmap = _finite_map(f)
+    upstairs = cm if cm.ring == rmap.target else shriek_finite(cm, rmap).cm
+    invert = rmap.target.parse(f.text("invert"))
+    report = quasi_finite_check(upstairs, invert, rmap, seed=seed)
+    return _outcome(f, report, report["included"],
+                    _expect(f, "expect-strict", report["strict"]))
+
+
+def _run_model(f, flags, seed):
+    res = coherent_model(f.pair())
+    tau_model = tau(res.cm, seed=seed).submodule
+    result = res.serialize()
+    result["tau_core"] = tau_model.serialize()
+    core = res.core()
+    strict = core.contains_sub(tau_model) and core != tau_model
+    return _outcome(f, result, _expect_sub(f, "expect-core", core),
+                    _expect_sub(f, "expect-tau", tau_model),
+                    _expect(f, "expect-strict", strict))
+
+
+def _run_point_pushforward(f, flags, seed):
+    cm = f.pair()
+    _model, core = pushforward_point(cm)
+    tau_sub = tau(cm, seed=seed).submodule
+    _model2, core2 = pushforward_point(cm.with_carrier(tau_sub))
+    mismatch = core.dim() != core2.dim()
+    result = {"tau_of_pushforward_dim": core.dim(),
+              "pushforward_of_tau_dim": core2.dim(),
+              "mismatch": mismatch}
+    if f.kv.get("expect-negative", "false").lower() == "true":
+        status = "expected-negative" if mismatch else "fail"
+    else:
+        status = "fail" if mismatch else "ok"
+    return TaskOutcome(f.kv, status, result)
+
+
+_TASK_OPS = {"tau": _run_tau, "tauprime": _run_tau, "taubms": _run_taubms,
+             "stabilize": _run_stabilize, "nilpotent": _run_nilpotent,
+             "ass": _run_ass, "fregular": _run_fregular,
+             "testelements": _run_testelements, "jumps": _run_jumps,
+             "gr": _run_gr, "skoda": _run_skoda, "pullback": _run_pullback,
+             "pushforward": _run_pushforward,
+             "quasifinite": _run_quasifinite, "model": _run_model,
+             "point-pushforward": _run_point_pushforward}
 
 
 @memo_scope()
 def run_task(scene, task, flags):
-    op = task["op"]
-    seed = int(flags.get("seed", task.get("seed", 0)))
-    e_max = flags.get("e_max")
-    cache = flags.get("cache")
-
-    def pair():
-        return scene.pairs[task["pair"]]
-
-    if op == "tau" or op == "tauprime":
-        cm = pair()
-        fn = tau if op == "tau" else tau_prime
-        if "t" in task and "ideal" in task:
-            alg = cm.algebra.with_twist(_parse_ideal(scene, task["ideal"], 0),
-                                        _parse_fraction(task["t"]))
-            cm = validate_structure(cm.module, alg, carrier=cm.carrier,
-                                    inverted=cm.inverted)
-        supplied = None
-        if "test-elements" in task:
-            from .testmod import TestElementEntry, TestElementSequence
-
-            entries = []
-            for chunk in _split_list(task["test-elements"]):
-                prime_text, elem = chunk.rsplit(":", 1)
-                entries.append(TestElementEntry(
-                    _parse_prime(scene, prime_text), scene.ring.parse(elem),
-                    {"provenance": "supplied"}))
-            supplied = TestElementSequence(entries)
-        res = fn(cm, test_elements=supplied, e0=int(task.get("e0", 0)),
-                 seed=seed)
-        result = res.serialize()
-        ok = True
-        if "expect" in task:
-            ok = _submodule_matches(scene, res.submodule, task["expect"])
-        return TaskOutcome(task, "ok" if ok else "fail", result)
-    if op == "taubms":
-        f = scene.ring.parse(task["f"])
-        t = _parse_fraction(task["t"])
-        J = tau_bms(f, t, e_max=int(e_max) if e_max else None)
-        ok = True
-        if "expect" in task:
-            ok = J == _parse_ideal(scene, task["expect"], 0)
-        return TaskOutcome(task, "ok" if ok else "fail",
-                           {"ideal": J.serialize()})
-    if op == "stabilize":
-        core, k = underline(pair())
-        ok = True
-        if "expect-exponent" in task:
-            ok &= k == int(task["expect-exponent"])
-        if "expect" in task:
-            ok &= _submodule_matches(scene, core, task["expect"])
-        return TaskOutcome(task, "ok" if ok else "fail",
-                           {"exponent": k, "core": core.serialize()})
-    if op == "nilpotent":
-        cm = pair()
-        sub = scene.submodules[task["sub"]] if "sub" in task \
-            else cm.carrier_sub()
-        at = _parse_prime(scene, task["at"]) if "at" in task else None
-        value = nilpotence(cm, sub, at=at)
-        ok = True
-        if "expect" in task:
-            ok = str(value).lower() == task["expect"].lower()
-        return TaskOutcome(task, "ok" if ok else "fail", {"nilpotent": value})
-    if op == "ass":
-        primes = ass_cartier(pair())
-        got = [p.ideal.serialize() for p in primes]
-        ok = True
-        if "expect" in task:
-            want = sorted(tuple(_parse_prime(scene, t).ideal.serialize())
-                          for t in _split_list(task["expect"]))
-            ok = sorted(tuple(g) for g in got) == want
-        return TaskOutcome(task, "ok" if ok else "fail", {"primes": got})
-    if op == "fregular":
-        value, cert = is_f_regular(pair(), seed=seed)
-        ok = True
-        if "expect" in task:
-            ok = str(value).lower() == task["expect"].lower()
-        return TaskOutcome(task, "ok" if ok else "fail",
-                           {"f_regular": value, "certificate": cert})
-    if op == "testelements":
-        seq = find_test_elements(pair(), seed=seed)
-        got = [(",".join(e.prime.ideal.serialize()) or "0", str(e.element))
-               for e in seq.entries]
-        ok = True
-        if "expect" in task:
-            want = []
-            for chunk in _split_list(task["expect"]):
-                prime_text, elem = chunk.rsplit(":", 1)
-                want.append((",".join(_parse_prime(scene, prime_text)
-                                      .ideal.serialize()) or "0", elem))
-            ok = sorted(got) == sorted(want)
-        return TaskOutcome(task, "ok" if ok else "fail",
-                           {"sequence": got})
-    if op == "jumps":
-        cm = pair()
-        ideal = _parse_ideal(scene, task["ideal"], 0)
-        caps_text = flags.get("denom_caps") or task.get("denom-caps", "2,2")
-        A, B = (int(x) for x in caps_text.split(","))
-        policy = flags.get("exact_policy") or task.get("exact-policy",
-                                                       "strict")
-        spectrum = jumping_numbers(
-            cm, ideal, _parse_fraction(task["max-t"]), caps=(A, B),
-            exact_policy=policy, e_max=int(e_max) if e_max else None,
-            seed=seed, cache=cache)
-        got = [f"{t.numerator}/{t.denominator}" for t in
-               spectrum.jump_values()]
-        ok = all(j.right_continuity_ok for j in spectrum.jumps)
-        if "expect-jumps" in task:
-            want = []
-            for t in task["expect-jumps"].split(","):
-                if t.strip():
-                    fr = _parse_fraction(t)
-                    want.append(f"{fr.numerator}/{fr.denominator}")
-            ok &= got == want
-        return TaskOutcome(task, "ok" if ok else "fail",
-                           spectrum.serialize())
-    if op == "gr":
-        cm = pair()
-        ideal = _parse_ideal(scene, task["ideal"], 0)
-        qcm, info = gr(cm, ideal, _parse_fraction(task["t"]), seed=seed)
-        nonzero = not qcm.module.is_zero_module()
-        nilp = True
-        if nonzero:
-            nilp = nilpotence(qcm, qcm.module.full_submodule())
-        result = {"rank": qcm.module.rank, "nonzero": nonzero,
-                  "nilpotent": nilp,
-                  "delta": f"{info['delta'].numerator}/"
-                           f"{info['delta'].denominator}"}
-        ok = True
-        if "expect-nonzero" in task:
-            ok &= str(nonzero).lower() == task["expect-nonzero"].lower()
-        if "expect-nilpotent" in task:
-            ok &= str(nilp).lower() == task["expect-nilpotent"].lower()
-        return TaskOutcome(task, "ok" if ok else "fail", result)
-    if op == "skoda":
-        cm = pair()
-        report = skoda_report(cm, _parse_ideal(scene, task["ideal"], 0),
-                              _parse_fraction(task["t"]), seed=seed)
-        return TaskOutcome(task, "ok" if report["ok"] else "fail", report)
-    if op == "pullback":
-        return _run_pullback(scene, task, seed)
-    if op == "pushforward":
-        return _run_pushforward(scene, task, seed)
-    if op == "quasifinite":
-        from .functorops import quasi_finite_check, shriek_finite
-
-        cm = pair()
-        rmap = scene.maps[task["map"]]
-        if isinstance(rmap, list):
-            raise ParseError("quasifinite expects one finite map")
-        upstairs = cm if cm.ring == rmap.target else \
-            shriek_finite(cm, rmap).cm
-        invert = rmap.target.parse(task["invert"])
-        report = quasi_finite_check(upstairs, invert, rmap, seed=seed)
-        ok = report["included"]
-        if "expect-strict" in task:
-            ok &= str(report["strict"]).lower() == \
-                task["expect-strict"].lower()
-        return TaskOutcome(task, "ok" if ok else "fail", report)
-    if op == "model":
-        cm = pair()
-        res = coherent_model(cm)
-        tau_model = tau(res.cm, seed=seed).submodule
-        result = res.serialize()
-        result["tau_core"] = tau_model.serialize()
-        ok = True
-        if "expect-core" in task:
-            ok &= _submodule_matches(scene, res.core(), task["expect-core"])
-        if "expect-tau" in task:
-            ok &= _submodule_matches(scene, tau_model, task["expect-tau"])
-        if "expect-strict" in task:
-            strict = res.core().contains_sub(tau_model) \
-                and res.core() != tau_model
-            ok &= str(strict).lower() == task["expect-strict"].lower()
-        return TaskOutcome(task, "ok" if ok else "fail", result)
-    if op == "point-pushforward":
-        cm = pair()
-        model, core = pushforward_point(cm)
-        tau_sub = tau(cm, seed=seed).submodule
-        _m2, core2 = pushforward_point(cm.with_carrier(tau_sub))
-        mismatch = core.dim() != core2.dim()
-        result = {"tau_of_pushforward_dim": core.dim(),
-                  "pushforward_of_tau_dim": core2.dim(),
-                  "mismatch": mismatch}
-        if task.get("expect-negative", "false").lower() == "true":
-            status = "expected-negative" if mismatch else "fail"
-        else:
-            status = "ok" if not mismatch else "fail"
-        return TaskOutcome(task, status, result)
-    raise ParseError(f"unknown task op {op!r}", line=task.get("line"))
-
-
-def _run_pullback(scene, task, seed):
-    from .functorops import commutation_suite, composite_pullback_report
-
-    cm = scene.pairs[task["pair"]]
-    rmap = scene.maps[task["map"]]
-    check = task.get("check", "tau-commutes")
-    if isinstance(rmap, list):
-        report = composite_pullback_report(cm, rmap, seed=seed)
-        return TaskOutcome(task, "ok" if report["ok"] else "fail", report)
-    report = commutation_suite(cm, rmap, seed=seed)
-    ok = report["ok"]
-    if rmap.kind == "finite" and check == "tau-commutes":
-        ok = ok and bool(report.get("tau_equal"))
-    return TaskOutcome(task, "ok" if ok else "fail", report)
-
-
-def _run_pushforward(scene, task, seed):
-    from .functorops import commutation_suite
-
-    cm = scene.pairs[task["pair"]]
-    rmap = scene.maps[task["map"]]
-    if rmap.kind != "finite":
-        raise ParseError("pushforward tasks need a finite map")
-    report = commutation_suite(cm, rmap, seed=seed)
-    ok = bool(report["pushforward_tau_commutes"]) and \
-        bool(report["pushforward_ass_transport"])
-    return TaskOutcome(task, "ok" if ok else "fail", report)
+    f = _Fields(scene, task, task.get("line"))
+    handler = _TASK_OPS.get(task["op"])
+    if handler is None:
+        raise f.error(f"unknown task op {task['op']!r}")
+    seed = f.make(int, flags.get("seed", task.get("seed", 0)))
+    return handler(f, flags, seed)
 
 
 def run_scene(scene, flags=None):

@@ -21,9 +21,11 @@ the stable member of the ascending Frobenius-root chain of f^ceil(t*p^e).
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import math
 import random
 
-from .cartiercore import ass_cartier, graded_sum, underline
+from .cartiercore import (ass_cartier, ceil_pattern_period, graded_sum,
+                          underline)
 from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion
@@ -73,7 +75,6 @@ class TauResult:
 
 
 def _factor_pool(cm):
-    ring = cm.ring
     pool = []
 
     def add(f):
@@ -90,8 +91,8 @@ def _factor_pool(cm):
         for row in op.matrix:
             for u in row:
                 add(u)
-    if cm.algebra.twist is not None:
-        for g in cm.algebra.twist[0].gens:
+    for ideal, _t in cm.algebra.twists:
+        for g in ideal.gens:
             add(g)
     try:
         ann = cm.carrier_sub().annihilator()
@@ -202,7 +203,6 @@ def is_f_regular(cm, witness=None, candidates=None, seed=0):
             "supply candidates")
     cert["ass"] = [pr.ideal.serialize() for pr in ass]
     if witness is not None:
-        cands_note = [witness]
         if any(pr.contains(witness) for pr in ass):
             raise ValueError("witness lies in an associated prime")
         shrunk, _ = graded_sum(cmc, cmc.canon(
@@ -492,27 +492,6 @@ def minimality_audit(cm, tau_sub, primes, seed=0):
 # fast path for principal twists on the rank-1 free module
 
 
-def ceil_pattern_window(p, t):
-    """Consecutive-equal-steps window covering the periodicity of ceil(t*p^e).
-
-    The exponent pattern has preperiod v_p(denominator) and period equal to
-    the multiplicative order of p modulo the p-free part, so a plateau of
-    this length spans one full pattern cycle.
-    """
-    den = Fraction(t).denominator
-    pre = 0
-    while den % p == 0:
-        den //= p
-        pre += 1
-    period = 1
-    if den > 1:
-        acc = p % den
-        while acc != 1:
-            acc = (acc * p) % den
-            period += 1
-    return max(3, pre + period + 1)
-
-
 @memo_scope()
 def tau_bms(f, t, e_max=None):
     """Stable value of the ascending chain root_e(f^ceil(t*p^e)).
@@ -529,13 +508,12 @@ def tau_bms(f, t, e_max=None):
         raise ValueError("exponent must be >= 0")
     ring = f.ring
     e_max = e_max if e_max is not None else ring.caps.chain_cap
-    window = ceil_pattern_window(ring.p, t)
-    import math as _math
-
+    pre, period = ceil_pattern_period(ring.p, t)
+    window = max(3, pre + period + 1)
     prev = None
     quiet = 0
     for e in range(1, e_max + 1):
-        exponent = _math.ceil(t * ring.p ** e)
+        exponent = math.ceil(t * ring.p ** e)
         current = frobenius_root_of_power(f, exponent, e)
         if prev is not None:
             if not current.contains_ideal(prev):

@@ -40,7 +40,7 @@ class TestPullbackAlgebra:
         cm = plain_line()
         rmap = RingMap.affine_line(cm.ring, "u")
         pb = pullback_algebra(cm.algebra, rmap)
-        assert all(el.scalar.is_one() for el in pb.elements)
+        assert all(el.scalar.is_one() for el in pb.canonical_generators())
 
     def test_multiplication_law_p2(self):
         cm = twisted_line(2)

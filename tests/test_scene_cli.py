@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from cartierlab.cache import ResultCache, canonical_json
-from cartierlab.cli import corpus_scene_names, run_corpus
+from cartierlab.cli import corpus_scene_names, main, run_corpus
 from cartierlab.errors import ParseError
 from cartierlab.scene import parse_scene, run_scene
 
@@ -50,6 +50,12 @@ class TestSceneParsing:
         scene = parse_scene("scene empty\nring p=2 vars=x\n")
         report, code = run_scene(scene)
         assert code == 0 and report["tasks"] == []
+
+    def test_parse_error_names_only_what_is_known(self):
+        assert str(ParseError("bad", line=3)) == "bad (line 3)"
+        assert str(ParseError("bad", line=3, column=7)) == \
+            "bad (line 3, column 7)"
+        assert str(ParseError("bad")) == "bad"
 
 
 class TestCorpus:
@@ -158,6 +164,40 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
 """)
         proc = self.run_cli("check", "--scene", str(scene))
         assert proc.returncode == 5
+
+    def test_single_op_reports_cache_hits(self, tmp_path, capsys):
+        scene = tmp_path / "floor.scene"
+        scene.write_text(FLOOR)
+        argv = ["jumps", "--scene", str(scene), "--pair", "P", "--ideal",
+                "(y)", "--max-t", "1", "--denom-caps", "1,1", "--cache-dir",
+                str(tmp_path / "cache"), "--json"]
+        assert main(argv) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert first["summary"]["cache_hits"] == 0
+        assert second["summary"]["cache_hits"] > 0
+        jumps = [doc["tasks"][0]["result"]["jumps"] for doc in (first, second)]
+        assert jumps[0] == jumps[1]
+
+    # (scene text, line of the fault); FLOOR's first line is blank
+    MALFORMED = {
+        "unknown-algebra": (FLOOR.replace("algebra=A", "algebra=B"), 6),
+        "ring-p-not-prime": (FLOOR.replace("p=2", "p=4"), 3),
+        "rank-not-integer": (FLOOR.replace("rank=1", "rank=x"), 4),
+        "max-t-not-rational": (
+            FLOOR + "task jumps pair=P ideal=(y) max-t=abc\n", 8),
+    }
+
+    @pytest.mark.parametrize("text, line", MALFORMED.values(),
+                             ids=MALFORMED.keys())
+    def test_malformed_scene_exits_5_with_line(self, tmp_path, capsys,
+                                                text, line):
+        scene = tmp_path / "bad.scene"
+        scene.write_text(text)
+        assert main(["check", "--scene", str(scene), "--json"]) == 5
+        captured = capsys.readouterr()
+        assert f"(line {line})" in captured.out + captured.err
 
     def test_single_op_and_json(self, tmp_path):
         scene = tmp_path / "ok.scene"

@@ -344,3 +344,20 @@ class TestInternalFaultsPropagate:
         monkeypatch.setattr(fpmod.Submodule, "annihilator", broken)
         with pytest.raises(AssertionError, match="internal fault"):
             _factor_pool(cm)
+
+
+class TestFactorPool:
+    def test_pool_has_a_factor_of_every_twist_ideal(self):
+        from cartierlab.testmod import _factor_pool
+
+        R = RingSpec(2, ("x", "y", "z"))
+        alg = CartierAlgebraSpec(
+            [CartierOp(1, [[R.one()]])],
+            [(Ideal(R, [R.parse("y")]), Fraction(1, 2)),
+             (Ideal(R, [R.parse("x + z")]), Fraction(1, 2))])
+        pool = _factor_pool(validate_structure(PresentedModule.free(R, 1),
+                                               alg))
+        for ideal, _t in alg.twists:
+            for g in ideal.gens:
+                assert any(g.try_divide(h) is not None for h in pool), \
+                    (str(g), [str(h) for h in pool])
