@@ -22,7 +22,7 @@ from itertools import product as iproduct
 from .errors import (InvalidStructureError, NotEquivariantError,
                      ResourceCapError, UnsupportedShapeError)
 from .fpmod import Submodule, support_vanishes, torsion
-from .groebner import VecPoly
+from .groebner import VecPoly, memo_table
 from .idealkit import (PrimeIdeal, minimal_primes,
                        monomial_associated_primes)
 
@@ -48,14 +48,12 @@ class CartierOp:
     def ring(self):
         return self.matrix[0][0].ring
 
-    def apply_vec(self, vec, premul=None):
-        """trace_e(U * (premul * vec)), componentwise."""
+    def apply_vec(self, vec):
+        """trace_e(U * vec), componentwise."""
         from .fppoly import cartier_trace
 
         ring = self.ring()
         cols = [vec.component(j) for j in range(self.rank)]
-        if premul is not None:
-            cols = [premul * c for c in cols]
         out = {}
         for i, row in enumerate(self.matrix):
             acc = ring.zero()
@@ -268,7 +266,7 @@ def validate_structure(module, algebra, carrier=None, inverted=None):
             f"operator rank {algebra.rank} != module rank {module.rank}")
     relsub = Submodule(module, ())
     for gi, op in enumerate(algebra.generators):
-        ring.caps.check_e(ring.p, op.e)
+        ring.caps.check_e(op.e)
         q = ring.p ** op.e
         for ri, rel in enumerate(module.relations):
             for b, img in _residue_images(ring, op, rel):
@@ -303,26 +301,15 @@ def _gamma_choices_one(ring, ngens, e, pending):
     return out
 
 
-_SMALL_POWER_CACHE = {}
-
-
-def _small_power(g, a):
-    key = (g, a)
-    hit = _SMALL_POWER_CACHE.get(key)
-    if hit is None:
-        hit = g ** a
-        if len(_SMALL_POWER_CACHE) < 4096:
-            _SMALL_POWER_CACHE[key] = hit
-    return hit
-
-
 def _twist_moves(ring, twists, e, pendings):
     """Digit-peel choices across all twist ideals simultaneously.
 
     Yields (multiplier poly, new pending tuple): the multiplier is the
     product of the chosen small ideal-generator powers; the remaining huge
-    powers follow the operator through as p^e-th roots.
+    powers follow the operator through as p^e-th roots.  The small powers
+    are memoised for the open memo scope.
     """
+    powers = memo_table("small_power")
     per_ideal = []
     for (ideal, _t), pending in zip(twists, pendings):
         choices = _gamma_choices_one(ring, len(ideal.gens), e, pending)
@@ -335,7 +322,10 @@ def _twist_moves(ring, twists, e, pendings):
         for gens, gamma, new in combo:
             for g, a in zip(gens, gamma):
                 if a:
-                    mult = mult * _small_power(g, a)
+                    power = powers.get((g, a))
+                    if power is None:
+                        power = powers[(g, a)] = g ** a
+                    mult = mult * power
             new_pendings.append(new)
         yield mult, tuple(new_pendings)
 
@@ -516,19 +506,33 @@ def _max_degree(gens):
     return max((g.max_total_degree() for g in gens), default=0)
 
 
-def graded_sum(cm, seed, e_min=0, e_cap=None):
+def graded_sum(cm, seed, e_min=0):
     """Stabilized ascending sum  sum_{e >= e_min} C_e^tw (seed).
 
     Returns (Submodule, info dict).  For untwisted algebras stabilization is
     certified by a fixed-point check (the sum is stable under every
     generator and the last max-degree pieces add nothing).  For twisted
     algebras the sum is scanned until a denominator/degree-derived window of
-    consecutive degrees adds nothing; the window used is reported.
+    consecutive degrees adds nothing; the window used is reported.  Sums
+    are memoised for the open memo scope.
     """
-    caps = cm.ring.caps
-    e_cap = e_cap if e_cap is not None else caps.chain_cap
     seed = seed if isinstance(seed, Submodule) else cm.canon(seed)
     seed_gens = seed.basis()
+    memo = memo_table("graded_sum")
+    # inverting 1 changes nothing; the digit peeling walks the twist gens
+    inverted = None if cm.inverted is None or cm.inverted.is_one() \
+        else cm.inverted
+    key = (cm.ring.caps, cm.module, inverted, cm.algebra.generators,
+           tuple((tuple(a.gens), t) for a, t in cm.algebra.twists),
+           tuple(seed_gens), e_min)
+    if key not in memo:
+        memo[key] = _graded_sum(cm, seed_gens, e_min)
+    total, info = memo[key]
+    return total, dict(info)
+
+
+def _graded_sum(cm, seed_gens, e_min):
+    e_cap = cm.ring.caps.chain_cap
     pieces = {0: seed_gens}
     max_gen_e = max(op.e for op in cm.algebra.generators)
     twisted = cm.algebra.is_twisted()

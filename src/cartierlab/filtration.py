@@ -138,7 +138,7 @@ class JumpSpectrum:
 
 @memo_scope()
 def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
-                    e_max=None, seed=0, cache=None, check_right_continuity=True):
+                    e_max=None, seed=0, cache=None):
     """Scan tau(M, a^t) over the grid and certify the strict drops.
 
     ``caps`` = (A, B) fixes the candidate denominator p^A (p^B - 1).
@@ -166,14 +166,10 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
                 f"tau not monotone between {prev_t} and {t} (internal error)")
         if cur != prev and not trivial_twist:
             delta = t - prev_t
-            rc = True
-            if check_right_continuity:
-                half = sampler.at(t + delta / 2) if t + delta / 2 <= top \
-                    else cur
-                rc = (half == cur)
+            half = sampler.at(t + delta / 2) if t + delta / 2 <= top else cur
             jumps.append(JumpRecord(
                 t, prev.serialize()["generators"],
-                cur.serialize()["generators"], delta, rc))
+                cur.serialize()["generators"], delta, half == cur))
         prev, prev_t = cur, t
     if exact_policy == "strict" and sampler.fast:
         exactness = "EXACT"
@@ -289,7 +285,7 @@ def _tau_mixed(cm, pairs, seed):
     return tau(cm.with_algebra(alg), seed=seed).submodule
 
 
-def mixed_skoda_report(cm, pairs, index, e_max=None, seed=0):
+def mixed_skoda_report(cm, pairs, index, seed=0):
     """Mixed variant: a_i * tau(prod a_j^(t_j - [j==i])) <= tau(prod a_j^t_j)."""
     pairs = [(ideal, Fraction(t)) for ideal, t in pairs]
     ideal_i, t_i = pairs[index]
@@ -332,6 +328,6 @@ def inequality_checks(cm, ideal=None, ts=(), mixed=None, e_max=None, seed=0):
     if mixed:
         for pairs, index in mixed:
             report["mixed"].append(mixed_skoda_report(cm, pairs, index,
-                                                      e_max=e_max, seed=seed))
+                                                      seed=seed))
     report["ok"] = all(r["ok"] for r in report["skoda"] + report["mixed"])
     return report

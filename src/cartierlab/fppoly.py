@@ -23,6 +23,7 @@ machinery in :mod:`cartierlab.functorops`.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
 
@@ -56,15 +57,16 @@ def is_prime(n):
 
 @dataclass(frozen=True)
 class EngineCaps:
-    """Hard resource limits.  Exceeding any of them raises, loudly."""
+    """Hard resource limits; only ``max_total_degree`` is settable.
+    Exceeding any of them raises, loudly."""
 
-    max_vars: int = 6
-    max_e: int = 6
+    max_vars: ClassVar[int] = 6
+    max_e: ClassVar[int] = 6
+    chain_cap: ClassVar[int] = 64
+    pair_cap: ClassVar[int] = 100000
+    basis_enum_cap: ClassVar[int] = 1 << 20
+    twist_expand_cap: ClassVar[int] = 512
     max_total_degree: int = 4096
-    chain_cap: int = 64
-    pair_cap: int = 100000
-    basis_enum_cap: int = 1 << 20
-    twist_expand_cap: int = 512
 
     def check_degree(self, deg):
         if deg > self.max_total_degree:
@@ -72,7 +74,7 @@ class EngineCaps:
                 f"total degree {deg} exceeds cap {self.max_total_degree}"
             )
 
-    def check_e(self, p, e):
+    def check_e(self, e):
         if e < 1:
             raise ValueError("Frobenius level e must be >= 1")
         if e > self.max_e:
@@ -172,10 +174,10 @@ class RingSpec:
             return self.zero()
         return Poly(self, {exps: coeff})
 
-    def extend(self, *new_vars, caps=None):
-        """Ring with additional variables appended (same p and order)."""
+    def extend(self, *new_vars):
+        """Ring with additional variables appended (same p, order and caps)."""
         return RingSpec(self.p, self.vars + tuple(new_vars), self.order,
-                        caps or self.caps)
+                        self.caps)
 
     def parse(self, text):
         return _parse_poly(self, text)
@@ -544,7 +546,7 @@ def pe_decompose(f, e):
     being the identity on F_p coefficients.
     """
     ring = f.ring
-    ring.caps.check_e(ring.p, e)
+    ring.caps.check_e(e)
     q = ring.p ** e
     out = {}
     for m, c in f.terms.items():
@@ -562,7 +564,7 @@ def cartier_trace(f, e, premul=None):
     holds exactly.
     """
     ring = f.ring
-    ring.caps.check_e(ring.p, e)
+    ring.caps.check_e(e)
     if premul is not None:
         f = premul * f
     q = ring.p ** e

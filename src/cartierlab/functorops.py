@@ -45,12 +45,10 @@ class RingMap:
         self.data = data
 
     @staticmethod
-    def finite(source, adjoin, relation_text_or_poly):
-        """R -> R[z]/(g) with g monic (or unit-leading) in z."""
+    def finite(source, adjoin, relation):
+        """R -> R[z]/(g) with g, given as text, monic (or unit-leading) in z."""
         target = source.extend(adjoin)
-        g = relation_text_or_poly
-        if isinstance(g, str):
-            g = target.parse(g)
+        g = target.parse(relation)
         zi = target.nvars - 1
         k = g.degree_in(zi)
         if k < 1:
@@ -67,8 +65,8 @@ class RingMap:
 
     @staticmethod
     def localize(source, at):
-        if isinstance(at, str):
-            at = source.parse(at)
+        """R -> R_c for c given as text."""
+        at = source.parse(at)
         if at.is_zero():
             raise ValueError("cannot invert zero")
         return RingMap("localize", source, source, {"at": at})
@@ -236,9 +234,7 @@ def check_pullback_laws(pb, samples):
 
 
 def shriek_localize(cm, c):
-    """Module over R_c: same data, saturated canonical forms."""
-    if isinstance(c, str):
-        c = cm.ring.parse(c)
+    """Module over R_c for a Poly c: same data, saturated canonical forms."""
     if c.is_zero():
         raise ValueError("cannot invert zero")
     return cm.localize(c)
@@ -275,15 +271,8 @@ def shriek_affine_line(cm, var):
 
 
 def _vec_map_ring(vec, new_ring, var_map):
-    terms = {}
-    n = new_ring.nvars
-    for (pos, m), c in vec.terms.items():
-        mm = [0] * n
-        for i, e in enumerate(m):
-            if e:
-                mm[var_map[i]] = e
-        terms[(pos, tuple(mm))] = c
-    return VecPoly(new_ring, vec.rank, terms)
+    return VecPoly.from_columns(new_ring, [c.map_ring(new_ring, var_map)
+                                           for c in vec.columns()])
 
 
 class ShriekFiniteResult:
@@ -391,6 +380,34 @@ def shriek_finite(cm, rmap):
     algebra = CartierAlgebraSpec(ops, twists or None)
     out = validate_structure(module, algebra)
     return ShriekFiniteResult(out, data, cm)
+
+
+@dataclass(frozen=True)
+class PullbackResult:
+    """f^! M along a localization or affine-line map, with the transport
+    of submodules of M upstairs (the same generators over the new ring)."""
+
+    cm: CartierModule
+    transport_submodule: object  # Submodule -> Submodule
+
+
+def pullback(cm, rmap):
+    """f^! M along one elementary map, with the transport of submodules.
+
+    The result has ``cm`` (the module upstairs) and ``transport_submodule``;
+    for a finite map it is ``shriek_finite``'s result.
+    """
+    if rmap.kind == "finite":
+        return shriek_finite(cm, rmap)
+    if rmap.kind == "localize":
+        up = shriek_localize(cm, rmap.data["at"])
+        return PullbackResult(up, lambda sub: up.canon(sub.gens))
+    if rmap.kind == "affine-line":
+        up = shriek_affine_line(cm, rmap.data["var"])
+        var_map = list(range(cm.ring.nvars))
+        return PullbackResult(up, lambda sub: up.canon(
+            [_vec_map_ring(v, up.ring, var_map) for v in sub.basis()]))
+    raise UnsupportedShapeError(f"cannot pull back along {rmap.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +579,7 @@ class CoherentModelResult:
                 "witness": self.witness}
 
 
-def coherent_model(cm, K=None, probe_depth=2):
+def coherent_model(cm, K=None):
     """Coherent submodule of j_* M_c with a local nil-isomorphism witness.
 
     Operators must be denominator-free (the kappa (x) 1 form); K defaults to
@@ -602,7 +619,7 @@ def coherent_model(cm, K=None, probe_depth=2):
     # contraction witness: a seed c^(-(K+d)) m chains back into the model.
     # In the (K+d)-conjugated coordinates the model core is c^d * core.
     witness = {"underline_steps": steps, "re_entry": []}
-    for depth in range(1, probe_depth + 1):
+    for depth in (1, 2):
         deeper = conjugated(K + depth)
         target = Submodule(cm.module,
                            core.scale_poly(c ** depth).gens)
@@ -645,7 +662,7 @@ class PointSpan:
         return len(self.rows)
 
     def contains(self, vec):
-        red = _reduce_against(self.module, self.rows, self.module.reduce(vec))
+        red = _reduce_against(self.rows, self.module.reduce(vec))
         return red.is_zero()
 
     def __eq__(self, other):
@@ -657,7 +674,7 @@ class PointSpan:
 def _echelonize(module, vectors):
     rows = []
     for v in vectors:
-        v = _reduce_against(module, rows, v)
+        v = _reduce_against(rows, v)
         if not v.is_zero():
             lt, lc = v.lead()
             p = module.ring.p
@@ -669,7 +686,7 @@ def _echelonize(module, vectors):
         changed = False
         for i in range(len(rows)):
             others = rows[:i] + rows[i + 1:]
-            red = _reduce_against(module, others, rows[i])
+            red = _reduce_against(others, rows[i])
             if red.is_zero():
                 rows.pop(i)
                 changed = True
@@ -683,7 +700,7 @@ def _echelonize(module, vectors):
         rows.sort(key=lambda r: r.key(r.lead()[0]), reverse=True)
     return rows
 
-def _reduce_against(module, rows, v):
+def _reduce_against(rows, v):
     changed = True
     while changed and not v.is_zero():
         changed = False
@@ -697,16 +714,15 @@ def _reduce_against(module, rows, v):
     return v
 
 
-def pushforward_point(cm, K=None):
+def pushforward_point(cm):
     """Coherent model of the pushforward to Spec F_p, as an F_p-space.
 
     Returns (model span, stable core span): the base acts through F_p, so
-    chains use plain operator images with no monomial premultiples.
+    chains use plain operator images with no monomial premultiples.  Seeds
+    are cut off at the gauge bound of the generators.
     """
     ring = cm.ring
-    bounds = [generator_gauge_bound(op) for op in cm.algebra.generators]
-    if K is None:
-        K = max(bounds)
+    K = max(generator_gauge_bound(op) for op in cm.algebra.generators)
     module = cm.module
     seeds = []
     from itertools import product as iproduct
@@ -761,40 +777,20 @@ def commutation_suite(cm, rmap, seed=0):
     from .testmod import tau
 
     report = {"kind": rmap.kind}
-    if rmap.kind == "affine-line":
-        up = shriek_affine_line(cm, rmap.data["var"])
-        var_map = list(range(cm.ring.nvars))
-        tau_up = tau(up, seed=seed).submodule
-        lifted = up.canon([_vec_map_ring(v, up.ring, var_map)
-                           for v in tau(cm, seed=seed).submodule.basis()])
-        report["tau_commutes"] = tau_up == lifted
-        down = sorted(tuple(p.ideal.serialize()) for p in ass_cartier(cm))
-        up_primes = sorted(tuple(p.ideal.serialize())
-                           for p in ass_cartier(up))
-        report["ass_transport"] = up_primes == down
+    if rmap.kind in ("affine-line", "localize"):
+        pb = pullback(cm, rmap)
+        lift = pb.transport_submodule
+        report["tau_commutes"] = (tau(pb.cm, seed=seed).submodule
+                                  == lift(tau(cm, seed=seed).submodule))
+        down = ass_cartier(cm)
+        if rmap.kind == "localize":
+            down = [p for p in down if not p.contains(rmap.data["at"])]
+        report["ass_transport"] = (
+            sorted(tuple(p.ideal.serialize()) for p in ass_cartier(pb.cm))
+            == sorted(tuple(p.ideal.serialize()) for p in down))
         full = cm.module.full_submodule()
-        lhs = apply_cplus(up, up.canon(
-            [_vec_map_ring(v, up.ring, var_map) for v in full.basis()]))
-        rhs = up.canon([_vec_map_ring(v, up.ring, var_map)
-                        for v in apply_cplus(cm, full).basis()])
-        report["cplus_commutes"] = lhs == rhs
-        report["ok"] = all((report["tau_commutes"], report["ass_transport"],
-                            report["cplus_commutes"]))
-        return report
-    if rmap.kind == "localize":
-        c = rmap.data["at"]
-        loc = shriek_localize(cm, c)
-        tau_loc = tau(loc, seed=seed).submodule
-        tau_down = tau(cm, seed=seed).submodule
-        report["tau_commutes"] = tau_loc == loc.canon(tau_down.gens)
-        want = sorted(tuple(p.ideal.serialize()) for p in ass_cartier(cm)
-                      if not p.contains(c))
-        report["ass_transport"] = sorted(
-            tuple(p.ideal.serialize()) for p in ass_cartier(loc)) == want
-        full = cm.module.full_submodule()
-        lhs = apply_cplus(loc, loc.canon(full.gens))
-        rhs = loc.canon(apply_cplus(cm, full).gens)
-        report["cplus_commutes"] = lhs == rhs
+        report["cplus_commutes"] = (apply_cplus(pb.cm, lift(full))
+                                    == lift(apply_cplus(cm, full)))
         report["ok"] = all((report["tau_commutes"], report["ass_transport"],
                             report["cplus_commutes"]))
         return report
@@ -884,24 +880,11 @@ def composite_pullback_report(cm, rmaps, seed=0):
     transported = tau(cm, seed=seed).submodule
     claim = "equal"
     for step in rmaps:
-        rmap = _reinstantiate_map(step, current.ring)
-        if rmap.kind == "affine-line":
-            up = shriek_affine_line(current, rmap.data["var"])
-            var_map = list(range(current.ring.nvars))
-            transported = up.canon([_vec_map_ring(v, up.ring, var_map)
-                                    for v in transported.basis()])
-            current = up
-        elif rmap.kind == "localize":
-            up = shriek_localize(current, rmap.data["at"])
-            transported = up.canon(transported.gens)
-            current = up
-        elif rmap.kind == "finite":
-            F = shriek_finite(current, rmap)
-            transported = F.transport_submodule(transported)
-            current = F.cm
+        pb = pullback(current, _reinstantiate_map(step, current.ring))
+        transported = pb.transport_submodule(transported)
+        current = pb.cm
+        if step.kind == "finite":
             claim = "included"
-        else:
-            raise UnsupportedShapeError(f"cannot pull back along {rmap.kind}")
     tau_top = tau(current, seed=seed).submodule
     included = transported.contains_sub(tau_top)
     equal = transported == tau_top

@@ -15,7 +15,8 @@ Inside a ``memo_scope`` (opened by the top-level calls of the test-module,
 filtration and scene layers), ``buchberger`` remembers each reduced basis it
 computed, keyed on its exact input, and the memo is dropped when the
 outermost scope exits.  A hit returns exactly what a fresh computation
-would, so answers never depend on what ran earlier.
+would, so answers never depend on what ran earlier.  Other layers keep
+their own call-scoped tables in the same memo via ``memo_table``.
 """
 
 import contextlib
@@ -218,9 +219,9 @@ def _spair(f, g):
     return f.mul_term(uf, pow(cf, p - 2, p)) - g.mul_term(ug, pow(cg, p - 2, p))
 
 
-# {input key: reduced basis tuple} while a memo_scope is open, else None;
-# a context variable, so threads or tasks that do not share a context do
-# not share a memo
+# {table name: {key: value}} while a memo_scope is open, else None; a
+# context variable, so threads or tasks that do not share a context do not
+# share a memo
 _MEMO = contextvars.ContextVar("cartierlab_groebner_memo", default=None)
 
 
@@ -242,6 +243,13 @@ def memo_scope():
         _MEMO.reset(token)
 
 
+def memo_table(name):
+    """The table ``name`` of the open memo scope; a throwaway table outside
+    any scope."""
+    memo = _MEMO.get()
+    return {} if memo is None else memo.setdefault(name, {})
+
+
 def buchberger(gens, pair_cap=None):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
@@ -253,9 +261,9 @@ def buchberger(gens, pair_cap=None):
         return []
     ring = gens[0].ring
     cap = pair_cap if pair_cap is not None else ring.caps.pair_cap
-    memo = _MEMO.get()
-    if memo is None:
+    if _MEMO.get() is None:
         return _buchberger(gens, ring, cap)
+    memo = memo_table("buchberger")
     # equal rings may differ in caps, and the basis carries its ring
     key = (ring, ring.caps, gens[0].rank, cap,
            tuple(frozenset(g.terms.items()) for g in gens))

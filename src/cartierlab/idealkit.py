@@ -150,7 +150,7 @@ class Ideal:
 
     def bracket_power(self, e):
         """Ideal generated by g^(p^e) over the stored generators."""
-        self.ring.caps.check_e(self.ring.p, e)
+        self.ring.caps.check_e(e)
         return Ideal(self.ring, [g.frobenius(e) for g in self.gens])
 
     def is_monomial(self):
@@ -214,8 +214,8 @@ def frobenius_root(ideal, e):
     return Ideal(ideal.ring, frobenius_root_gens(ideal.gens, e))
 
 
-def frobenius_root_of_power(f, exponent, e, extra=None):
-    """root_e of the ideal f^exponent * <extra> without expanding f^exponent.
+def frobenius_root_of_power(f, exponent, e):
+    """root_e of the ideal (f^exponent) without expanding f^exponent.
 
     Peels one base-p digit of the exponent per level via
     root_1(g^[p] * J) = g * root_1(J) and root_e = root_(e-1) o root_1;
@@ -224,7 +224,7 @@ def frobenius_root_of_power(f, exponent, e, extra=None):
     """
     ring = f.ring
     p = ring.p
-    current = list(extra.gens) if extra is not None else [ring.one()]
+    current = [ring.one()]
     remaining = exponent
     for _ in range(e):
         digit, remaining = remaining % p, remaining // p
@@ -508,7 +508,7 @@ def _list_to_poly(ring, vi, coeffs):
     return Poly(ring, terms)
 
 
-def factor_restricted(f, _depth=0):
+def factor_restricted(f):
     """Factor f into irreducibles where the restricted procedures apply.
 
     Returns (unit, factors, certified) where factors is a list of
@@ -543,7 +543,7 @@ def factor_restricted(f, _depth=0):
     # p-th power
     if all(e % p == 0 for m in f.terms for e in m):
         root = Poly(ring, {tuple(e // p for e in m): c for m, c in f.terms.items()})
-        u2, sub, ok = factor_restricted(root, _depth + 1)
+        u2, sub, ok = factor_restricted(root)
         merge(u2, sub, scale=p)
         return unit, factors, ok
     used = sorted(f.variables_used())
@@ -576,9 +576,9 @@ def factor_restricted(f, _depth=0):
             r1 = (s - b).scale(inv2a)
             r2 = (-s - b).scale(inv2a)
             unit = (unit * a) % p
-            u2, sub, ok = factor_restricted(v - r1, _depth + 1)
+            u2, sub, ok = factor_restricted(v - r1)
             merge(u2, sub)
-            u2, sub, ok2 = factor_restricted(v - r2, _depth + 1)
+            u2, sub, ok2 = factor_restricted(v - r2)
             merge(u2, sub)
             return unit, factors, ok and ok2
         # p == 2, leading unit
@@ -587,15 +587,15 @@ def factor_restricted(f, _depth=0):
             sc = poly_sqrt(c)
             if sc is None:
                 return unit, factors + [(f, 1)], True
-            u2, sub, ok = factor_restricted(v + sc, _depth + 1)
+            u2, sub, ok = factor_restricted(v + sc)
             merge(u2, sub, scale=2)
             return unit, factors, ok
         root = _char2_quadratic_root(b, c)
         if root is None:
             return unit, factors + [(f, 1)], True
-        u2, sub, ok = factor_restricted(v + root, _depth + 1)
+        u2, sub, ok = factor_restricted(v + root)
         merge(u2, sub)
-        u2, sub, ok2 = factor_restricted(v + root + b, _depth + 1)
+        u2, sub, ok2 = factor_restricted(v + root + b)
         merge(u2, sub)
         return unit, factors, ok and ok2
     return unit, factors + [(f, 1)], False

@@ -19,6 +19,7 @@ grammar.  Every pair is validated before any task runs.  Rationals are
 always N/D in lowest terms.
 """
 
+import contextlib
 import os
 import shlex
 from fractions import Fraction
@@ -58,7 +59,8 @@ class _Fields:
     A missing field, a malformed value or an unknown object name raises
     ParseError with the line number, so a bad scene never ends in a
     traceback.  Engine calls on the values read stay outside: their own
-    faults propagate.
+    faults propagate.  Polynomial text is parsed inside ``_at_line``, which
+    adds the line to the polynomial parser's errors.
     """
 
     def __init__(self, scene, kv, line):
@@ -91,11 +93,10 @@ class _Fields:
         return self.make(_parse_fraction, self.text(key))
 
     def ideal(self, key):
-        return _parse_ideal(self.scene.ring, self.text(key), self.line)
+        return _parse_ideal(self.scene.ring, self.text(key))
 
     def prime(self, text):
-        return PrimeIdeal(_parse_ideal(self.scene.ring, text, self.line),
-                          proved=True)
+        return PrimeIdeal(_parse_ideal(self.scene.ring, text), proved=True)
 
     def prime_pairs(self, key):
         """``(prime):element ; ...`` as (PrimeIdeal, element text) pairs."""
@@ -112,11 +113,22 @@ class _Fields:
         return self.lookup("pairs", self.text("pair"))
 
 
-def _kv(parts, line_no):
+@contextlib.contextmanager
+def _at_line(line):
+    """Add ``line`` to a ParseError that names none (polynomial text)."""
+    try:
+        yield
+    except ParseError as ex:
+        if ex.line is not None or line is None:
+            raise
+        raise ParseError(str(ex), line=line) from None
+
+
+def _kv(parts):
     out = {}
     for part in parts:
         if "=" not in part:
-            raise ParseError(f"expected key=value, got {part!r}", line=line_no)
+            raise ParseError(f"expected key=value, got {part!r}")
         k, v = part.split("=", 1)
         out[k] = v
     return out
@@ -142,11 +154,10 @@ def _parse_vectors(ring, text):
             for chunk in _split_list(text)]
 
 
-def _parse_ideal(ring, text, line_no):
+def _parse_ideal(ring, text):
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
-        raise ParseError(f"ideal must be parenthesized: {text!r}",
-                         line=line_no)
+        raise ParseError(f"ideal must be parenthesized: {text!r}")
     inner = text[1:-1].strip()
     if not inner or inner == "0":
         return Ideal(ring, [])
@@ -160,72 +171,74 @@ def _parse_op(ring, chunk):
     return CartierOp(int(e_text), rows)
 
 
-def _parse_twist(ring, chunk, line_no):
+def _parse_twist(ring, chunk):
     ideal_text, t_text = chunk.rsplit("^", 1)
-    return _parse_ideal(ring, ideal_text, line_no), _parse_fraction(t_text)
+    return _parse_ideal(ring, ideal_text), _parse_fraction(t_text)
 
 
 def parse_scene(text, name="scene"):
     scene = Scene(name)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            parts = shlex.split(line)
-        except ValueError as ex:
-            raise ParseError(str(ex), line=line_no)
-        head, rest = parts[0], parts[1:]
-        if head == "scene":
-            scene.name = rest[0] if rest else name
-            continue
-        if head == "ring":
-            f = _Fields(scene, _kv(rest, line_no), line_no)
-            caps = EngineCaps(max_total_degree=f.integer("maxdeg")) \
-                if "maxdeg" in f else EngineCaps()
-            variables = [v for v in f.kv.get("vars", "").split(",") if v]
-            scene.ring = f.make(RingSpec, f.integer("p"), variables,
-                                f.kv.get("order", "grevlex"), caps)
-            continue
-        if head not in ("module", "submodule", "algebra", "map", "pair",
-                        "task"):
-            raise ParseError(f"unknown directive {head!r}", line=line_no)
-        if scene.ring is None:
-            raise ParseError(f"{head} before the ring line", line=line_no)
-        if not rest:
-            raise ParseError(f"{head} needs a name", line=line_no)
-        name_ = rest[0]
-        f = _Fields(scene, _kv(rest[1:], line_no), line_no)
-        ring = scene.ring
-        if head == "module":
-            rels = _parse_vectors(ring, f.kv.get("relations", ""))
-            scene.modules[name_] = f.make(PresentedModule, ring,
-                                          f.integer("rank"), rels)
-        elif head == "submodule":
-            parent = f.lookup("modules", f.text("of"))
-            scene.submodules[name_] = parent.submodule(
-                _parse_vectors(ring, f.text("gens")))
-        elif head == "algebra":
-            gens = [f.make(_parse_op, ring, chunk)
-                    for chunk in _split_list(f.text("gens"))]
-            twists = [f.make(_parse_twist, ring, chunk, line_no)
-                      for chunk in _split_list(f.kv.get("twist", ""))]
-            scene.algebras[name_] = f.make(CartierAlgebraSpec, gens,
-                                           twists or None)
-        elif head == "map":
-            scene.maps[name_] = _parse_map(f)
-        elif head == "pair":
-            module = f.lookup("modules", f.text("module"))
-            algebra = f.lookup("algebras", f.text("algebra"))
-            carrier = f.lookup("submodules", f.text("carrier")) \
-                if "carrier" in f else None
-            inverted = ring.parse(f.text("invert")) if "invert" in f \
-                else None
-            scene.pairs[name_] = validate_structure(
-                module, algebra, carrier=carrier, inverted=inverted)
-        else:
-            scene.tasks.append({**f.kv, "op": name_, "line": line_no})
+        if line:
+            with _at_line(line_no):
+                _parse_line(scene, line, line_no, name)
     return scene
+
+
+def _parse_line(scene, line, line_no, default_name):
+    try:
+        parts = shlex.split(line)
+    except ValueError as ex:
+        raise ParseError(str(ex)) from None
+    head, rest = parts[0], parts[1:]
+    if head == "scene":
+        scene.name = rest[0] if rest else default_name
+        return
+    if head == "ring":
+        f = _Fields(scene, _kv(rest), line_no)
+        caps = EngineCaps(max_total_degree=f.integer("maxdeg")) \
+            if "maxdeg" in f else EngineCaps()
+        variables = [v for v in f.kv.get("vars", "").split(",") if v]
+        scene.ring = f.make(RingSpec, f.integer("p"), variables,
+                            f.kv.get("order", "grevlex"), caps)
+        return
+    if head not in ("module", "submodule", "algebra", "map", "pair", "task"):
+        raise ParseError(f"unknown directive {head!r}")
+    if scene.ring is None:
+        raise ParseError(f"{head} before the ring line")
+    if not rest:
+        raise ParseError(f"{head} needs a name")
+    name_ = rest[0]
+    f = _Fields(scene, _kv(rest[1:]), line_no)
+    ring = scene.ring
+    if head == "module":
+        rels = _parse_vectors(ring, f.kv.get("relations", ""))
+        scene.modules[name_] = f.make(PresentedModule, ring,
+                                      f.integer("rank"), rels)
+    elif head == "submodule":
+        parent = f.lookup("modules", f.text("of"))
+        scene.submodules[name_] = parent.submodule(
+            _parse_vectors(ring, f.text("gens")))
+    elif head == "algebra":
+        gens = [f.make(_parse_op, ring, chunk)
+                for chunk in _split_list(f.text("gens"))]
+        twists = [f.make(_parse_twist, ring, chunk)
+                  for chunk in _split_list(f.kv.get("twist", ""))]
+        scene.algebras[name_] = f.make(CartierAlgebraSpec, gens,
+                                       twists or None)
+    elif head == "map":
+        scene.maps[name_] = _parse_map(f)
+    elif head == "pair":
+        module = f.lookup("modules", f.text("module"))
+        algebra = f.lookup("algebras", f.text("algebra"))
+        carrier = f.lookup("submodules", f.text("carrier")) \
+            if "carrier" in f else None
+        inverted = ring.parse(f.text("invert")) if "invert" in f else None
+        scene.pairs[name_] = validate_structure(
+            module, algebra, carrier=carrier, inverted=inverted)
+    else:
+        scene.tasks.append({**f.kv, "op": name_, "line": line_no})
 
 
 def _parse_map(f):
@@ -237,13 +250,16 @@ def _parse_map(f):
             step = f.lookup("maps", name.strip())
             chain.extend(step if isinstance(step, list) else [step])
         return chain
+    # the constructors only parse and check their arguments: a ValueError
+    # from them rejects a value (e.g. a variable the ring already has)
     kind = f.text("kind")
     if kind == "finite":
-        return RingMap.finite(ring, f.text("adjoin"), f.text("relation"))
+        return f.make(RingMap.finite, ring, f.text("adjoin"),
+                      f.text("relation"))
     if kind == "localize":
-        return RingMap.localize(ring, f.text("at"))
+        return f.make(RingMap.localize, ring, f.text("at"))
     if kind == "affine-line":
-        return RingMap.affine_line(ring, f.text("var"))
+        return f.make(RingMap.affine_line, ring, f.text("var"))
     raise f.error(f"unknown map kind {kind!r}")
 
 
@@ -319,7 +335,11 @@ def _run_tau(f, flags, seed):
 
 def _run_taubms(f, flags, seed):
     e_max = int(flags["e_max"]) if flags.get("e_max") else None
-    J = tau_bms(f.scene.ring.parse(f.text("f")), f.fraction("t"), e_max=e_max)
+    hypersurface = f.scene.ring.parse(f.text("f"))
+    t = f.fraction("t")
+    if hypersurface.is_zero() or t < 0:
+        raise f.error("taubms needs f != 0 and t >= 0")
+    J = tau_bms(hypersurface, t, e_max=e_max)
     return _outcome(f, {"ideal": J.serialize()},
                     "expect" not in f or J == f.ideal("expect"))
 
@@ -481,7 +501,8 @@ def run_task(scene, task, flags):
     if handler is None:
         raise f.error(f"unknown task op {task['op']!r}")
     seed = f.make(int, flags.get("seed", task.get("seed", 0)))
-    return handler(f, flags, seed)
+    with _at_line(f.line):
+        return handler(f, flags, seed)
 
 
 def run_scene(scene, flags=None):

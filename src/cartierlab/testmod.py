@@ -103,8 +103,8 @@ def _factor_pool(cm):
     return pool
 
 
-def candidate_elements(cm, seed=0, budget=12):
-    """Deterministic candidates first, then seeded random linear forms."""
+def candidate_elements(cm, seed=0):
+    """Deterministic candidates first, then 12 seeded random linear forms."""
     ring = cm.ring
     seen = set()
 
@@ -135,7 +135,7 @@ def candidate_elements(cm, seed=0, budget=12):
             if emit(f):
                 out.append(f)
     rng = random.Random(0x7E57E1 + seed)
-    for _ in range(budget):
+    for _ in range(12):
         coeffs = [rng.randrange(ring.p) for _ in range(ring.nvars + 1)]
         f = ring.const(coeffs[-1])
         for c, v in zip(coeffs, variables):
@@ -239,9 +239,10 @@ def _piece_at(cm, prime, core):
 def _verify_test_element(cm, prime, c, core, seed=0):
     """Check that the localized stable torsion piece is regular.
 
-    Results are cached on the localized data (module, trivialized algebra,
-    saturated carrier, prime); for a twisted family this makes the
-    verification shared across exponents once the twist is inverted away.
+    Results are cached for the process on the localized data (ring and
+    caps, module, trivialized algebra, saturated carrier, prime, seed); for
+    a twisted family this makes the verification shared across exponents
+    once the twist is inverted away.
     """
     piece = _piece_at(cm, prime, core)
     if piece.is_trivial():
@@ -249,7 +250,8 @@ def _verify_test_element(cm, prime, c, core, seed=0):
     loc = cm.localize(c)
     loc_piece = loc.canon(piece.gens)
     loc = loc.with_carrier(loc_piece)
-    key = (str(loc.module.serialize()),
+    key = (loc.ring, loc.ring.caps,
+           str(loc.module.serialize()),
            str(loc.algebra.serialize()),
            str(loc_piece.serialize()),
            tuple(prime.ideal.serialize()),
@@ -348,16 +350,7 @@ def _nil_iso_at(cm, prime, big, small):
     tor_big = cm.canon_sub(torsion(cm.module, prime.ideal, within=big))
     stable, _ = underline(cm, start=tor_big)
     tor_small = cm.canon_sub(torsion(cm.module, prime.ideal, within=small))
-    gens = stable.generators_reduced()
-    if not gens:
-        return True
-    conductor = None
-    for g in gens:
-        J = tor_small.colon_ideal(g)
-        conductor = J if conductor is None else conductor.intersect(J)
-    if cm.inverted is not None:
-        conductor = conductor.saturation_elem(cm.inverted)
-    return not all(prime.contains(g) for g in conductor.groebner())
+    return _equal_at(cm, prime, stable, tor_small)
 
 
 def _equal_at(cm, prime, big, small):
@@ -374,15 +367,16 @@ def _equal_at(cm, prime, big, small):
     return not all(prime.contains(g) for g in conductor.groebner())
 
 
-def _tau_engine(cm, primes, test_elements, e0=0, seed=0, verify=True,
-                condition="nil-iso", known_core=None):
-    core, stab = known_core if known_core is not None else underline(cm)
+def _tau_engine(cmc, stab, primes, test_elements, e0, holds_at):
+    """Per-prime closure sum over the nonzero stable core ``cmc.carrier``.
+
+    The result is post-verified: algebra-stable, inside the core, and
+    ``holds_at(cmc, prime, core, result)`` at every prime.
+    """
+    core = cmc.carrier
     cert = {"stabilization_exponent": stab,
             "e0": e0,
             "primes": [pr.ideal.serialize() for pr in primes]}
-    if core.is_trivial():
-        return TauResult(core, cert | {"note": "stable core is zero"})
-    cmc = cm.with_carrier(core)
     total = cmc.canon([])
     used = []
     windows = []
@@ -399,30 +393,24 @@ def _tau_engine(cm, primes, test_elements, e0=0, seed=0, verify=True,
                      "element": str(entry.element)})
     cert["test_elements"] = used
     cert["closure_info"] = windows
-    result = total
-    if verify:
-        checks = {}
-        stable_sub, _info2 = graded_sum(cmc, result, e_min=1)
-        checks["algebra_stable"] = result.contains_sub(stable_sub)
-        checks["inside_core"] = core.contains_sub(result)
-        per_prime = {}
-        for prime in primes:
-            key = ", ".join(prime.ideal.serialize()) or "0"
-            if condition == "generic-equality":
-                per_prime[key] = _equal_at(cmc, prime, core, result)
-            else:
-                per_prime[key] = _nil_iso_at(cmc, prime, core, result)
-        checks["per_prime"] = per_prime
-        cert["verification"] = checks
-        if not (checks["algebra_stable"] and checks["inside_core"]
-                and all(per_prime.values())):
-            raise AssertionError(
-                f"test-module verification failed: {checks}")
-    return TauResult(result, cert)
+    checks = {}
+    stable_sub, _info2 = graded_sum(cmc, total, e_min=1)
+    checks["algebra_stable"] = total.contains_sub(stable_sub)
+    checks["inside_core"] = core.contains_sub(total)
+    per_prime = {}
+    for prime in primes:
+        key = ", ".join(prime.ideal.serialize()) or "0"
+        per_prime[key] = holds_at(cmc, prime, core, total)
+    checks["per_prime"] = per_prime
+    cert["verification"] = checks
+    if not (checks["algebra_stable"] and checks["inside_core"]
+            and all(per_prime.values())):
+        raise AssertionError(f"test-module verification failed: {checks}")
+    return TauResult(total, cert)
 
 
 @memo_scope()
-def tau(cm, test_elements=None, candidates=None, e0=0, seed=0, verify=True):
+def tau(cm, test_elements=None, candidates=None, e0=0, seed=0):
     """Test module via the per-prime closure formula, with verification."""
     core, stab = underline(cm)
     cmc = cm.with_carrier(core)
@@ -431,13 +419,11 @@ def tau(cm, test_elements=None, candidates=None, e0=0, seed=0, verify=True):
     primes = ass_cartier(cmc, candidates=candidates)
     if test_elements is None:
         test_elements = _find_for_primes(cmc, core, primes, seed)
-    return _tau_engine(cm, primes, test_elements, e0=e0, seed=seed,
-                       verify=verify, known_core=(core, stab))
+    return _tau_engine(cmc, stab, primes, test_elements, e0, _nil_iso_at)
 
 
 @memo_scope()
-def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0,
-              verify=True):
+def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0):
     """Legacy variant: generic agreement at the minimal support primes only.
 
     The per-prime elements must isolate their prime (lie in every associated
@@ -461,12 +447,10 @@ def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0,
             entries.append(_search_element(cmc, prime, core, isolate, seed,
                                            mandatory_isolation=True))
         test_elements = TestElementSequence(entries)
-    return _tau_engine(cm, primes, test_elements, e0=e0, seed=seed,
-                       verify=verify, condition="generic-equality",
-                       known_core=(core, stab))
+    return _tau_engine(cmc, stab, primes, test_elements, e0, _equal_at)
 
 
-def minimality_audit(cm, tau_sub, primes, seed=0):
+def minimality_audit(cm, tau_sub, primes):
     """One-generator-descent audit of minimality.
 
     For each basis generator g, the closure of the remaining generators must

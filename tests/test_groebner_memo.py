@@ -1,18 +1,24 @@
-"""The scoped memo of reduced Groebner bases.
+"""The scoped memo of reduced Groebner bases and graded sums.
 
-Inside a ``memo_scope`` a repeated ``buchberger`` input returns the stored
-basis; these tests pin down that a hit is indistinguishable from a fresh
-computation and that the memo never outlives its outermost scope.
+Inside a ``memo_scope`` a repeated ``buchberger`` or ``graded_sum`` input
+returns the stored result; these tests pin down that a hit is
+indistinguishable from a fresh computation and that the memo never outlives
+its outermost scope.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from cartierlab import groebner
+from cartierlab import cartiercore, groebner
+from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
+                                    graded_sum, validate_structure)
 from cartierlab.errors import ResourceCapError
+from cartierlab.fpmod import PresentedModule
 from cartierlab.fppoly import Poly, RingSpec
 from cartierlab.groebner import VecPoly, buchberger, memo_scope
+from cartierlab.idealkit import Ideal
 from cartierlab.testmod import tau_bms
 
 
@@ -142,3 +148,26 @@ def test_a_capped_call_still_raises_on_a_repeated_input():
         for _ in range(2):
             with pytest.raises(ResourceCapError):
                 buchberger(gens, pair_cap=0)
+
+
+def test_a_graded_sum_hit_equals_a_fresh_sum(monkeypatch):
+    R = RingSpec(3, ("y",))
+    alg = CartierAlgebraSpec([CartierOp(1, [[R.one()]])],
+                             twist=(Ideal(R, [R.parse("y")]), Fraction(1, 2)))
+    cm = validate_structure(PresentedModule.free(R, 1), alg)
+    fresh, fresh_info = graded_sum(cm, cm.carrier_sub())
+    computed = []
+    real = cartiercore._graded_sum
+
+    def counting(*args):
+        computed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cartiercore, "_graded_sum", counting)
+    with memo_scope():
+        first, info = graded_sum(cm, cm.carrier_sub())
+        info.clear()
+        again, again_info = graded_sum(cm, cm.module.full_submodule())
+    assert computed == [1]
+    assert first == again == fresh
+    assert again_info == fresh_info

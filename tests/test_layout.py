@@ -1,5 +1,8 @@
-"""Repository layout: the corpus is the one home of the worked examples."""
+"""Repository layout: the corpus is the one home of the worked examples,
+and every library name the bench tracer hooks exists."""
 
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -19,3 +22,25 @@ def test_scene_paths_in_the_readmes_exist():
         assert paths, readme
         for path in paths:
             assert (ROOT / path).is_file(), f"{readme.name}: {path}"
+
+
+def test_every_name_the_bench_tracer_wraps_resolves():
+    """The traced bench run wraps these names by path; a rename breaks it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tracer.import_library()
+    for _layer, module, attr, _name in tracer.WRAPPED:
+        owner = importlib.import_module(f"cartierlab.{module}")
+        for part in attr.split("."):
+            assert part in vars(owner), f"cartierlab.{module}.{attr}"
+            owner = vars(owner)[part]
+    # bindings outside the defining module that the bench tests expect
+    from cartierlab import cartiercore, fpmod, fppoly, groebner, idealkit
+    from cartierlab import testmod
+
+    assert testmod.graded_sum is cartiercore.graded_sum
+    assert fpmod.normal_form is groebner.normal_form
+    assert idealkit.normal_form is groebner.normal_form
+    assert fppoly.Poly.__rmul__ is fppoly.Poly.__mul__

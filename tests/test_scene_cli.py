@@ -187,6 +187,13 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         "rank-not-integer": (FLOOR.replace("rank=1", "rank=x"), 4),
         "max-t-not-rational": (
             FLOOR + "task jumps pair=P ideal=(y) max-t=abc\n", 8),
+        "taubms-zero-f": (FLOOR + "task taubms f=0 t=1\n", 8),
+        "finite-map-adjoins-a-ring-variable": (
+            FLOOR + 'map F kind=finite adjoin=y relation="y^2"\n', 8),
+        "relation-outside-the-ring": (
+            FLOOR.replace("rank=1", 'rank=1 relations="z"'), 4),
+        "expect-not-a-polynomial": (
+            FLOOR + 'task tau pair=P expect="y$"\n', 8),
     }
 
     @pytest.mark.parametrize("text, line", MALFORMED.values(),

@@ -292,19 +292,54 @@ class TestProcessHistory:
         "print(json.dumps(find_test_elements(cm, seed=3).serialize(),\n"
         "                 sort_keys=True))\n")
 
-    def test_test_elements_for_a_seed_ignore_earlier_seeds(self):
+    TWISTED_PLANE_SNIPPET = (
+        "import json\n"
+        "from fractions import Fraction\n"
+        "from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,\n"
+        "                                    validate_structure)\n"
+        "from cartierlab.fpmod import PresentedModule\n"
+        "from cartierlab.fppoly import RingSpec\n"
+        "from cartierlab.idealkit import Ideal\n"
+        "from cartierlab.testmod import find_test_elements\n"
+        "R = RingSpec(3, ('x', 'y'))\n"
+        "alg = CartierAlgebraSpec([CartierOp(1, [[R.one()]])],\n"
+        "                         twist=(Ideal(R, [R.parse('x*y')]),\n"
+        "                                Fraction(1, 2)))\n"
+        "cm = validate_structure(PresentedModule.free(R, 1), alg)\n"
+        "print(json.dumps(find_test_elements(cm).serialize(),\n"
+        "                 sort_keys=True))\n")
+
+    @staticmethod
+    def run_fresh(snippet):
         env = dict(os.environ)
         src = str(Path(cartierlab.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        fresh = subprocess.run([sys.executable, "-c", self.SNIPPET],
-                               env=env, capture_output=True, text=True,
-                               check=True).stdout.strip()
+        return subprocess.run([sys.executable, "-c", snippet],
+                              env=env, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    def test_test_elements_for_a_seed_ignore_earlier_seeds(self):
+        fresh = self.run_fresh(self.SNIPPET)
         text = resources.files("cartierlab").joinpath(
             "corpus/sec3_example_p3.scene").read_text("utf-8")
         cm = scene.parse_scene(text, name="sec3_example_p3").pairs["P"]
         find_test_elements(cm, seed=0)
         after = json.dumps(find_test_elements(cm, seed=3).serialize(),
+                           sort_keys=True)
+        assert after == fresh
+
+    def test_test_elements_over_f3_ignore_an_earlier_f2_run(self):
+        def twisted_plane(p):
+            R = RingSpec(p, ("x", "y"))
+            alg = CartierAlgebraSpec([CartierOp(1, [[R.one()]])],
+                                     twist=(Ideal(R, [R.parse("x*y")]),
+                                            Fraction(1, 2)))
+            return validate_structure(PresentedModule.free(R, 1), alg)
+
+        fresh = self.run_fresh(self.TWISTED_PLANE_SNIPPET)
+        find_test_elements(twisted_plane(2))
+        after = json.dumps(find_test_elements(twisted_plane(3)).serialize(),
                            sort_keys=True)
         assert after == fresh
 
