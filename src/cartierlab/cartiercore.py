@@ -196,14 +196,9 @@ class CartierModule:
 
     def canon(self, gens):
         """Canonical (c-saturated) submodule spanned by ``gens``."""
-        sub = Submodule(self.module, tuple(gens))
-        if self.inverted is not None:
-            sub = sub.saturate(self.inverted)
-        return sub
+        return Submodule(self.module, tuple(gens)).saturate(self.inverted)
 
     def canon_sub(self, sub):
-        if self.inverted is None:
-            return sub
         return sub.saturate(self.inverted)
 
     def with_carrier(self, sub):
@@ -261,6 +256,8 @@ def validate_structure(module, algebra, carrier=None, inverted=None):
     compatibility fails.
     """
     ring = module.ring
+    if inverted is not None and inverted.is_zero():
+        raise ValueError("cannot invert zero")
     if algebra.rank != module.rank:
         raise InvalidStructureError(
             f"operator rank {algebra.rank} != module rank {module.rank}")
@@ -636,10 +633,7 @@ def _candidate_primes(cm, core):
     for g in gens:
         colon_ideals.append(acc.colon_ideal(g))
         acc = cm.canon(list(acc.gens) + [g])
-    ann = core.annihilator()
-    if cm.inverted is not None:
-        ann = ann.saturation_elem(cm.inverted)
-    colon_ideals.append(ann)
+    colon_ideals.append(core.annihilator().saturation_elem(cm.inverted))
     out = []
     for J in colon_ideals:
         if J.is_unit():

@@ -30,6 +30,14 @@ def twist_algebra(algebra, ideal, t):
     return algebra.with_twist(ideal, t)
 
 
+def grid_denominator(p, caps):
+    """The grid denominator p^A (p^B - 1) for ``caps`` = (A, B)."""
+    A, B = caps
+    if A < 0 or B < 1:
+        raise ValueError(f"denom-caps need A >= 0 and B >= 1, got {A},{B}")
+    return p ** A * (p ** B - 1)
+
+
 def _is_fast_path(cm, ideal):
     """tau_bms applies: free rank-1 module, single plain degree-1 trace
     generator, principal twist ideal, nothing else inverted."""
@@ -149,8 +157,7 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
     top = Fraction(top)
     if top <= 0:
         raise ValueError("need top > 0")
-    A, B = caps
-    D = ring.p ** A * (ring.p ** B - 1)
+    D = grid_denominator(ring.p, caps)
     sampler = _TauSampler(cm, ideal, e_max=e_max, seed=seed, cache=cache)
     hits_before = cache.hits if cache is not None else 0
     trivial_twist = ideal.is_unit()
@@ -205,8 +212,7 @@ def gr(cm, ideal, t, caps=(2, 2), e_max=None, seed=0):
     f = ideal.gens[0]
     ring = cm.ring
     t = Fraction(t)
-    A, B = caps
-    D = ring.p ** A * (ring.p ** B - 1)
+    D = grid_denominator(ring.p, caps)
     sampler = _TauSampler(cm, ideal, e_max=e_max, seed=seed)
     at_t = sampler.at(t)
     delta = Fraction(1, D)

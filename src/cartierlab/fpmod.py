@@ -5,12 +5,17 @@ submodule is a generator list in the cover.  Canonical form everywhere is
 the reduced Groebner basis of (generators + relations) inside the cover, so
 equality, membership and chain stabilization are all exact.
 
-Kernels, intersections, colons, annihilators and torsion submodules reduce
-to syzygy computations on the free cover; see :mod:`cartierlab.groebner`.
+Colons, conductors, annihilators, kernels and presentations are each one
+``syzygies`` call on the free cover, and intersections one
+``intersection`` call (see :mod:`cartierlab.groebner`).  Saturation and
+torsion iterate such a step to its fixed point with
+``EngineCaps.stabilize``, which raises instead of truncating the chain.
 """
 
-from .errors import ResourceCapError
-from .groebner import VecPoly, buchberger, normal_form, syzygies
+from functools import reduce
+
+from .groebner import (VecPoly, buchberger, intersection, normal_form,
+                       syzygies)
 from .idealkit import Ideal
 
 
@@ -123,8 +128,9 @@ class Submodule:
 
     def basis(self):
         if self._gb is None:
-            self._gb = tuple(buchberger(
-                list(self.gens) + list(self.parent.relations)))
+            self._gb = tuple(
+                buchberger(list(self.gens) + list(self.parent.relations))
+                if self.gens else self.parent.relation_gb())
         return list(self._gb)
 
     def generators_reduced(self):
@@ -174,19 +180,8 @@ class Submodule:
 
     def intersect(self, other):
         assert self.parent == other.parent
-        a = self.basis()
-        b = other.basis()
-        if not a or not b:
-            return self.parent.zero_submodule()
-        syz = syzygies(a + b, self.parent.rank)
-        out = []
-        for s in syz:
-            acc = VecPoly.zero(self.parent.ring, self.parent.rank)
-            for i, v in enumerate(a):
-                acc = acc + v.mul_poly(s.component(i))
-            if not acc.is_zero():
-                out.append(acc)
-        return Submodule(self.parent, tuple(out))
+        return Submodule(self.parent, tuple(intersection(
+            self.basis(), other.basis(), self.parent.rank)))
 
     def scale_poly(self, f):
         return Submodule(self.parent, tuple(g.mul_poly(f) for g in self.gens))
@@ -200,55 +195,37 @@ class Submodule:
 
     def colon_into(self, c):
         """{v in R^rank : c*v in self}, as a submodule of the parent."""
-        ring = self.parent.ring
         rank = self.parent.rank
-        cols = [VecPoly.unit(ring, rank, i).mul_poly(c) for i in range(rank)]
-        target = self.basis()
-        syz = syzygies(cols + target, rank)
-        out = []
-        for s in syz:
-            v = VecPoly(ring, rank,
-                        {(q, m): coef for (q, m), coef in s.terms.items()
-                         if q < rank})
-            if not v.is_zero():
-                out.append(v)
-        return Submodule(self.parent, tuple(out))
+        cols = [self.parent.generator(i).mul_poly(c) for i in range(rank)]
+        return Submodule(self.parent, tuple(
+            syzygies(cols + self.basis(), rank, rank)))
 
     def colon_ideal(self, vec):
         """{f in R : f * vec in self}, as an ideal."""
+        syz = syzygies([vec] + self.basis(), self.parent.rank, 1)
+        return Ideal(self.parent.ring, [s.component(0) for s in syz])
+
+    def conductor(self, vectors):
+        """{f in R : f * v in self for every v in ``vectors``}, as an ideal."""
         ring = self.parent.ring
-        syz = syzygies([vec] + self.basis(), self.parent.rank)
-        return Ideal(ring, [s.component(0) for s in syz
-                            if not s.component(0).is_zero()])
+        colons = [self.colon_ideal(v) for v in vectors]
+        return reduce(Ideal.intersect, colons) if colons \
+            else Ideal(ring, [ring.one()])
 
     def saturate(self, c):
         """(self : c^infty) inside the parent, chain certified."""
         if c is None or c.is_one():
             return self
-        current = self
-        for _ in range(self.parent.ring.caps.chain_cap):
-            nxt = current.colon_into(c)
-            if nxt == current:
-                return current
-            current = nxt
-        raise ResourceCapError("submodule saturation did not stabilize")
+        return self.parent.ring.caps.stabilize(
+            lambda sub: sub.colon_into(c), self,
+            "submodule saturation did not stabilize")
 
     # -- invariants --------------------------------------------------------
 
     def annihilator(self):
         """ann of self as a module: {f : f * self <= relations}."""
-        ring = self.parent.ring
-        rels = self.parent.relation_gb()
-        result = None
-        gens = self.generators_reduced()
-        if not gens:
-            return Ideal(ring, [ring.one()])
-        for w in gens:
-            syz = syzygies([w] + rels, self.parent.rank)
-            ideal = Ideal(ring, [s.component(0) for s in syz
-                                 if not s.component(0).is_zero()])
-            result = ideal if result is None else result.intersect(ideal)
-        return result
+        return self.parent.zero_submodule().conductor(
+            self.generators_reduced())
 
 
 def torsion(module, ideal, within=None):
@@ -259,30 +236,26 @@ def torsion(module, ideal, within=None):
     """
     if not ideal.gens:
         return within if within is not None else module.full_submodule()
-    current = module.zero_submodule()
-    cap = module.ring.caps.chain_cap
-    for _ in range(cap):
-        pieces = [current.colon_into(g) for g in ideal.gens]
-        nxt = pieces[0]
-        for piece in pieces[1:]:
-            nxt = nxt.intersect(piece)
-        if nxt == current:
-            result = current
-            break
-        current = nxt
-    else:
-        raise ResourceCapError("torsion chain did not stabilize")
-    if within is not None:
-        result = result.intersect(within)
-    return result
+
+    def step(current):
+        return reduce(Submodule.intersect,
+                      [current.colon_into(g) for g in ideal.gens])
+
+    result = module.ring.caps.stabilize(step, module.zero_submodule(),
+                                        "torsion chain did not stabilize")
+    return result if within is None else result.intersect(within)
+
+
+def unit_at(conductor, prime, inverted):
+    """Does ``conductor``, with ``inverted`` inverted when given, become the
+    unit ideal at ``prime``, i.e. is it not contained in ``prime``?"""
+    return not all(prime.contains(g)
+                   for g in conductor.saturation_elem(inverted).groebner())
 
 
 def support_vanishes(sub, prime, inverted=None):
     """Is N_eta = 0?  True iff ann(N) is not contained in eta."""
-    ann = sub.annihilator()
-    if inverted is not None:
-        ann = ann.saturation_elem(inverted)
-    return not all(prime.contains(g) for g in ann.groebner())
+    return unit_at(sub.annihilator(), prime, inverted)
 
 
 class ModuleMap:
@@ -331,18 +304,9 @@ class ModuleMap:
 
     def kernel(self):
         """{v in source : phi(v) in target relations}, as a Submodule."""
-        ring = self.source.ring
         cols = list(self.columns) + self.target.relation_gb()
-        syz = syzygies(cols, self.target.rank)
-        n = self.source.rank
-        out = []
-        for s in syz:
-            v = VecPoly(ring, n,
-                        {(pos, m): c for (pos, m), c in s.terms.items()
-                         if pos < n})
-            if not v.is_zero():
-                out.append(v)
-        return Submodule(self.source, tuple(out))
+        return Submodule(self.source, tuple(
+            syzygies(cols, self.target.rank, self.source.rank)))
 
     def cokernel(self):
         return PresentedModule(
@@ -367,13 +331,5 @@ def present_submodule(sub):
     gens = sub.generators_reduced()
     if not gens:
         return PresentedModule(parent.ring, 0), []
-    syz = syzygies(gens + parent.relation_gb(), parent.rank)
-    k = len(gens)
-    rels = []
-    for s in syz:
-        v = VecPoly(parent.ring, k,
-                    {(pos, m): c for (pos, m), c in s.terms.items()
-                     if pos < k})
-        if not v.is_zero():
-            rels.append(v)
-    return PresentedModule(parent.ring, k, rels), gens
+    rels = syzygies(gens + parent.relation_gb(), parent.rank, len(gens))
+    return PresentedModule(parent.ring, len(gens), rels), gens

@@ -80,6 +80,18 @@ class EngineCaps:
         if e > self.max_e:
             raise ResourceCapError(f"Frobenius level e={e} exceeds cap {self.max_e}")
 
+    def stabilize(self, step, start, message):
+        """The first of start, step(start), ... that ``step`` maps to an
+        equal value; raises ``ResourceCapError(message)`` when ``chain_cap``
+        steps find none, so a chain is never cut off silently."""
+        current = start
+        for _ in range(self.chain_cap):
+            nxt = step(current)
+            if nxt == current:
+                return current
+            current = nxt
+        raise ResourceCapError(message)
+
 
 def _grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))

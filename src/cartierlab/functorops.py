@@ -719,7 +719,8 @@ def pushforward_point(cm):
 
     Returns (model span, stable core span): the base acts through F_p, so
     chains use plain operator images with no monomial premultiples.  Seeds
-    are cut off at the gauge bound of the generators.
+    are cut off at the gauge bound of the generators.  A descending core
+    chain that outlasts ``chain_cap`` raises ResourceCapError.
     """
     ring = cm.ring
     K = max(generator_gauge_bound(op) for op in cm.algebra.generators)
@@ -749,18 +750,14 @@ def pushforward_point(cm):
     else:
         raise GaugeBoundError("point model closure did not stabilize; "
                               "family is not gauge bounded here")
-    # stable core of the descending chain
-    current = span
-    for _ in range(ring.caps.chain_cap):
-        images = []
-        for op in cm.algebra.generators:
-            for row in current.rows:
-                images.append(module.reduce(op.apply_vec(row)))
-        nxt = PointSpan(module, images)
-        if nxt == current:
-            break
-        current = nxt
-    return span, current
+
+    def descend(current):
+        return PointSpan(module, [module.reduce(op.apply_vec(row))
+                                  for op in cm.algebra.generators
+                                  for row in current.rows])
+
+    return span, ring.caps.stabilize(
+        descend, span, "point core chain did not stabilize")
 
 
 # ---------------------------------------------------------------------------

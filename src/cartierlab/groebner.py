@@ -4,9 +4,14 @@ Vectors are sparse maps (position, monomial) -> coefficient with a
 position-over-term order derived from the ring's term order (lower position
 index wins, then the ring order).  Ideals are the rank-1 case.
 
-Everything downstream (membership, intersections, colons, annihilators,
-torsion, kernels, syzygies) reduces to two primitives implemented here:
-reduced Groebner bases and the elimination trick on an augmented module.
+Everything downstream (membership, intersections, colons, conductors,
+annihilators, torsion, kernels, presentations) reduces to two primitives
+implemented here: ``buchberger`` (reduced Groebner bases) and ``syzygies``
+(the elimination trick on an augmented module, each syzygy cut to the
+coordinates its caller keeps).  ``intersection`` is the one lattice
+operation built here on top of them.  Chains of such operations
+(saturations, torsion) run to their fixed point in ``EngineCaps.stabilize``,
+which certifies the stop or raises.
 
 Pair selection uses the sugar strategy with deterministic tie-breaking, so
 bases come out identical across runs and platforms.
@@ -362,8 +367,9 @@ def member(v, gb):
     return normal_form(v, gb).is_zero()
 
 
-def syzygies(vectors, rank):
-    """Generators of the syzygy module {l : sum l_i * vectors_i = 0} in R^s.
+def syzygies(vectors, rank, keep):
+    """Syzygies {l : sum l_i * vectors_i = 0} of vectors in R^rank, each cut
+    to its first ``keep`` coordinates, zero cuts dropped.
 
     Uses the augmented-module elimination: positions of the ambient block
     dominate the tag block, so Groebner elements supported only on tags are
@@ -382,9 +388,26 @@ def syzygies(vectors, rank):
     out = []
     for g in gb:
         if all(pos >= rank for (pos, _m) in g.terms):
-            out.append(VecPoly(ring, s,
-                               {(pos - rank, m): c
-                                for (pos, m), c in g.terms.items()}))
+            cut = VecPoly(ring, keep,
+                          {(pos - rank, m): c for (pos, m), c in g.terms.items()
+                           if pos < rank + keep})
+            if not cut.is_zero():
+                out.append(cut)
+    return out
+
+
+def intersection(a, b, rank):
+    """Generators of <a> cap <b> in R^rank: sum l_i * a_i for each syzygy
+    (l, l') of the row a + b."""
+    if not a or not b:
+        return []
+    out = []
+    for lam in syzygies(a + b, rank, len(a)):
+        acc = VecPoly.zero(a[0].ring, rank)
+        for i, v in enumerate(a):
+            acc = acc + v.mul_poly(lam.component(i))
+        if not acc.is_zero():
+            out.append(acc)
     return out
 
 

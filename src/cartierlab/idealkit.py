@@ -8,11 +8,12 @@ asserted by the caller and is tagged as such.
 """
 
 import random
+from functools import reduce
 
 from .errors import CartierLabError, ResourceCapError, UnsupportedShapeError
 from .fppoly import Poly, pe_decompose
-from .groebner import (VecPoly, _divides, buchberger, normal_form,
-                       syzygies)
+from .groebner import (VecPoly, _divides, buchberger, intersection,
+                       normal_form, syzygies)
 
 IRREDUCIBILITY_DEGREE_CAP = 8
 _POINT_ENUM_CAP = 4096
@@ -100,53 +101,37 @@ class Ideal:
         return result
 
     def intersect(self, other):
-        """Via syzygies of the concatenated generator row."""
+        """Via ``groebner.intersection`` of the two reduced bases."""
         self._same_ring(other)
-        if self.is_zero() or other.is_zero():
-            return Ideal(self.ring, [])
-        a = list(self.groebner())
-        b = list(other.groebner())
-        cols = [_vec(g) for g in a] + [_vec(g) for g in b]
-        out = []
-        for syz in syzygies(cols, 1):
-            lam = [syz.component(i) for i in range(len(a))]
-            f = self.ring.zero()
-            for coeff, g in zip(lam, a):
-                f = f + coeff * g
-            if not f.is_zero():
-                out.append(f)
-        return Ideal(self.ring, out)
+        a = [_vec(g) for g in self.groebner()]
+        b = [_vec(g) for g in other.groebner()]
+        return Ideal(self.ring,
+                     [v.component(0) for v in intersection(a, b, 1)])
 
     def quotient(self, other):
         """(self : other) = {f : f*other <= self}."""
         self._same_ring(other)
         if other.is_zero():
             return Ideal(self.ring, [self.ring.one()])
-        result = None
-        for g in other.gens:
-            q = self.quotient_elem(g)
-            result = q if result is None else result.intersect(q)
-        return result
+        return reduce(Ideal.intersect,
+                      [self.quotient_elem(g) for g in other.gens])
 
     def quotient_elem(self, g):
         if g.is_zero():
             return Ideal(self.ring, [self.ring.one()])
         cols = [_vec(g)] + [_vec(h) for h in self.groebner()]
-        out = [syz.component(0) for syz in syzygies(cols, 1)]
-        return Ideal(self.ring, [f for f in out if not f.is_zero()])
+        return Ideal(self.ring,
+                     [s.component(0) for s in syzygies(cols, 1, 1)])
 
     def saturation(self, other):
         """(self : other^infty) with the stabilized chain certified."""
-        current = self
-        for _ in range(self.ring.caps.chain_cap):
-            nxt = current.quotient(other)
-            if nxt == current:
-                return current
-            current = nxt
-        raise ResourceCapError("saturation chain did not stabilize")
+        return self.ring.caps.stabilize(
+            lambda ideal: ideal.quotient(other), self,
+            "saturation chain did not stabilize")
 
     def saturation_elem(self, c):
-        return self.saturation(Ideal(self.ring, [c]))
+        """(self : c^infty); ``c = None`` inverts nothing."""
+        return self if c is None else self.saturation(Ideal(self.ring, [c]))
 
     def bracket_power(self, e):
         """Ideal generated by g^(p^e) over the stored generators."""

@@ -27,8 +27,8 @@ from fractions import Fraction
 from .cartiercore import (CartierAlgebraSpec, CartierOp, ass_cartier,
                           nilpotence, underline, validate_structure)
 from .errors import (CartierLabError, InvalidStructureError, ParseError,
-                     ResourceCapError)
-from .filtration import gr, jumping_numbers, skoda_report
+                     ResourceCapError, UnsupportedShapeError)
+from .filtration import gr, grid_denominator, jumping_numbers, skoda_report
 from .fppoly import EngineCaps, RingSpec
 from .fpmod import PresentedModule
 from .functorops import (RingMap, coherent_model, commutation_suite,
@@ -83,7 +83,7 @@ class _Fields:
         """``fn(*args)``, reporting a rejected value as a ParseError."""
         try:
             return fn(*args)
-        except (ValueError, ZeroDivisionError) as ex:
+        except (ValueError, ZeroDivisionError, UnsupportedShapeError) as ex:
             raise self.error(str(ex)) from None
 
     def integer(self, key):
@@ -218,8 +218,8 @@ def _parse_line(scene, line, line_no, default_name):
                                       f.integer("rank"), rels)
     elif head == "submodule":
         parent = f.lookup("modules", f.text("of"))
-        scene.submodules[name_] = parent.submodule(
-            _parse_vectors(ring, f.text("gens")))
+        scene.submodules[name_] = f.make(
+            parent.submodule, _parse_vectors(ring, f.text("gens")))
     elif head == "algebra":
         gens = [f.make(_parse_op, ring, chunk)
                 for chunk in _split_list(f.text("gens"))]
@@ -235,6 +235,8 @@ def _parse_line(scene, line, line_no, default_name):
         carrier = f.lookup("submodules", f.text("carrier")) \
             if "carrier" in f else None
         inverted = ring.parse(f.text("invert")) if "invert" in f else None
+        if inverted is not None and inverted.is_zero():
+            raise f.error("cannot invert zero")
         scene.pairs[name_] = validate_structure(
             module, algebra, carrier=carrier, inverted=inverted)
     else:
@@ -251,7 +253,8 @@ def _parse_map(f):
             chain.extend(step if isinstance(step, list) else [step])
         return chain
     # the constructors only parse and check their arguments: a ValueError
-    # from them rejects a value (e.g. a variable the ring already has)
+    # or UnsupportedShapeError from them rejects a value (e.g. a variable
+    # the ring already has, or a relation not monic in the new variable)
     kind = f.text("kind")
     if kind == "finite":
         return f.make(RingMap.finite, ring, f.text("adjoin"),
@@ -317,7 +320,8 @@ def _finite_map(f):
 def _run_tau(f, flags, seed):
     cm = f.pair()
     if "t" in f and "ideal" in f:
-        alg = cm.algebra.with_twist(f.ideal("ideal"), f.fraction("t"))
+        alg = f.make(cm.algebra.with_twist, f.ideal("ideal"),
+                     f.fraction("t"))
         cm = validate_structure(cm.module, alg, carrier=cm.carrier,
                                 inverted=cm.inverted)
     supplied = None
@@ -386,20 +390,25 @@ def _run_testelements(f, flags, seed):
                         for prime, elem in f.prime_pairs("expect")))
 
 
-def _int_pair(text):
+def _denom_caps(p, text):
     a, b = text.split(",")
-    return int(a), int(b)
+    caps = int(a), int(b)
+    grid_denominator(p, caps)
+    return caps
 
 
 def _run_jumps(f, flags, seed):
     cm = f.pair()
     ideal = f.ideal("ideal")
-    caps = f.make(_int_pair,
+    caps = f.make(_denom_caps, f.scene.ring.p,
                   flags.get("denom_caps") or f.kv.get("denom-caps", "2,2"))
+    top = f.fraction("max-t")
+    if top <= 0:
+        raise f.error("jumps needs max-t > 0")
     policy = flags.get("exact_policy") or f.kv.get("exact-policy", "strict")
     e_max = int(flags["e_max"]) if flags.get("e_max") else None
     spectrum = jumping_numbers(
-        cm, ideal, f.fraction("max-t"), caps=caps, exact_policy=policy,
+        cm, ideal, top, caps=caps, exact_policy=policy,
         e_max=e_max, seed=seed, cache=flags.get("cache"))
     got = [_fraction_text(t) for t in spectrum.jump_values()]
     return _outcome(f, spectrum.serialize(),
@@ -411,7 +420,10 @@ def _run_jumps(f, flags, seed):
 
 
 def _run_gr(f, flags, seed):
-    qcm, info = gr(f.pair(), f.ideal("ideal"), f.fraction("t"), seed=seed)
+    t = f.fraction("t")
+    if t < 0:
+        raise f.error("gr needs t >= 0")
+    qcm, info = gr(f.pair(), f.ideal("ideal"), t, seed=seed)
     nonzero = not qcm.module.is_zero_module()
     nilp = nilpotence(qcm, qcm.module.full_submodule()) if nonzero else True
     result = {"rank": qcm.module.rank, "nonzero": nonzero,
@@ -421,8 +433,10 @@ def _run_gr(f, flags, seed):
 
 
 def _run_skoda(f, flags, seed):
-    report = skoda_report(f.pair(), f.ideal("ideal"), f.fraction("t"),
-                          seed=seed)
+    t = f.fraction("t")
+    if t < 1:
+        raise f.error("skoda needs t >= 1")
+    report = skoda_report(f.pair(), f.ideal("ideal"), t, seed=seed)
     return _outcome(f, report, report["ok"])
 
 

@@ -28,7 +28,7 @@ from .cartiercore import (ass_cartier, ceil_pattern_period, graded_sum,
                           underline)
 from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
-from .fpmod import Submodule, torsion
+from .fpmod import Submodule, torsion, unit_at
 from .groebner import memo_scope
 from .idealkit import (PrimeIdeal, frobenius_root_of_power,
                        irreducible_factors_best_effort, minimal_primes)
@@ -356,15 +356,7 @@ def _nil_iso_at(cm, prime, big, small):
 def _equal_at(cm, prime, big, small):
     """Does the inclusion small <= big become an equality at ``prime``?"""
     gens = big.generators_reduced()
-    if not gens:
-        return True
-    conductor = None
-    for g in gens:
-        J = small.colon_ideal(g)
-        conductor = J if conductor is None else conductor.intersect(J)
-    if cm.inverted is not None:
-        conductor = conductor.saturation_elem(cm.inverted)
-    return not all(prime.contains(g) for g in conductor.groebner())
+    return not gens or unit_at(small.conductor(gens), prime, cm.inverted)
 
 
 def _tau_engine(cmc, stab, primes, test_elements, e0, holds_at):
@@ -434,9 +426,7 @@ def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0):
     if core.is_trivial():
         return TauResult(core, {"note": "stable core is zero"})
     cmc = cm.with_carrier(core)
-    ann = core.annihilator()
-    if cm.inverted is not None:
-        ann = ann.saturation_elem(cm.inverted)
+    ann = core.annihilator().saturation_elem(cm.inverted)
     primes = minimal_primes(ann, candidates=candidates)
     if test_elements is None:
         ass = ass_cartier(cmc, candidates=candidates)

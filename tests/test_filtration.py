@@ -67,6 +67,15 @@ class TestJumpingNumbers:
                                 exact_policy="lower-bound")
         assert spec2.exactness == "LOWER-BOUND"
 
+    @pytest.mark.parametrize("caps", [(1, 0), (-1, 1)])
+    def test_a_grid_without_denominator_is_rejected(self, caps):
+        cm, y = plain_line(2)
+        ideal = Ideal(cm.ring, [y])
+        with pytest.raises(ValueError, match="denom-caps"):
+            jumping_numbers(cm, ideal, 1, caps=caps)
+        with pytest.raises(ValueError, match="denom-caps"):
+            gr(cm, ideal, 1, caps=caps)
+
     def test_monotone_spectrum_finite(self):
         cm, y = plain_line(3)
         spec = jumping_numbers(cm, Ideal(cm.ring, [y]), 2, caps=(1, 1))

@@ -6,8 +6,9 @@ from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     apply_cplus, ass_cartier,
                                     check_equivariant, underline,
                                     validate_structure)
-from cartierlab.errors import GaugeBoundError, UnsupportedShapeError
-from cartierlab.fppoly import RingSpec, cartier_trace
+from cartierlab.errors import (GaugeBoundError, ResourceCapError,
+                               UnsupportedShapeError)
+from cartierlab.fppoly import EngineCaps, RingSpec, cartier_trace
 from cartierlab.fpmod import ModuleMap, PresentedModule
 from cartierlab.functorops import (FiniteMapData, PulledBackElement, RingMap,
                                    coherent_model, coherent_models_agree,
@@ -377,6 +378,14 @@ class TestCommutationSuite:
 
 
 class TestPointPushforward:
+    def test_core_chain_beyond_the_cap_raises(self, monkeypatch):
+        # the plain trace on F_2[x] has core 0, which one step misses
+        cm = plain_line(2)
+        assert pushforward_point(cm)[1].dim() == 0
+        monkeypatch.setattr(EngineCaps, "chain_cap", 1)
+        with pytest.raises(ResourceCapError, match="point core chain"):
+            pushforward_point(cm)
+
     def test_negative_example(self):
         for p in (2, 3):
             cm = twisted_line(p)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from cartierlab.cache import ResultCache, canonical_json
 from cartierlab.cli import corpus_scene_names, main, run_corpus
 from cartierlab.errors import ParseError
 from cartierlab.scene import parse_scene, run_scene
+
+ROOT = Path(__file__).resolve().parent.parent
 
 FLOOR = """
 scene floor
@@ -71,6 +74,16 @@ class TestCorpus:
         a, _ = run_corpus({})
         b, _ = run_corpus({})
         assert canonical_json(a) == canonical_json(b)
+
+    def test_replay_matches_frozen_reference(self):
+        """Every task's canonical report equals the benchmark's frozen one."""
+        path = ROOT / "bench" / "reference" / "corpus.json"
+        reference = json.loads(path.read_text(encoding="utf-8"))
+        report, _ = run_corpus({})
+        replayed = {f"{scene['scene']}/{i}": canonical_json(task)
+                    for scene in report["scenes"]
+                    for i, task in enumerate(scene["tasks"])}
+        assert replayed == reference
 
     def test_scene_names_stable(self):
         names = corpus_scene_names()
@@ -194,6 +207,23 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
             FLOOR.replace("rank=1", 'rank=1 relations="z"'), 4),
         "expect-not-a-polynomial": (
             FLOOR + 'task tau pair=P expect="y$"\n', 8),
+        "tau-negative-t": (FLOOR + "task tau pair=P ideal=(y) t=-1\n", 8),
+        "tauprime-negative-t": (
+            FLOOR + "task tauprime pair=P ideal=(y) t=-1\n", 8),
+        "jumps-max-t-zero": (
+            FLOOR + "task jumps pair=P ideal=(y) max-t=0\n", 8),
+        "jumps-zero-grid-denominator": (
+            FLOOR + "task jumps pair=P ideal=(y) max-t=1 denom-caps=1,0\n",
+            8),
+        "skoda-t-below-1": (
+            FLOOR + "task skoda pair=P ideal=(y) t=1/2\n", 8),
+        "gr-negative-t": (FLOOR + "task gr pair=P ideal=(y) t=-1\n", 8),
+        "submodule-of-wrong-rank": (
+            FLOOR + 'submodule S of=M gens="y|y"\n', 8),
+        "pair-inverts-zero": (
+            FLOOR + 'pair Q module=M algebra=A invert="0"\n', 8),
+        "finite-map-relation-not-monic": (
+            FLOOR + 'map g kind=finite adjoin=z relation="y*z^2+1"\n', 8),
     }
 
     @pytest.mark.parametrize("text, line", MALFORMED.values(),
@@ -205,6 +235,14 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         assert main(["check", "--scene", str(scene), "--json"]) == 5
         captured = capsys.readouterr()
         assert f"(line {line})" in captured.out + captured.err
+
+    def test_denom_caps_option_without_grid_exits_5_with_line(
+            self, tmp_path, capsys):
+        scene = tmp_path / "jumps.scene"
+        scene.write_text(FLOOR + "task jumps pair=P ideal=(y) max-t=1\n")
+        assert main(["check", "--scene", str(scene), "--denom-caps", "1,0",
+                     "--json"]) == 5
+        assert "(line 8)" in capsys.readouterr().out
 
     def test_single_op_and_json(self, tmp_path):
         scene = tmp_path / "ok.scene"
