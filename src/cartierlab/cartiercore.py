@@ -173,6 +173,8 @@ class CartierModule:
     ``carrier`` restricts attention to a stable submodule (used for torsion
     pieces and computed cores without re-presenting them); ``inverted``
     makes this a module over R_c with all canonical submodules c-saturated.
+    Graded sums rely on the carrier being algebra-stable: a sum that fills
+    it stops there (see ``graded_sum``).
     """
 
     __slots__ = ("module", "algebra", "carrier", "inverted", "validated")
@@ -510,8 +512,12 @@ def graded_sum(cm, seed, e_min=0):
     certified by a fixed-point check (the sum is stable under every
     generator and the last max-degree pieces add nothing).  For twisted
     algebras the sum is scanned until a denominator/degree-derived window of
-    consecutive degrees adds nothing; the window used is reported.  Sums
-    are memoised for the open memo scope.
+    consecutive degrees adds nothing; the window used is reported.
+    A sum that reaches the module's carrier, from a seed inside it, stops
+    there: the carrier is algebra-stable, so no later degree can add to the
+    sum, and the info reports the degree the scan would have stopped at.
+    Sums are memoised for the open memo scope; the carrier is not part of
+    the key, because it changes only when the scan ends, not its result.
     """
     seed = seed if isinstance(seed, Submodule) else cm.canon(seed)
     seed_gens = seed.basis()
@@ -529,13 +535,39 @@ def graded_sum(cm, seed, e_min=0):
 
 
 def _graded_sum(cm, seed_gens, e_min):
+    """The scan behind ``graded_sum``, with the carrier stop.
+
+    Degrees are walked from 1 and ``quiet_needed`` quiet degrees in a row
+    end the scan.  When the running sum equals the carrier after growing at
+    degree g (or before any degree, g = 0), every later degree is quiet, so
+    the scan's own stop is max(g, e_min - 1) + quiet_needed and its result
+    is the carrier; that stop is returned at once if it is within
+    ``chain_cap`` (else the scan runs on and raises as before).  With
+    e_min > 0 the seed is not in the sum, so it is checked to lie in the
+    carrier first.
+    """
     e_cap = cm.ring.caps.chain_cap
     pieces = {0: seed_gens}
     max_gen_e = max(op.e for op in cm.algebra.generators)
     twisted = cm.algebra.is_twisted()
     window = _twist_window(cm, _max_degree(seed_gens))
-    start = cm.canon(seed_gens) if e_min == 0 else cm.canon([])
-    total = start
+    quiet_needed = window if twisted else max_gen_e
+    bound = cm.carrier_sub()
+
+    def carrier_stop(total, grown):
+        """The scan's result, if ``total`` fills the carrier at ``grown``."""
+        stop = max(grown, e_min - 1) + quiet_needed
+        if stop > e_cap or total != bound:
+            return None
+        if e_min > 0 and not bound.contains_sub(cm.canon(seed_gens)):
+            return None
+        return total, {"degrees": stop, "window": quiet_needed,
+                       "certified": not twisted}
+
+    total = cm.canon(seed_gens) if e_min == 0 else cm.canon([])
+    done = carrier_stop(total, 0)
+    if done:
+        return done
     quiet = 0
     top = 0
     for e in range(1, e_cap + 1):
@@ -558,6 +590,9 @@ def _graded_sum(cm, seed_gens, e_min):
         else:
             total = cm.canon(list(total.gens) + piece)
             quiet = 0
+            done = carrier_stop(total, e)
+            if done:
+                return done
         if not twisted and quiet >= max_gen_e:
             stable = all(
                 total.contains_sub(cm.canon(_apply_generator(cm, op,

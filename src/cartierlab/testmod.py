@@ -240,9 +240,12 @@ def _verify_test_element(cm, prime, c, core, seed=0):
     """Check that the localized stable torsion piece is regular.
 
     Results are cached for the process on the localized data (ring and
-    caps, module, trivialized algebra, saturated carrier, prime, seed); for
-    a twisted family this makes the verification shared across exponents
-    once the twist is inverted away.
+    caps, module, localized algebra with its remaining twists, saturated
+    carrier, prime, inverted element, seed).  What this shares is verdicts
+    between tasks of one run that meet the same localized piece, not
+    verdicts across twist exponents: one corpus replay hits 30 of its 76
+    lookups, each from the twist exponent that stored the entry, and an
+    oracle-grid surface, whose exponents all differ, hits none.
     """
     piece = _piece_at(cm, prime, core)
     if piece.is_trivial():
@@ -438,28 +441,6 @@ def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0):
                                            mandatory_isolation=True))
         test_elements = TestElementSequence(entries)
     return _tau_engine(cmc, stab, primes, test_elements, e0, _equal_at)
-
-
-def minimality_audit(cm, tau_sub, primes):
-    """One-generator-descent audit of minimality.
-
-    For each basis generator g, the closure of the remaining generators must
-    either re-close to the full result or fail one of the defining per-prime
-    conditions.  Weak but mechanical; returns the list of failures.
-    """
-    core, _ = underline(cm)
-    cmc = cm.with_carrier(core)
-    failures = []
-    gens = tau_sub.generators_reduced()
-    for i in range(len(gens)):
-        rest = gens[:i] + gens[i + 1:]
-        shrunk, _info = graded_sum(cmc, cmc.canon(rest))
-        if shrunk == tau_sub:
-            continue
-        ok = all(_nil_iso_at(cmc, pr, core, shrunk) for pr in primes)
-        if ok:
-            failures.append(str(gens[i]))
-    return failures
 
 
 # ---------------------------------------------------------------------------

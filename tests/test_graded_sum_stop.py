@@ -1,0 +1,137 @@
+"""Differential test: a graded sum that fills its carrier stops early.
+
+``graded_sum`` returns as soon as the running sum equals the module's
+algebra-stable carrier (with the seed inside it), reporting the degree the
+windowed scan would have stopped at.  The oracle below is that windowed scan,
+which walks every quiet degree; both must give the same submodule and the
+same info dict.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
+                                    _apply_generator, _max_degree,
+                                    _twist_window, graded_piece_gens,
+                                    graded_sum, underline, validate_structure)
+from cartierlab.errors import ResourceCapError
+from cartierlab.fppoly import EngineCaps, RingSpec
+from cartierlab.fpmod import PresentedModule
+from cartierlab.idealkit import Ideal
+
+from instancegen import friendly_factor, random_cartier_module
+
+
+def windowed_sum(cm, seed_gens, e_min):
+    """The scan without the carrier stop: ``w`` quiet degrees end the sum."""
+    e_cap = cm.ring.caps.chain_cap
+    pieces = {0: seed_gens}
+    max_gen_e = max(op.e for op in cm.algebra.generators)
+    twisted = cm.algebra.is_twisted()
+    window = _twist_window(cm, _max_degree(seed_gens))
+    total = cm.canon(seed_gens) if e_min == 0 else cm.canon([])
+    quiet = 0
+    for e in range(1, e_cap + 1):
+        if twisted:
+            piece = graded_piece_gens(cm, e, seed_gens)
+        else:
+            piece = []
+            for op in cm.algebra.generators:
+                prev = pieces.get(e - op.e)
+                if prev:
+                    piece.extend(_apply_generator(cm, op, prev))
+        pieces[e] = cm.canon(piece).basis() if piece else []
+        if e < e_min:
+            continue
+        if all(total.contains(g) for g in piece):
+            quiet += 1
+        else:
+            total = cm.canon(list(total.gens) + piece)
+            quiet = 0
+        if not twisted and quiet >= max_gen_e:
+            if all(total.contains_sub(cm.canon(
+                    _apply_generator(cm, op, total.basis())))
+                   for op in cm.algebra.generators):
+                return total, {"degrees": e, "window": max_gen_e,
+                               "certified": True}
+        if twisted and quiet >= window:
+            return total, {"degrees": e, "window": window,
+                           "certified": False}
+    raise ResourceCapError("graded sum did not stabilize")
+
+
+def instance(p, rank, twisted, seed):
+    """A seeded instancegen module of the given rank, with its stable core
+    as carrier; the twisted variant scales degree e by f^ceil(t*p^e)."""
+    rng = random.Random(seed)
+    for _draw in range(40):
+        cm = random_cartier_module(rng, p, 2, max_rank=2)
+        if cm.module.rank == rank:
+            break
+    else:
+        raise RuntimeError("no instance of the requested rank")
+    if twisted:
+        f = friendly_factor(rng, cm.ring)
+        t = Fraction(rng.randint(1, p + 1), p + 1)
+        cm = validate_structure(cm.module,
+                                cm.algebra.with_twist(Ideal(cm.ring, [f]), t))
+    core, _k = underline(cm)
+    return cm.with_carrier(core)
+
+
+def seeds(cmc):
+    """The carrier and a few of its multiples, as canonical submodules."""
+    core = cmc.carrier
+    x, y = cmc.ring.gens()
+    return [core] + [cmc.canon(list(core.scale_poly(c).gens))
+                     for c in (x, y, x + y)]
+
+
+CASES = [(p, rank, twisted) for p in (2, 3, 5) for rank in (1, 2)
+         for twisted in (False, True)]
+
+
+@pytest.mark.parametrize("p,rank,twisted", CASES)
+def test_early_stop_matches_windowed_scan(p, rank, twisted):
+    cmc = instance(p, rank, twisted, seed=1000 * p + 10 * rank + twisted)
+    filled = 0
+    for seed in seeds(cmc):
+        for e_min in (0, 1):
+            got = graded_sum(cmc, seed, e_min=e_min)
+            want = windowed_sum(cmc, seed.basis(), e_min)
+            assert got[0].basis() == want[0].basis()
+            # reports serialize the info dict, so its key order counts too
+            assert list(got[1].items()) == list(want[1].items())
+            filled += got[0] == cmc.carrier
+    # the carrier seed always fills the carrier (e_min=0), so the stop runs
+    assert filled >= 1
+
+
+def test_cap_below_the_stop_still_raises(monkeypatch):
+    cmc = instance(2, 1, True, seed=2011)
+    assert not cmc.carrier.is_trivial()
+    # the carrier seed fills the carrier at once; the twisted window is at
+    # least 3 quiet degrees, so the scan's stop lies beyond a cap of 2
+    monkeypatch.setattr(EngineCaps, "chain_cap", 2)
+    with pytest.raises(ResourceCapError, match="graded sum did not"):
+        graded_sum(cmc, cmc.carrier)
+
+
+def test_seed_outside_the_carrier_is_not_trusted():
+    # e1 goes to e2 in degree 1 and e1 to e1 in degree 2; the carrier
+    # 0 + R is stable.  From the seed e1 (outside it) the degree >= 1 sum
+    # equals the carrier at degree 1, and degree 2 adds e1 itself.
+    R = RingSpec(2, ("x",))
+    one, zero = R.one(), R.zero()
+    M = PresentedModule.free(R, 2)
+    alg = CartierAlgebraSpec([CartierOp(1, [[zero, zero], [one, zero]]),
+                              CartierOp(2, [[one, zero], [zero, zero]])])
+    cm = validate_structure(M, alg, carrier=M.submodule([[zero, one]]))
+    seed = cm.canon([M.generator(0)])
+    assert not cm.carrier.contains_sub(seed)
+    got = graded_sum(cm, seed, e_min=1)
+    want = windowed_sum(cm, seed.basis(), 1)
+    assert got[0] == want[0] == M.full_submodule()
+    assert list(got[1].items()) == list(want[1].items())

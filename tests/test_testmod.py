@@ -13,13 +13,14 @@ import pytest
 import cartierlab
 from cartierlab import scene
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
-                                    underline, validate_structure)
+                                    graded_sum, underline,
+                                    validate_structure)
 from cartierlab.errors import NoStabilizationError
 from cartierlab.fppoly import EngineCaps, RingSpec
 from cartierlab.fpmod import PresentedModule, torsion
 from cartierlab.idealkit import Ideal
-from cartierlab.testmod import (find_test_elements, is_f_regular,
-                                minimality_audit, tau, tau_bms, tau_prime)
+from cartierlab.testmod import (_nil_iso_at, find_test_elements,
+                                is_f_regular, tau, tau_bms, tau_prime)
 from cartierlab.cartiercore import ass_cartier
 
 
@@ -146,7 +147,6 @@ class TestTau:
         # monomial-generated candidates below tau and verify each fails
         # either stability or one of the per-prime conditions
         from cartierlab.cartiercore import apply_cplus
-        from cartierlab.testmod import _nil_iso_at
 
         cm = intro_module()
         R = cm.ring
@@ -179,11 +179,33 @@ class TestTau:
         for e0 in (1, 2):
             assert tau(cm, e0=e0).submodule == base
 
+    @staticmethod
+    def minimality_audit(cm, tau_sub, primes):
+        """One-generator-descent audit of minimality.
+
+        For each basis generator g, the closure of the remaining generators
+        must either re-close to the full result or fail one of the defining
+        per-prime conditions.  Weak but mechanical; returns the list of
+        failures.
+        """
+        core, _ = underline(cm)
+        cmc = cm.with_carrier(core)
+        failures = []
+        gens = tau_sub.generators_reduced()
+        for i in range(len(gens)):
+            rest = gens[:i] + gens[i + 1:]
+            shrunk, _info = graded_sum(cmc, cmc.canon(rest))
+            if shrunk == tau_sub:
+                continue
+            if all(_nil_iso_at(cmc, pr, core, shrunk) for pr in primes):
+                failures.append(str(gens[i]))
+        return failures
+
     def test_minimality_audit(self):
         cm = intro_module()
         res = tau(cm)
         primes = ass_cartier(cm)
-        assert minimality_audit(cm, res.submodule, primes) == []
+        assert self.minimality_audit(cm, res.submodule, primes) == []
 
     def test_certificate_contents(self):
         cm = sec3_module()
