@@ -65,17 +65,16 @@ class _TauSampler:
         self.fast = _is_fast_path(cm, ideal)
         self.cache = cache
         self._memo = {}
-
-    def cache_key(self, t):
-        ring = self.cm.ring
-        return {
-            "op": "tau-at",
-            "ring": [ring.p, list(ring.vars), ring.order],
-            "module": self.cm.serialize(),
-            "ideal": self.ideal.serialize(),
-            "t": f"{t.numerator}/{t.denominator}",
-            "fast_path": self.fast,
-        }
+        if cache is not None:
+            # every cache key of this sampler shares all but its "t"
+            ring = cm.ring
+            self._key_base = {
+                "op": "tau-at",
+                "ring": [ring.p, list(ring.vars), ring.order],
+                "module": cm.serialize(),
+                "ideal": ideal.serialize(),
+                "fast_path": self.fast,
+            }
 
     def at(self, t):
         t = Fraction(t)
@@ -83,7 +82,8 @@ class _TauSampler:
             return self._memo[t]
         stored = None
         if self.cache is not None:
-            stored = self.cache.lookup(self.cache_key(t))
+            key = {**self._key_base, "t": f"{t.numerator}/{t.denominator}"}
+            stored = self.cache.lookup(key)
         if stored is not None:
             sub = self.cm.module.submodule(
                 [[self.cm.ring.parse(s) for s in row]
@@ -105,7 +105,7 @@ class _TauSampler:
             sub = result.submodule
         self._memo[t] = sub
         if self.cache is not None:
-            self.cache.store(self.cache_key(t), sub.serialize())
+            self.cache.store(key, sub.serialize())
         return sub
 
 

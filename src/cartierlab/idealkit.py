@@ -13,7 +13,7 @@ from functools import reduce
 from .errors import CartierLabError, ResourceCapError, UnsupportedShapeError
 from .fppoly import Poly, pe_decompose
 from .groebner import (VecPoly, _divides, buchberger, intersection,
-                       normal_form, syzygies)
+                       memo_table, normal_form, syzygies)
 
 IRREDUCIBILITY_DEGREE_CAP = 8
 _POINT_ENUM_CAP = 4096
@@ -206,18 +206,37 @@ def frobenius_root_of_power(f, exponent, e):
     root_1(g^[p] * J) = g * root_1(J) and root_e = root_(e-1) o root_1;
     the leftover quotient power (at most exponent // p^e) is expanded at the
     bottom, so intermediate degrees stay contracted.
+
+    Digits are peeled from the lowest, so the basis after j levels depends
+    only on f, the ring's caps and exponent mod p^j.  It is memoised under
+    that key for the open memo scope, and a jumping-number sweep shares
+    digit prefixes across its grid points and levels e.  A hit is exact:
+    the level's input list ``[f^d * g for g in previous level]``, hence its
+    ``buchberger`` basis, is a function of the key.  The caps are in the
+    key because degree checks read them, so a hit never skips a
+    ``ResourceCapError`` that a fresh walk would raise.
     """
     ring = f.ring
     p = ring.p
-    current = [ring.one()]
-    remaining = exponent
+    prefixes = memo_table("frobenius_root_of_power")
+    current = (ring.one(),)
+    q = 1
     for _ in range(e):
-        digit, remaining = remaining % p, remaining // p
-        fd = f ** digit
-        level = frobenius_root_gens([fd * g for g in current], 1)
+        digit = exponent // q % p
+        q *= p
+        key = (ring.caps, f, q, exponent % q)
+        level = prefixes.get(key)
+        if level is None:
+            fd = f ** digit
+            gens = frobenius_root_gens([fd * g for g in current], 1)
+            level = prefixes[key] = tuple(
+                v.component(0) for v in buchberger([_vec(g) for g in gens]))
         if not level:
             return Ideal(ring, [])
-        current = [v.component(0) for v in buchberger([_vec(g) for g in level])]
+        current = level
+    remaining = exponent // q
+    if remaining == 0:
+        return Ideal(ring, current)
     tail = f ** remaining
     return Ideal(ring, [tail * g for g in current])
 

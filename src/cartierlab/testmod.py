@@ -454,7 +454,9 @@ def tau_bms(f, t, e_max=None):
     Consecutive equality alone can be a plateau before a later jump (the
     exponent pattern is only eventually periodic), so stabilization is
     declared after a full pattern window of equal steps; raises
-    NoStabilizationError when e_max is reached first.
+    NoStabilizationError when e_max is reached first.  The chain must
+    ascend; equal ideals contain each other, so that check runs only when
+    consecutive roots differ.
     """
     if f.is_zero():
         raise ValueError("hypersurface equation must be nonzero")
@@ -471,12 +473,15 @@ def tau_bms(f, t, e_max=None):
         exponent = math.ceil(t * ring.p ** e)
         current = frobenius_root_of_power(f, exponent, e)
         if prev is not None:
-            if not current.contains_ideal(prev):
+            if current == prev:
+                quiet += 1
+                if quiet >= window:
+                    return current
+            elif not current.contains_ideal(prev):
                 raise AssertionError(
                     "root chain failed to ascend (internal error)")
-            quiet = quiet + 1 if current == prev else 0
-            if quiet >= window:
-                return current
+            else:
+                quiet = 0
         prev = current
     raise NoStabilizationError(
         f"root chain did not stabilize within e_max={e_max} "

@@ -210,3 +210,19 @@ class TestResultCacheKey:
         assert spectra[5]["cache_hits"] == 0
         assert [j["t"] for j in spectra[2]["jumps"]] == ["1/2", "1/1"]
         assert [j["t"] for j in spectra[5]["jumps"]] == ["4/5", "1/1"]
+
+    def test_file_names_are_stable(self, tmp_path):
+        from cartierlab.cache import ResultCache
+        from cartierlab.filtration import _TauSampler
+
+        R = RingSpec(3, ("x", "y"))
+        cm = validate_structure(
+            PresentedModule.free(R, 1),
+            CartierAlgebraSpec([CartierOp(1, [[R.one()]])]))
+        sampler = _TauSampler(cm, Ideal(R, [R.parse("x^3 + y^2")]),
+                              cache=ResultCache(str(tmp_path)))
+        sampler.at(Fraction(5, 6))
+        # existing --cache-dir directories stay valid only if this holds
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "6c311373e0a0ea3a3dc2e2f5b4b5195b05ecd52f1b6cb7fc1afc64d04b45263f"
+            ".json"]

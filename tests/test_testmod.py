@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cartierlab
-from cartierlab import scene
+from cartierlab import scene, testmod
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     graded_sum, underline,
                                     validate_structure)
@@ -261,6 +261,18 @@ class TestTauBms:
         y = R.var("y")
         with pytest.raises(NoStabilizationError):
             tau_bms(y, Fraction(1, 3), e_max=3)
+
+    def test_a_descending_root_chain_is_an_internal_error(self, monkeypatch):
+        R = RingSpec(3, ("x", "y"))
+        x = R.var("x")
+
+        def descending(f, exponent, e):
+            return Ideal(R, [x if e == 1 else x ** 2])
+
+        monkeypatch.setattr(testmod, "frobenius_root_of_power", descending)
+        with pytest.raises(AssertionError,
+                           match="root chain failed to ascend"):
+            tau_bms(R.parse("x^3 + y^2"), Fraction(1, 2))
 
     def test_fast_path_equivalence_small(self):
         for p, ftxt, t in ((2, "x^3 + y^2", Fraction(1, 2)),
