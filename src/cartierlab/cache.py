@@ -27,6 +27,8 @@ class ResultCache:
         self.engine_version = engine_version
         self.hits = 0
         self.misses = 0
+        # (key, path) of the last miss, for the store that usually follows
+        self._last_miss = None
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, key):
@@ -35,26 +37,35 @@ class ResultCache:
         return os.path.join(self.directory, f"{digest}.json")
 
     def lookup(self, key):
+        """The stored value for ``key``, or None on a miss.  Do not mutate
+        ``key`` between a missed lookup and the ``store`` for it: the store
+        reuses the file name hashed here."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except FileNotFoundError:
-            self.misses += 1
-            return None
+            return self._miss(key, path)
         except (json.JSONDecodeError, OSError) as ex:
             log.warning("corrupted cache entry %s (%s); recomputing", path, ex)
-            self.misses += 1
-            return None
+            return self._miss(key, path)
         if (doc.get("engine_version") != self.engine_version
                 or doc.get("key") != key):
-            self.misses += 1
-            return None
+            return self._miss(key, path)
         self.hits += 1
         return doc.get("value")
 
+    def _miss(self, key, path):
+        self.misses += 1
+        self._last_miss = (key, path)
+        return None
+
     def store(self, key, value):
-        path = self._path(key)
+        if self._last_miss is not None and self._last_miss[0] is key:
+            path = self._last_miss[1]
+        else:
+            path = self._path(key)
+        self._last_miss = None
         doc = {"engine_version": self.engine_version, "key": key,
                "value": value}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

@@ -70,7 +70,9 @@ class _TauSampler:
             ring = cm.ring
             self._key_base = {
                 "op": "tau-at",
-                "ring": [ring.p, list(ring.vars), ring.order],
+                # the fixed term order, kept so that existing cache
+                # directories stay valid
+                "ring": [ring.p, list(ring.vars), "grevlex"],
                 "module": cm.serialize(),
                 "ideal": ideal.serialize(),
                 "fast_path": self.fast,

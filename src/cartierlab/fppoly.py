@@ -93,27 +93,25 @@ class EngineCaps:
         raise ResourceCapError(message)
 
 
-def _grevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _grlex_key(m):
-    return (sum(m), m)
-
-
-_ORDERS = {"grevlex": _grevlex_key, "grlex": _grlex_key}
-
-
 class RingSpec:
-    """A polynomial ring F_p[vars] with a fixed degree-compatible term order.
+    """A polynomial ring F_p[vars] with the graded reverse lexicographic
+    term order (grevlex, x1 > x2 > ... > xn), the only order the engine
+    uses.  ``monomial_key`` sorts the larger term first, so ``min`` picks a
+    leading term and ``sorted`` lists terms in descending order.
 
     ``nvars == 0`` is allowed and denotes the base field itself; the
     pushforward of a one-variable ring to a point needs it.
     """
 
-    __slots__ = ("p", "vars", "order", "caps", "_key", "_var_index")
+    __slots__ = ("p", "vars", "caps", "_var_index")
 
-    def __init__(self, p, variables, order="grevlex", caps=None):
+    @staticmethod
+    def monomial_key(m):
+        """Higher total degree first; among equal degrees, the term with the
+        smaller exponent in the last variable where the two differ."""
+        return (-sum(m), m[::-1])
+
+    def __init__(self, p, variables, caps=None):
         caps = caps or EngineCaps()
         if not is_prime(p) or not (2 <= p <= 1 << 16):
             raise ValueError(f"p must be a prime in [2, 2^16], got {p}")
@@ -124,32 +122,24 @@ class RingSpec:
             raise ResourceCapError(
                 f"{len(variables)} variables exceeds cap {caps.max_vars}"
             )
-        if order not in _ORDERS:
-            raise ValueError(f"unknown monomial order {order!r}")
         self.p = p
         self.vars = variables
-        self.order = order
         self.caps = caps
-        self._key = _ORDERS[order]
         self._var_index = {v: i for i, v in enumerate(variables)}
 
     @property
     def nvars(self):
         return len(self.vars)
 
-    def monomial_key(self, m):
-        return self._key(m)
-
     def __eq__(self, other):
         return (
             isinstance(other, RingSpec)
             and self.p == other.p
             and self.vars == other.vars
-            and self.order == other.order
         )
 
     def __hash__(self):
-        return hash((self.p, self.vars, self.order))
+        return hash((self.p, self.vars))
 
     def __repr__(self):
         return f"F_{self.p}[{','.join(self.vars)}]"
@@ -187,23 +177,24 @@ class RingSpec:
         return Poly(self, {exps: coeff})
 
     def extend(self, *new_vars):
-        """Ring with additional variables appended (same p, order and caps)."""
-        return RingSpec(self.p, self.vars + tuple(new_vars), self.order,
-                        self.caps)
+        """Ring with additional variables appended (same p and caps)."""
+        return RingSpec(self.p, self.vars + tuple(new_vars), self.caps)
 
     def parse(self, text):
         return _parse_poly(self, text)
 
 
 class Poly:
-    """Immutable sparse polynomial.  Never mutate ``terms`` after creation."""
+    """Immutable sparse polynomial.  Never mutate ``terms`` after creation:
+    the hash and the leading term are cached on first use."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._lead = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -254,16 +245,15 @@ class Poly:
     # -- canonical views -----------------------------------------------------
 
     def sorted_terms(self):
-        key = self.ring.monomial_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        key = RingSpec.monomial_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
     def lead(self):
         """(monomial, coeff) of the leading term; None for 0."""
-        if not self.terms:
-            return None
-        key = self.ring.monomial_key
-        m = max(self.terms, key=key)
-        return m, self.terms[m]
+        if self._lead is None and self.terms:
+            m = min(self.terms, key=RingSpec.monomial_key)
+            self._lead = m, self.terms[m]
+        return self._lead
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -353,13 +343,12 @@ class Poly:
         if self.is_zero():
             return self.ring.zero()
         p = self.ring.p
-        key = self.ring.monomial_key
         dm, dc = divisor.lead()
         dc_inv = pow(dc, p - 2, p)
         rem = dict(self.terms)
         quot = {}
         while rem:
-            m = max(rem, key=key)
+            m = min(rem, key=RingSpec.monomial_key)
             c = rem[m]
             q = tuple(x - y for x, y in zip(m, dm))
             if any(x < 0 for x in q):

@@ -679,7 +679,7 @@ def _echelonize(module, vectors):
             lt, lc = v.lead()
             p = module.ring.p
             rows.append(v.scale(pow(lc, p - 2, p)))
-            rows.sort(key=lambda r: r.key(r.lead()[0]), reverse=True)
+            rows.sort(key=lambda r: r.key(r.lead()[0]))
     # interreduce tails so the echelon form is canonical
     changed = True
     while changed:
@@ -697,7 +697,7 @@ def _echelonize(module, vectors):
                 rows[i] = red
                 changed = True
                 break
-        rows.sort(key=lambda r: r.key(r.lead()[0]), reverse=True)
+        rows.sort(key=lambda r: r.key(r.lead()[0]))
     return rows
 
 def _reduce_against(rows, v):

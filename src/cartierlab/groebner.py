@@ -1,8 +1,10 @@
 """Buchberger engine for submodules of free modules over F_p[x1..xn].
 
 Vectors are sparse maps (position, monomial) -> coefficient with a
-position-over-term order derived from the ring's term order (lower position
-index wins, then the ring order).  Ideals are the rank-1 case.
+position-over-term order: the lower position index wins, then grevlex, the
+one term order of the engine.  Both are read off one sort key,
+``VecPoly.key``, on which the larger term sorts first.  Ideals are the
+rank-1 case.
 
 Everything downstream (membership, intersections, colons, conductors,
 annihilators, torsion, kernels, presentations) reduces to two primitives
@@ -14,7 +16,12 @@ operation built here on top of them.  Chains of such operations
 which certifies the stop or raises.
 
 Pair selection uses the sugar strategy with deterministic tie-breaking, so
-bases come out identical across runs and platforms.
+bases come out identical across runs and platforms.  Reduction follows
+Monagan and Pearce (J. Symb. Comp. 2011): ``normal_form`` keeps the terms
+still to reduce in a heap rather than scanning for the largest, and every
+``Poly`` and ``VecPoly`` caches its leading term, so a basis reused across
+many reductions finds its leads once.  ``interreduce`` turns a Groebner
+basis into the reduced one in a single pass once redundant leads are gone.
 
 Inside a ``memo_scope`` (opened by the top-level calls of the test-module,
 filtration and scene layers), ``buchberger`` remembers each reduced basis it
@@ -27,21 +34,25 @@ their own call-scoped tables in the same memo via ``memo_table``.
 import contextlib
 import contextvars
 import heapq
+from operator import add, le, sub
 
 from .errors import ResourceCapError
 from .fppoly import Poly
 
 
 class VecPoly:
-    """Element of R^rank, stored as {(pos, mono): coeff}."""
+    """Element of R^rank, stored as {(pos, mono): coeff}.  Never mutate
+    ``terms`` after creation: the hash and the leading term are cached on
+    first use."""
 
-    __slots__ = ("ring", "rank", "terms", "_hash")
+    __slots__ = ("ring", "rank", "terms", "_hash", "_lead")
 
     def __init__(self, ring, rank, terms):
         self.ring = ring
         self.rank = rank
         self.terms = terms
         self._hash = None
+        self._lead = None
 
     @staticmethod
     def zero(ring, rank):
@@ -70,19 +81,22 @@ class VecPoly:
     def is_zero(self):
         return not self.terms
 
-    def key(self, term):
+    @staticmethod
+    def key(term):
+        """Position over term: the position, then ``RingSpec.monomial_key``
+        of the monomial, so the larger term has the smaller key."""
         pos, m = term
-        return (-pos, self.ring.monomial_key(m))
+        return (pos, -sum(m), m[::-1])
 
     def lead(self):
-        if not self.terms:
-            return None
-        t = max(self.terms, key=self.key)
-        return t, self.terms[t]
+        """((pos, monomial), coeff) of the leading term; None for 0."""
+        if self._lead is None and self.terms:
+            t = min(self.terms, key=VecPoly.key)
+            self._lead = t, self.terms[t]
+        return self._lead
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: self.key(kv[0]),
-                      reverse=True)
+        return sorted(self.terms.items(), key=lambda kv: VecPoly.key(kv[0]))
 
     def __eq__(self, other):
         return (isinstance(other, VecPoly) and self.ring == other.ring
@@ -117,6 +131,8 @@ class VecPoly:
         c %= p
         if c == 0:
             return VecPoly(self.ring, self.rank, {})
+        if c == 1:
+            return self
         return VecPoly(self.ring, self.rank,
                        {t: (k * c) % p for t, k in self.terms.items()})
 
@@ -159,57 +175,62 @@ class VecPoly:
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def normal_form(v, basis):
     """Fully reduced normal form of v against basis (each with nonzero lead).
 
     Reduces every term, not just the lead, so forms are canonical once the
-    basis is a reduced Groebner basis.
+    basis is a reduced Groebner basis.  The terms still to reduce sit in a
+    heap on ``VecPoly.key``, so each step pops the largest one.  A term
+    enters the heap again whenever it re-enters ``work``, and a popped term
+    that has left ``work`` since it was pushed is skipped.
     """
     if v.is_zero() or not basis:
         return v
     ring = v.ring
     p = ring.p
-    leads = [(g.lead(), g) for g in basis]
     by_pos = {}
-    for (t, c), g in leads:
-        by_pos.setdefault(t[0], []).append((t[1], c, g))
+    for g in basis:
+        (pos, gm), gc = g.lead()
+        by_pos.setdefault(pos, []).append((gm, gc, g))
+    if not any(_divides(gm, m) for pos, m in v.terms
+               for gm, _gc, _g in by_pos.get(pos, ())):
+        return v  # already reduced
+    key = VecPoly.key
     work = dict(v.terms)
+    heap = [(key(t), t) for t in work]
+    heapq.heapify(heap)
     out = {}
-    keyf = v.key
-    while work:
-        t = max(work, key=keyf)
-        c = work.pop(t)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.pop(t, 0)
+        if not c:
+            continue  # cancelled since it was pushed
         pos, m = t
-        hit = None
-        for (gm, gc, g) in by_pos.get(pos, ()):
+        for gm, gc, g in by_pos.get(pos, ()):
             if _divides(gm, m):
-                hit = (gm, gc, g)
                 break
-        if hit is None:
+        else:
             out[t] = c
             continue
-        gm, gc, g = hit
-        shift = tuple(a - b for a, b in zip(m, gm))
+        shift = tuple(map(sub, m, gm))
         factor = (c * pow(gc, p - 2, p)) % p
+        # every other term of g, shifted, is smaller than t, so it is not
+        # in ``out`` and is popped after t
         for (gpos, gmono), gcoeff in g.terms.items():
             if gpos == pos and gmono == gm:
                 continue  # leading term cancels the popped term exactly
-            tt = (gpos, tuple(a + b for a, b in zip(gmono, shift)))
-            if tt in out:
-                s = (out[tt] - factor * gcoeff) % p
-                if s:
-                    out[tt] = s
-                else:
-                    del out[tt]
-            else:
-                s = (work.get(tt, 0) - factor * gcoeff) % p
-                if s:
-                    work[tt] = s
-                else:
-                    work.pop(tt, None)
+            tt = (gpos, tuple(map(add, gmono, shift)))
+            old = work.get(tt)
+            s = ((old or 0) - factor * gcoeff) % p
+            if s:
+                work[tt] = s
+                if old is None:
+                    heapq.heappush(heap, (key(tt), tt))
+            elif old is not None:
+                del work[tt]
     return VecPoly(ring, v.rank, out)
 
 
@@ -280,7 +301,8 @@ def buchberger(gens, pair_cap=None):
 
 def _buchberger(gens, ring, cap):
     basis = []
-    for g in sorted(gens, key=lambda v: v.key(v.lead()[0])):
+    for g in sorted(gens, key=lambda v: VecPoly.key(v.lead()[0]),
+                    reverse=True):
         nf = normal_form(g, basis)
         if not nf.is_zero():
             basis.append(nf.monic())
@@ -325,42 +347,26 @@ def _buchberger(gens, ring, cap):
 
 
 def interreduce(basis):
-    """Minimal, fully reduced, monic basis sorted descending by lead term."""
+    """The reduced basis of a Groebner basis: minimal, fully reduced, monic,
+    sorted descending by lead term.
+
+    Once the elements whose lead is a multiple of another lead are dropped
+    (of equal leads, the first is kept), the leads are minimal and no
+    reduction changes them.  So one pass reducing each element against the
+    others gives the unique reduced basis with those leads.
+    """
     basis = [g for g in basis if not g.is_zero()]
-    # drop redundant leads
-    keep = []
     leads = [g.lead()[0] for g in basis]
-    for i, g in enumerate(basis):
-        (pos, m) = leads[i]
-        redundant = False
-        for j, (pos2, m2) in enumerate(leads):
-            if i == j or (pos2, m2) == (pos, m):
-                if j < i and (pos2, m2) == (pos, m):
-                    redundant = True
-                    break
-                continue
-            if pos2 == pos and _divides(m2, m):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-    # full tail reduction
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1:]
-            nf = normal_form(keep[i], others)
-            if nf.is_zero():
-                keep.pop(i)
-                changed = True
-                break
-            nf = nf.monic()
-            if nf != keep[i]:
-                keep[i] = nf
-                changed = True
-    keep.sort(key=lambda v: v.key(v.lead()[0]), reverse=True)
-    return keep
+    keep = []
+    for i, (pos, m) in enumerate(leads):
+        if not any(pos2 == pos and _divides(m2, m)
+                   and (j < i or m2 != m)
+                   for j, (pos2, m2) in enumerate(leads) if j != i):
+            keep.append(basis[i])
+    out = [normal_form(g, keep[:i] + keep[i + 1:]).monic()
+           for i, g in enumerate(keep)]
+    out.sort(key=lambda v: VecPoly.key(v.lead()[0]))
+    return out
 
 
 def member(v, gb):

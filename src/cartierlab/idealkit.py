@@ -215,6 +215,10 @@ def frobenius_root_of_power(f, exponent, e):
     ``buchberger`` basis, is a function of the key.  The caps are in the
     key because degree checks read them, so a hit never skips a
     ``ResourceCapError`` that a fresh walk would raise.
+
+    When ``exponent < p^e`` the root is generated by the last level's
+    reduced basis, which the returned ideal carries as its own, so
+    comparing it does not recompute it.
     """
     ring = f.ring
     p = ring.p
@@ -236,7 +240,9 @@ def frobenius_root_of_power(f, exponent, e):
         current = level
     remaining = exponent // q
     if remaining == 0:
-        return Ideal(ring, current)
+        root = Ideal(ring, current)
+        root._gb = current
+        return root
     tail = f ** remaining
     return Ideal(ring, [tail * g for g in current])
 
@@ -749,7 +755,7 @@ def standard_monomials(ideal):
     for exps in iproduct(*[range(b) for b in bounds]):
         if not any(_divides(lt, exps) for lt in leads):
             out.append(exps)
-    return sorted(out, key=ring.monomial_key)
+    return sorted(out, key=ring.monomial_key, reverse=True)
 
 
 def _minimal_polynomial(ideal, vi, std):

@@ -3,7 +3,7 @@
 Grammar (line-based; ``#`` starts a comment; values with spaces are quoted):
 
     scene NAME
-    ring p=P vars=x,y [order=grevlex] [maxdeg=N]
+    ring p=P vars=x,y [maxdeg=N]
     module NAME rank=R [relations="p|p ; p|p"]
     submodule NAME of=MODULE gens="p|p ; p|p"
     algebra NAME gens="E:row/row ; E:row/row" [twist="(f,g)^N/D ; (h)^N/D"]
@@ -197,11 +197,13 @@ def _parse_line(scene, line, line_no, default_name):
         return
     if head == "ring":
         f = _Fields(scene, _kv(rest), line_no)
+        unknown = sorted(set(f.kv) - {"p", "vars", "maxdeg"})
+        if unknown:
+            raise f.error(f"unknown ring field {unknown[0]}=")
         caps = EngineCaps(max_total_degree=f.integer("maxdeg")) \
             if "maxdeg" in f else EngineCaps()
         variables = [v for v in f.kv.get("vars", "").split(",") if v]
-        scene.ring = f.make(RingSpec, f.integer("p"), variables,
-                            f.kv.get("order", "grevlex"), caps)
+        scene.ring = f.make(RingSpec, f.integer("p"), variables, caps)
         return
     if head not in ("module", "submodule", "algebra", "map", "pair", "task"):
         raise ParseError(f"unknown directive {head!r}")

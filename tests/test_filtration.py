@@ -226,3 +226,27 @@ class TestResultCacheKey:
         assert [p.name for p in tmp_path.iterdir()] == [
             "6c311373e0a0ea3a3dc2e2f5b4b5195b05ecd52f1b6cb7fc1afc64d04b45263f"
             ".json"]
+
+    def test_a_miss_hashes_its_key_once(self, tmp_path, monkeypatch):
+        import os
+
+        from cartierlab.cache import ResultCache
+
+        cache = ResultCache(str(tmp_path))
+        hashed = []
+        path_of = cache._path
+        monkeypatch.setattr(cache, "_path",
+                            lambda key: hashed.append(key) or path_of(key))
+        half, third, other = ({"op": "probe", "t": t}
+                              for t in ("1/2", "1/3", "2/3"))
+        assert cache.lookup(half) is None
+        cache.store(half, ["a"])
+        assert hashed == [half]
+        # a store for another key than the last miss hashes its own key
+        assert cache.lookup(third) is None
+        cache.store(other, ["b"])
+        assert cache.lookup(other) == ["b"]
+        assert cache.lookup(third) is None
+        assert cache.lookup(half) == ["a"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            os.path.basename(path_of(k)) for k in (half, other))

@@ -74,3 +74,21 @@ def test_a_prefix_hit_still_raises_the_degree_cap():
         with pytest.raises(ResourceCapError,
                            match="total degree 6 exceeds cap 5"):
             frobenius_root_of_power(tight.parse("x^3 + y^2"), 2, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_root_carries_the_reduced_basis_of_its_generators(p):
+    # below p^e the root is the last level's basis and keeps it as its own;
+    # at or above p^e its generators are tail multiples, reduced afresh
+    rng = random.Random(7100 + p)
+    ring = RingSpec(p, ("x", "y"))
+    roots = []
+    with memo_scope():
+        for _ in range(3):
+            f = random_nonunit(ring, rng)
+            for e in (1, 2):
+                exponents = range(2 * p ** e)
+                for A in rng.sample(exponents, min(6, len(exponents))):
+                    roots.append(frobenius_root_of_power(f, A, e))
+    for root in roots:
+        assert root.groebner() == Ideal(ring, root.gens).groebner()

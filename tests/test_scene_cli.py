@@ -222,6 +222,8 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
             FLOOR + 'submodule S of=M gens="y|y"\n', 8),
         "pair-inverts-zero": (
             FLOOR + 'pair Q module=M algebra=A invert="0"\n', 8),
+        "ring-order-is-not-a-field": (
+            FLOOR.replace("vars=y", "vars=y order=grlex"), 3),
         "finite-map-relation-not-monic": (
             FLOOR + 'map g kind=finite adjoin=z relation="y*z^2+1"\n', 8),
     }
