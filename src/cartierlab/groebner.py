@@ -147,10 +147,8 @@ class VecPoly:
         return VecPoly(self.ring, self.rank, res)
 
     def mul_poly(self, f):
-        acc = VecPoly(self.ring, self.rank, {})
-        for m, c in f.terms.items():
-            acc = acc + self.mul_term(m, c)
-        return acc
+        return VecPoly(self.ring, self.rank,
+                       _accumulate(self.ring.p, [(self, f)]))
 
     def monic(self):
         lt = self.lead()
@@ -172,6 +170,30 @@ class VecPoly:
         if not self.terms:
             return -1
         return max(sum(m) for (_, m) in self.terms)
+
+
+def _accumulate(p, products):
+    """Term dict of the sum of ``v * f`` over ``products`` (pairs of a
+    VecPoly and a Poly), built in one dict modulo p without zero terms."""
+    acc = {}
+    for v, f in products:
+        for m, c in f.terms.items():
+            for (pos, vm), vc in v.terms.items():
+                t = (pos, tuple(map(add, vm, m)))
+                s = (acc.get(t, 0) + vc * c) % p
+                if s:
+                    acc[t] = s
+                else:
+                    acc.pop(t, None)
+    return acc
+
+
+def _tagged(v, total, tag):
+    """The row ``(v, e_tag)`` of an augmented module: ``v`` in R^total plus
+    the unit vector at position ``tag``, which lies beyond v's positions."""
+    terms = dict(v.terms)
+    terms[(tag, (0,) * v.ring.nvars)] = 1
+    return VecPoly(v.ring, total, terms)
 
 
 def _divides(a, b):
@@ -384,16 +406,13 @@ def syzygies(vectors, rank, keep):
     if not vectors:
         return []
     ring = vectors[0].ring
-    s = len(vectors)
-    aug = []
-    for i, v in enumerate(vectors):
-        w = v.extend_rank(rank + s)
-        tag = VecPoly.unit(ring, rank + s, rank + i)
-        aug.append(w + tag)
-    gb = buchberger(aug)
+    total = rank + len(vectors)
+    gb = buchberger([_tagged(v, total, rank + i)
+                     for i, v in enumerate(vectors)])
     out = []
     for g in gb:
-        if all(pos >= rank for (pos, _m) in g.terms):
+        # the lead has the smallest position, so this checks every term
+        if g.lead()[0][0] >= rank:
             cut = VecPoly(ring, keep,
                           {(pos - rank, m): c for (pos, m), c in g.terms.items()
                            if pos < rank + keep})
@@ -407,13 +426,13 @@ def intersection(a, b, rank):
     (l, l') of the row a + b."""
     if not a or not b:
         return []
+    ring = a[0].ring
     out = []
     for lam in syzygies(a + b, rank, len(a)):
-        acc = VecPoly.zero(a[0].ring, rank)
-        for i, v in enumerate(a):
-            acc = acc + v.mul_poly(lam.component(i))
-        if not acc.is_zero():
-            out.append(acc)
+        acc = _accumulate(ring.p, [(v, lam.component(i))
+                                   for i, v in enumerate(a)])
+        if acc:
+            out.append(VecPoly(ring, rank, acc))
     return out
 
 
@@ -435,9 +454,7 @@ class LiftContext:
             raise ValueError("empty lift context")
         self.ring = ring
         total = rank + self.k
-        aug = []
-        for i, v in enumerate(vectors):
-            aug.append(v.extend_rank(total) + VecPoly.unit(ring, total, rank + i))
+        aug = [_tagged(v, total, rank + i) for i, v in enumerate(vectors)]
         for r in relations:
             aug.append(r.extend_rank(total))
         self.gb = buchberger(aug)

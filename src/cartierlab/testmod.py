@@ -15,6 +15,18 @@ recorded in the certificate (the pool is heuristic, the spec's acknowledged
 trade-off, and every final result is post-verified against the defining
 conditions).
 
+Many candidates of that pass need no closure.  Write cl(X) for the sum of
+C_e(X) over e >= 0, which is what ``graded_sum`` computes.  Every phi in
+C_e, twisted or localized, has r*phi(x) = phi(r^(p^e)*x), and
+a^(p^e)*b*T lies in a*b*T, so a*cl(bT) lies in cl(abT) (the projection
+formula of Blickle, J. Algebraic Geom. 2013).  For a stable T with
+cl(aT) = cl(bT) = T this gives T = cl(a*cl(bT)) <= cl(abT) <= T: a product
+of two passing candidates passes, and so does a nonzero constant.  A
+computed sum that returns T proves cl(cT) = T even if it stopped on its
+window, because it is a partial sum of cl(cT) <= T.  The lemma needs T
+stable, which the carrier is; after a descent T is a sum that may be
+uncertified, so the shrink computes every closure from then on.
+
 ``tau_bms`` is the fast path for principal twists on the rank-1 free module:
 the stable member of the ascending Frobenius-root chain of f^ceil(t*p^e).
 """
@@ -104,7 +116,12 @@ def _factor_pool(cm):
 
 
 def candidate_elements(cm, seed=0):
-    """Deterministic candidates first, then 12 seeded random linear forms."""
+    """Deterministic candidates first, then 12 seeded random linear forms.
+
+    Returns (candidates, factors): ``factors`` maps each product ``a*b`` of
+    two earlier candidates to its pair ``(a, b)``.  Every factor precedes
+    its product in the list.
+    """
     ring = cm.ring
     seen = set()
 
@@ -129,11 +146,13 @@ def candidate_elements(cm, seed=0):
         if emit(f):
             out.append(f)
     base = variables + pool
+    factors = {}
     for i, a in enumerate(base):
         for b in base[i:]:
             f = a * b
             if emit(f):
                 out.append(f)
+                factors[f] = (a, b)
     rng = random.Random(0x7E57E1 + seed)
     for _ in range(12):
         coeffs = [rng.randrange(ring.p) for _ in range(ring.nvars + 1)]
@@ -142,7 +161,7 @@ def candidate_elements(cm, seed=0):
             f = f + v.scale(c)
         if not f.is_constant() and emit(f):
             out.append(f)
-    return out
+    return out, factors
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +169,38 @@ def candidate_elements(cm, seed=0):
 
 
 def _shrink_fixed_point(cm, ass_primes, seed=0):
-    """Iterated one-element shrinking of the carrier.
+    """Iterated one-element shrinking of the algebra-stable carrier.
 
     Each step replaces T by closure(c*T) for a candidate c avoiding every
     associated prime; such steps preserve the defining localization
     conditions, so any strict descent certifies a proper qualifying
     submodule.  Returns (fixed point, tried candidates).
+
+    Until the first descent T is the carrier, which is stable, and a
+    candidate whose closure is T needs no sum when it is a nonzero constant
+    or the product of two candidates that passed (the lemma in the module
+    docstring).  A descent leaves a sum that may be uncertified, so from
+    then on every candidate is summed.
     """
     carrier = cm.carrier_sub()
-    cands = [c for c in candidate_elements(cm, seed=seed)
+    pool, factors = candidate_elements(cm, seed=seed)
+    cands = [c for c in pool
              if not any(pr.contains(c) for pr in ass_primes)]
     if not cands:
         raise SearchBudgetError(
             "no avoider found for the associated primes; supply a witness")
     current = carrier
+    good = set()  # closure(c*carrier) == carrier; None after a descent
     changed = True
     while changed:
         changed = False
         for c in cands:
+            if good is not None:
+                pair = factors.get(c)
+                if c.is_constant() or (pair and pair[0] in good
+                                       and pair[1] in good):
+                    good.add(c)
+                    continue
             seeded = current.scale_poly(c)
             shrunk, _info = graded_sum(cm, cm.canon(list(seeded.gens)))
             if shrunk != current:
@@ -176,6 +209,9 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
                         "closure of a multiple left the module (internal)")
                 current = shrunk
                 changed = True
+                good = None
+            elif good is not None:
+                good.add(c)
     return current, [str(c) for c in cands]
 
 
@@ -297,7 +333,7 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
     keeps the recursive verification in its single-prime base case.
     """
     diagnostics = []
-    pool = candidate_elements(cmc, seed=seed)
+    pool, _factors = candidate_elements(cmc, seed=seed)
     stages = [[c for c in pool
                if all(nu.contains(c) for nu in isolate)]] if isolate else []
     if not mandatory_isolation or not isolate:

@@ -1,0 +1,146 @@
+"""Differential and property tests for the regularity skip.
+
+``_shrink_fixed_point`` computes no closure for a candidate that is a nonzero
+constant or the product of two candidates that already passed, as long as
+no descent has happened: for a stable T, cl(aT) = cl(bT) = T gives
+cl(abT) = T.  The oracle below is the loop without the skip, which sums
+every candidate; both must return the same fixed point and the same tried
+list on seeded modules of rank 1 and 2 over p in {2, 3, 5}, untwisted,
+with a principal twist, and localized at a candidate.
+
+The suite catches a skip that also passes candidates without recorded
+factors (variables, pool factors, the random linear forms): those find the
+descents below.  It cannot catch a skip that checks only one factor of a
+product.  Both factors precede their product in the candidate order, and a
+factor that fails descends, which ends the skip, so such a mutant returns
+the same answers; no test here claims it.
+"""
+
+import pytest
+
+from cartierlab import testmod
+from cartierlab.cartiercore import ass_cartier, graded_sum, underline
+from cartierlab.errors import SearchBudgetError, UnsupportedShapeError
+from cartierlab.groebner import memo_scope
+from cartierlab.testmod import _shrink_fixed_point, candidate_elements
+
+from test_graded_sum_stop import instance
+
+VARIANTS = ("untwisted", "twisted", "localized")
+CASES = [(p, rank, variant) for p in (2, 3, 5) for rank in (1, 2)
+         for variant in VARIANTS]
+SEEDS = range(4)
+
+
+def full_shrink(cm, ass_primes, seed=0):
+    """The shrink without the skip: one closure per candidate per pass."""
+    carrier = cm.carrier_sub()
+    pool, _factors = candidate_elements(cm, seed=seed)
+    cands = [c for c in pool
+             if not any(pr.contains(c) for pr in ass_primes)]
+    if not cands:
+        raise SearchBudgetError("no avoider")
+    current = carrier
+    changed = True
+    while changed:
+        changed = False
+        for c in cands:
+            seeded = current.scale_poly(c)
+            shrunk, _info = testmod.graded_sum(cm,
+                                               cm.canon(list(seeded.gens)))
+            if shrunk != current:
+                current = shrunk
+                changed = True
+    return current, [str(c) for c in cands]
+
+
+def build(p, rank, variant, seed):
+    """A module with its stable core as carrier and its associated primes,
+    or None when the core is zero or the primes are out of reach."""
+    cmc = instance(p, rank, variant == "twisted",
+                   seed=1000 * p + 10 * rank + seed)
+    if variant == "localized":
+        pool, _factors = candidate_elements(cmc)
+        loc = cmc.localize(pool[1])  # the first variable
+        core, _k = underline(loc)
+        cmc = loc.with_carrier(core)
+    if cmc.carrier_sub().is_trivial():
+        return None
+    try:
+        return cmc, ass_cartier(cmc)
+    except UnsupportedShapeError:
+        return None
+
+
+def built_cases(p, rank, variant):
+    out = [build(p, rank, variant, s) for s in SEEDS]
+    return [b for b in out if b is not None]
+
+
+def counted_shrink(monkeypatch, shrink, cmc, ass):
+    """(result, number of graded sums) of one shrink in a fresh scope."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return graded_sum(*args, **kwargs)
+
+    with monkeypatch.context() as patch, memo_scope():
+        patch.setattr(testmod, "graded_sum", counting)
+        result = shrink(cmc, ass)
+    return result, len(calls)
+
+
+@pytest.mark.parametrize("p,rank,variant", CASES)
+def test_skip_matches_full_loop(p, rank, variant, monkeypatch):
+    cases = built_cases(p, rank, variant)
+    assert cases
+    for cmc, ass in cases:
+        want, full = counted_shrink(monkeypatch, full_shrink, cmc, ass)
+        got, skipped = counted_shrink(monkeypatch, _shrink_fixed_point,
+                                      cmc, ass)
+        assert got == want
+        # the constant 1 is never summed, and descents re-sum everything
+        assert skipped < full
+
+
+def test_cases_descend_and_skip(monkeypatch):
+    """The differential cases hold descents over p = 2 and 3, and fixed
+    points whose pass skips a product.  No draw over p = 5 descends: the
+    generator's modules there are all regular."""
+    descents = {2: 0, 3: 0, 5: 0}
+    product_skips = 0
+    for p, rank, variant in CASES:
+        for cmc, ass in built_cases(p, rank, variant):
+            (fixed, tried), sums = counted_shrink(
+                monkeypatch, _shrink_fixed_point, cmc, ass)
+            if fixed != cmc.carrier_sub():
+                descents[p] += 1
+            elif sums < len(tried) - 1:
+                product_skips += 1
+    assert descents[2] and descents[3], descents
+    assert product_skips > 0
+
+
+@pytest.mark.parametrize("p,rank,variant", CASES)
+def test_closure_of_a_product_of_passing_candidates_is_the_carrier(
+        p, rank, variant):
+    """graded_sum(aT) == T and graded_sum(bT) == T give graded_sum(abT) == T
+    for the stable carrier T, whichever candidates a and b are."""
+    checked = 0
+    for cmc, _ass in built_cases(p, rank, variant):
+        carrier = cmc.carrier_sub()
+        pool, _factors = candidate_elements(cmc)
+        singles = [c for c in pool if not c.is_constant()][:6]
+
+        def closure(c):
+            seeded = cmc.canon(list(carrier.scale_poly(c).gens))
+            return graded_sum(cmc, seeded)[0]
+
+        with memo_scope():
+            passing = [c for c in singles if closure(c) == carrier]
+            for i, a in enumerate(passing):
+                for b in passing[i:]:
+                    assert closure(a * b) == carrier, (str(a), str(b))
+                    checked += 1
+    assert checked > 0

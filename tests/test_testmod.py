@@ -1,5 +1,6 @@
 """Test-element search, regularity decisions, and the tau engines."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -430,3 +431,31 @@ class TestFactorPool:
             for g in ideal.gens:
                 assert any(g.try_divide(h) is not None for h in pool), \
                     (str(g), [str(h) for h in pool])
+
+
+# sha256 over every grid point k/12, k = 1..12, of one JSON line holding
+# tau(cm).serialize() and find_test_elements(cm).serialize(); the second
+# carries each regularity certificate with its ordered candidate list
+GRID_CERTIFICATES = {
+    "x^3 + y^2":
+        "98e65c8b1fce1bdeaaa31db4e76a6edf8a45bdf5fde2d31f4cec364c6452edb3",
+    "x*y": "a407a83c5f2ca1b76438db9a69229102b3becb83cefdc3eec78dbdf22800bc83",
+}
+
+
+@pytest.mark.parametrize("text", sorted(GRID_CERTIFICATES))
+def test_grid_certificates_are_pinned(text):
+    """Any change to the candidate pool, its order, the test elements or a
+    closure record moves this hash."""
+    R = RingSpec(2, ("x", "y"), caps=EngineCaps(max_total_degree=10 ** 6))
+    f = R.parse(text)
+    M = PresentedModule.free(R, 1)
+    digest = hashlib.sha256()
+    for k in range(1, 13):
+        alg = CartierAlgebraSpec([CartierOp(1, [[R.one()]])],
+                                 twist=(Ideal(R, [f]), Fraction(k, 12)))
+        cm = validate_structure(M, alg)
+        line = json.dumps([tau(cm).serialize(),
+                           find_test_elements(cm).serialize()])
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == GRID_CERTIFICATES[text]
