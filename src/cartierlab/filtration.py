@@ -55,7 +55,15 @@ def _is_fast_path(cm, ideal):
 
 
 class _TauSampler:
-    """tau(M, a^t) as a canonical submodule, cached per t."""
+    """tau(M, a^t) as a canonical submodule, memoized per t.
+
+    With a cache, the sampler's answers live in one cache entry, a table
+    ``{t: generators}`` keyed on everything but t (operation, ring, module,
+    ideal, fast path).  The table is read once, here; each t found in it
+    counts one hit in ``hits``.  Every computed t joins the table, and
+    ``flush`` writes it back once.  A table written by another sweep of the
+    same key is reused and extended, whatever its grid.
+    """
 
     def __init__(self, cm, ideal, e_max=None, seed=0, cache=None):
         self.cm = cm
@@ -64,32 +72,32 @@ class _TauSampler:
         self.seed = seed
         self.fast = _is_fast_path(cm, ideal)
         self.cache = cache
+        self.hits = 0
         self._memo = {}
+        self._table = {}
+        self._grown = False
         if cache is not None:
-            # every cache key of this sampler shares all but its "t"
             ring = cm.ring
-            self._key_base = {
+            self._key = {
                 "op": "tau-at",
-                # the fixed term order, kept so that existing cache
-                # directories stay valid
+                # the one term order, which the stored bases are sorted by
                 "ring": [ring.p, list(ring.vars), "grevlex"],
                 "module": cm.serialize(),
                 "ideal": ideal.serialize(),
                 "fast_path": self.fast,
             }
+            self._table = cache.lookup(self._key) or {}
 
     def at(self, t):
         t = Fraction(t)
         if t in self._memo:
             return self._memo[t]
-        stored = None
-        if self.cache is not None:
-            key = {**self._key_base, "t": f"{t.numerator}/{t.denominator}"}
-            stored = self.cache.lookup(key)
+        text = f"{t.numerator}/{t.denominator}"
+        stored = self._table.get(text)
         if stored is not None:
+            self.hits += 1
             sub = self.cm.module.submodule(
-                [[self.cm.ring.parse(s) for s in row]
-                 for row in stored["generators"]])
+                [[self.cm.ring.parse(s) for s in row] for row in stored])
             sub = self.cm.canon(sub.gens)
             self._memo[t] = sub
             return sub
@@ -107,8 +115,16 @@ class _TauSampler:
             sub = result.submodule
         self._memo[t] = sub
         if self.cache is not None:
-            self.cache.store(key, sub.serialize())
+            self._table[text] = sub.serialize()["generators"]
+            self._grown = True
         return sub
+
+    def flush(self):
+        """Write the table back if this sampler computed a t it lacked.
+        The write replaces the whole entry atomically, so of two sweeps
+        that extend one table concurrently the later write wins."""
+        if self._grown:
+            self.cache.store(self._key, self._table)
 
 
 @dataclass
@@ -154,6 +170,12 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
     ``caps`` = (A, B) fixes the candidate denominator p^A (p^B - 1).
     Monotonicity is asserted along the way; a violation means an internal
     error, never a spectrum.
+
+    With a ``cache``, the sweep reads its table of tau values once (see
+    ``_TauSampler``) and writes it once at the end, also when the sweep
+    raises, so the points computed before the fault are kept.  A sweep that
+    computed nothing new writes nothing.  ``cache_hits`` counts the grid
+    values read from the table.
     """
     ring = cm.ring
     top = Fraction(top)
@@ -161,7 +183,21 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
         raise ValueError("need top > 0")
     D = grid_denominator(ring.p, caps)
     sampler = _TauSampler(cm, ideal, e_max=e_max, seed=seed, cache=cache)
-    hits_before = cache.hits if cache is not None else 0
+    try:
+        jumps = _scan(sampler, ideal, top, D)
+    finally:
+        # once per sweep, also when it raised: the points computed so far
+        # are kept for the next run
+        sampler.flush()
+    if exact_policy == "strict" and sampler.fast:
+        exactness = "EXACT"
+    else:
+        exactness = "LOWER-BOUND"
+    return JumpSpectrum(top, D, exactness, jumps, cache_hits=sampler.hits)
+
+
+def _scan(sampler, ideal, top, D):
+    """The certified jumps of ``sampler`` on the grid ``k/D``, ``k/D <= top``."""
     trivial_twist = ideal.is_unit()
     jumps = []
     prev_t = Fraction(0)
@@ -180,13 +216,7 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
                 t, prev.serialize()["generators"],
                 cur.serialize()["generators"], delta, half == cur))
         prev, prev_t = cur, t
-    if exact_policy == "strict" and sampler.fast:
-        exactness = "EXACT"
-    else:
-        exactness = "LOWER-BOUND"
-    hits_after = cache.hits if cache is not None else 0
-    return JumpSpectrum(top, D, exactness, jumps,
-                        cache_hits=hits_after - hits_before)
+    return jumps
 
 
 # ---------------------------------------------------------------------------

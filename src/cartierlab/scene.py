@@ -550,7 +550,6 @@ def run_scene(scene, flags=None):
             code = max(code, 5)
         elif outcome.status == "expected-negative" and expect_negative_mode:
             code = max(code, 4)
-    cache = flags.get("cache")
     report = {
         "scene": scene.name,
         "tasks": [o.serialize() for o in outcomes],
@@ -562,7 +561,9 @@ def run_scene(scene, flags=None):
             "errors": sum(1 for o in outcomes
                           if o.status in ("error", "resource-cap",
                                           "invalid-structure")),
-            "cache_hits": cache.hits if cache is not None else 0,
+            # the grid values the scene's sweeps read from the cache
+            "cache_hits": sum(o.result.get("cache_hits", 0) for o in outcomes
+                              if o.task["op"] == "jumps"),
         },
     }
     return report, code

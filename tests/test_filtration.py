@@ -213,18 +213,17 @@ class TestResultCacheKey:
 
     def test_file_names_are_stable(self, tmp_path):
         from cartierlab.cache import ResultCache
-        from cartierlab.filtration import _TauSampler
 
         R = RingSpec(3, ("x", "y"))
         cm = validate_structure(
             PresentedModule.free(R, 1),
             CartierAlgebraSpec([CartierOp(1, [[R.one()]])]))
-        sampler = _TauSampler(cm, Ideal(R, [R.parse("x^3 + y^2")]),
-                              cache=ResultCache(str(tmp_path)))
-        sampler.at(Fraction(5, 6))
-        # existing --cache-dir directories stay valid only if this holds
+        jumping_numbers(cm, Ideal(R, [R.parse("x^3 + y^2")]), 1,
+                        caps=(1, 1), cache=ResultCache(str(tmp_path)))
+        # one table per sweep key; existing --cache-dir directories stay
+        # valid only if this holds
         assert [p.name for p in tmp_path.iterdir()] == [
-            "6c311373e0a0ea3a3dc2e2f5b4b5195b05ecd52f1b6cb7fc1afc64d04b45263f"
+            "622e1f396d8ff7f2768e97efba545210b2f7310d213ec75639c6e1bf4550fd81"
             ".json"]
 
     def test_a_miss_hashes_its_key_once(self, tmp_path, monkeypatch):
@@ -250,3 +249,137 @@ class TestResultCacheKey:
         assert cache.lookup(half) == ["a"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             os.path.basename(path_of(k)) for k in (half, other))
+
+
+def cusp_sweep(p=3):
+    """The module F_p[x,y] with the trace, and the ideal (x^3 + y^2)."""
+    R = RingSpec(p, ("x", "y"))
+    cm = validate_structure(
+        PresentedModule.free(R, 1),
+        CartierAlgebraSpec([CartierOp(1, [[R.one()]])]))
+    return cm, Ideal(R, [R.parse("x^3 + y^2")])
+
+
+class CountingCache:
+    """A ResultCache over ``directory`` that counts its lookups and stores."""
+
+    def __init__(self, directory):
+        from cartierlab.cache import ResultCache
+
+        self.cache = ResultCache(str(directory))
+        self.lookups = self.stores = 0
+        lookup, store = self.cache.lookup, self.cache.store
+
+        def counted_lookup(key):
+            self.lookups += 1
+            return lookup(key)
+
+        def counted_store(key, value):
+            self.stores += 1
+            return store(key, value)
+
+        self.cache.lookup, self.cache.store = counted_lookup, counted_store
+
+
+class TestCacheTable:
+    """One cache entry per sweep key, holding the table {t: generators}."""
+
+    def test_one_lookup_and_one_store_per_sweep(self, tmp_path):
+        cm, ideal = cusp_sweep()
+        first = CountingCache(tmp_path)
+        jumping_numbers(cm, ideal, 1, caps=(2, 2), cache=first.cache)
+        assert (first.lookups, first.stores) == (1, 1)
+        revisit = CountingCache(tmp_path)
+        spectrum = jumping_numbers(cm, ideal, 1, caps=(2, 2),
+                                   cache=revisit.cache)
+        assert (revisit.lookups, revisit.stores) == (1, 0)
+        assert spectrum.cache_hits > 0
+        assert len(list(tmp_path.iterdir())) == 1
+
+    def test_revisits_count_the_grid_values_read(self, tmp_path):
+        """The same hit counts as with one cache file per grid point."""
+        from cartierlab.cache import ResultCache
+
+        cm, ideal = cusp_sweep()
+        hits = []
+        for caps in ((1, 1), (1, 1), (2, 2), (2, 2)):
+            spectrum = jumping_numbers(cm, ideal, 1, caps=caps,
+                                       cache=ResultCache(str(tmp_path)))
+            assert spectrum.jump_values() == [Fraction(2, 3), 1]
+            hits.append(spectrum.cache_hits)
+        # a full revisit, then a finer grid that shares the coarse points
+        assert hits == [0, 8, 8, 74]
+
+    def test_a_sweep_that_raises_keeps_its_points(self, tmp_path,
+                                                  monkeypatch):
+        from cartierlab import filtration
+        from cartierlab.cache import ResultCache
+        from cartierlab.errors import ResourceCapError
+
+        cm, ideal = cusp_sweep()
+        want = jumping_numbers(cm, ideal, 1, caps=(2, 2)).serialize()
+        computed = []
+
+        def failing(f, t, e_max=None):
+            if t == Fraction(5, 8):
+                raise ResourceCapError("cap reached")
+            computed.append(t)
+            return tau_bms(f, t, e_max=e_max)
+
+        tau_bms = filtration.tau_bms
+        with monkeypatch.context() as patch:
+            patch.setattr(filtration, "tau_bms", failing)
+            with pytest.raises(ResourceCapError):
+                jumping_numbers(cm, ideal, 1, caps=(2, 2),
+                                cache=ResultCache(str(tmp_path)))
+        assert computed
+        again = jumping_numbers(cm, ideal, 1, caps=(2, 2),
+                                cache=ResultCache(str(tmp_path)))
+        # every point before the fault is read back, t = 0 included
+        assert again.cache_hits == len(computed) + 1
+        got = again.serialize()
+        got["cache_hits"] = want["cache_hits"] = None
+        assert got == want
+
+    def test_per_point_entries_are_not_read(self, tmp_path):
+        """A directory of the former layout, one entry per grid point whose
+        key carries "t", gives the same spectrum and no hit."""
+        from cartierlab.cache import ResultCache
+        from cartierlab.filtration import _TauSampler
+
+        cm, ideal = cusp_sweep()
+        old = ResultCache(str(tmp_path))
+        sampler = _TauSampler(cm, ideal)
+        for k in range(7):
+            t = Fraction(k, 6)
+            key = {"op": "tau-at",
+                   "ring": [3, ["x", "y"], "grevlex"],
+                   "module": cm.serialize(), "ideal": ideal.serialize(),
+                   "fast_path": True, "t": f"{t.numerator}/{t.denominator}"}
+            old.store(key, sampler.at(t).serialize())
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert len(before) == 7
+        spectrum = jumping_numbers(cm, ideal, 1, caps=(1, 1),
+                                   cache=ResultCache(str(tmp_path)))
+        assert spectrum.cache_hits == 0
+        assert spectrum.serialize() == jumping_numbers(
+            cm, ideal, 1, caps=(1, 1)).serialize()
+        after = sorted(p.name for p in tmp_path.iterdir())
+        assert len(after) == 8 and set(before) < set(after)
+
+    def test_a_corrupted_table_is_recomputed(self, tmp_path, caplog):
+        from cartierlab.cache import ResultCache
+
+        cm, ideal = cusp_sweep()
+        first = jumping_numbers(cm, ideal, 1, caps=(1, 1),
+                                cache=ResultCache(str(tmp_path)))
+        (table,) = tmp_path.iterdir()
+        table.write_text('{"engine_version": "cartierlab-0.1.0", "ke')
+        with caplog.at_level("WARNING", logger="cartierlab.cache"):
+            second = jumping_numbers(cm, ideal, 1, caps=(1, 1),
+                                     cache=ResultCache(str(tmp_path)))
+        assert "corrupted cache entry" in caplog.text
+        assert second.serialize() == first.serialize()
+        third = jumping_numbers(cm, ideal, 1, caps=(1, 1),
+                                cache=ResultCache(str(tmp_path)))
+        assert third.cache_hits == 8

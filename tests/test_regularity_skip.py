@@ -6,7 +6,8 @@ no descent has happened: for a stable T, cl(aT) = cl(bT) = T gives
 cl(abT) = T.  The oracle below is the loop without the skip, which sums
 every candidate; both must return the same fixed point and the same tried
 list on seeded modules of rank 1 and 2 over p in {2, 3, 5}, untwisted,
-with a principal twist, and localized at a candidate.
+with a principal twist, and localized at a candidate, and on one p = 5
+module with two generators whose shrink descends.
 
 The suite catches a skip that also passes candidates without recorded
 factors (variables, pool factors, the random linear forms): those find the
@@ -16,14 +17,20 @@ factor that fails descends, which ends the skip, so such a mutant returns
 the same answers; no test here claims it.
 """
 
+from fractions import Fraction
+import random
+
 import pytest
 
 from cartierlab import testmod
-from cartierlab.cartiercore import ass_cartier, graded_sum, underline
+from cartierlab.cartiercore import (ass_cartier, graded_sum, underline,
+                                    validate_structure)
 from cartierlab.errors import SearchBudgetError, UnsupportedShapeError
 from cartierlab.groebner import memo_scope
+from cartierlab.idealkit import Ideal
 from cartierlab.testmod import _shrink_fixed_point, candidate_elements
 
+from instancegen import friendly_factor, random_cartier_module
 from test_graded_sum_stop import instance
 
 VARIANTS = ("untwisted", "twisted", "localized")
@@ -144,3 +151,30 @@ def test_closure_of_a_product_of_passing_candidates_is_the_carrier(
                     assert closure(a * b) == carrier, (str(a), str(b))
                     checked += 1
     assert checked > 0
+
+
+def p5_descent():
+    """A p = 5 draw whose shrink descends: F_5[x,y]/(xy + x) with two
+    generators (the second one's matrix carries a p-th power factor) and
+    the squared twist (y + 3)^2 at t = 5/6.  The seeded draws above are all
+    regular over p = 5; this is 1 of 40 draws in this shape that is not."""
+    rng = random.Random(33)
+    cm = random_cartier_module(rng, 5, 2, extra_generator=True)
+    f = friendly_factor(rng, cm.ring)
+    t = Fraction(rng.randint(1, 6), 6)
+    cm = validate_structure(
+        cm.module, cm.algebra.with_twist(Ideal(cm.ring, [f * f]), t))
+    core, _k = underline(cm)
+    cmc = cm.with_carrier(core)
+    return cmc, ass_cartier(cmc)
+
+
+def test_p5_descent_matches_full_loop(monkeypatch):
+    cmc, ass = p5_descent()
+    assert cmc.ring.p == 5 and len(cmc.algebra.generators) == 2
+    want, full = counted_shrink(monkeypatch, full_shrink, cmc, ass)
+    got, skipped = counted_shrink(monkeypatch, _shrink_fixed_point, cmc, ass)
+    assert got == want
+    assert skipped < full
+    fixed, _tried = got
+    assert fixed != cmc.carrier_sub(), "the p = 5 case no longer descends"

@@ -190,6 +190,8 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         second = json.loads(capsys.readouterr().out)
         assert first["summary"]["cache_hits"] == 0
         assert second["summary"]["cache_hits"] > 0
+        # the grid values read, as with one cache file per grid point
+        assert second["summary"]["cache_hits"] == 3
         jumps = [doc["tasks"][0]["result"]["jumps"] for doc in (first, second)]
         assert jumps[0] == jumps[1]
 
