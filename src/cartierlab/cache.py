@@ -27,8 +27,6 @@ class ResultCache:
         self.engine_version = engine_version
         self.hits = 0
         self.misses = 0
-        # (key, path) of the last miss, for the store that usually follows
-        self._last_miss = None
         os.makedirs(directory, exist_ok=True)
 
     def _path(self, key):
@@ -37,35 +35,28 @@ class ResultCache:
         return os.path.join(self.directory, f"{digest}.json")
 
     def lookup(self, key):
-        """The stored value for ``key``, or None on a miss.  Do not mutate
-        ``key`` between a missed lookup and the ``store`` for it: the store
-        reuses the file name hashed here."""
+        """The stored value for ``key``, or None on a miss."""
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except FileNotFoundError:
-            return self._miss(key, path)
+            return self._miss()
         except (json.JSONDecodeError, OSError) as ex:
             log.warning("corrupted cache entry %s (%s); recomputing", path, ex)
-            return self._miss(key, path)
+            return self._miss()
         if (doc.get("engine_version") != self.engine_version
                 or doc.get("key") != key):
-            return self._miss(key, path)
+            return self._miss()
         self.hits += 1
         return doc.get("value")
 
-    def _miss(self, key, path):
+    def _miss(self):
         self.misses += 1
-        self._last_miss = (key, path)
         return None
 
     def store(self, key, value):
-        if self._last_miss is not None and self._last_miss[0] is key:
-            path = self._last_miss[1]
-        else:
-            path = self._path(key)
-        self._last_miss = None
+        path = self._path(key)
         doc = {"engine_version": self.engine_version, "key": key,
                "value": value}
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

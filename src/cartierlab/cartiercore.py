@@ -728,7 +728,8 @@ def check_equivariant(phi, source_cm, target_cm):
 
     Sufficient on free generators x basis monomials by the p-adic
     decomposition of coefficients.  Raises NotEquivariantError with a
-    witness (generator index, source generator, basis monomial).
+    witness (generator index, source generator, basis monomial); the
+    witness is the first failing monomial of the basis box.
     """
     sgens = source_cm.algebra.generators
     tgens = target_cm.algebra.generators
@@ -736,16 +737,22 @@ def check_equivariant(phi, source_cm, target_cm):
                                        zip(sgens, tgens)):
         raise NotEquivariantError("algebra generator lists do not match")
     relsub = Submodule(phi.target, ())
+    zero = VecPoly.zero(phi.target.ring, phi.target.rank)
     for k, (src_op, tgt_op) in enumerate(zip(sgens, tgens)):
+        _basis_box(source_cm.ring, src_op.e)  # enforces the enumeration cap
+        q = source_cm.ring.p ** src_op.e
         for j in range(phi.source.rank):
-            ej = phi.source.generator(j)
-            for a in _basis_box(source_cm.ring, src_op.e):
-                lhs = phi.apply(src_op.apply_vec(ej.mul_term(tuple(a), 1)))
-                rhs = tgt_op.apply_vec(phi.columns[j].mul_term(tuple(a), 1))
-                if not relsub.contains(lhs - rhs):
+            lhs = dict(_residue_images(source_cm.ring, src_op,
+                                       phi.source.generator(j)))
+            rhs = dict(_residue_images(target_cm.ring, tgt_op,
+                                       phi.columns[j]))
+            # descending b is the box's ascending order in a = q-1-b
+            for b in sorted(lhs.keys() | rhs.keys(), reverse=True):
+                left = phi.apply(lhs[b]) if b in lhs else zero
+                if not relsub.contains(left - rhs.get(b, zero)):
                     raise NotEquivariantError(
                         "map does not commute with the structure",
-                        witness=(k, j, tuple(a)))
+                        witness=(k, j, tuple(q - 1 - x for x in b)))
     return True
 
 

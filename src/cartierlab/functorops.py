@@ -14,6 +14,14 @@ literally unchanged because the trace of the extended ring splits off the
 new variable's dualizing action.  Pushforward along finite maps is
 restriction of scalars with base-generator actions only.
 
+Every functor (``pullback``, ``shriek_finite``, ``pushforward_finite``)
+returns a ``FunctorResult(cm, transport_submodule)``: the module on the
+other side and the map carrying submodules of the given module over to it.
+Along a finite map of degree k both sides of an r-generated module have
+rank k*r, basis index l and component j at position l*r + j (the dual slot
+G_(l,j), or the z^l coefficient over R); ``FiniteMapData`` alone spells
+that slot layout out.
+
 Localized pushforwards are made coherent by the gauge-bound construction:
 conjugating the operators by c^(K(p^e - 1)) turns the fractions with
 denominator exponent at most K into an honest module over R, whose stable
@@ -88,7 +96,8 @@ class RingMap:
 
 
 class FiniteMapData:
-    """Precomputed basis data for R -> S = R[z]/(g)."""
+    """Precomputed basis data for R -> S = R[z]/(g), and the slot layout
+    (basis index l, component j at position ``l*r + j``) of both functors."""
 
     def __init__(self, rmap):
         assert rmap.kind == "finite"
@@ -158,6 +167,42 @@ class FiniteMapData:
                 acc = acc + h * zrow[l]
             total = total + acc
         return total
+
+    def monomial(self, a, l):
+        """The S-exponent of x^a z^l for an R-exponent a."""
+        return tuple(a) + (l,)
+
+    def zmono(self, l):
+        """The S-exponent of z^l."""
+        return (0,) * self.zi + (l,)
+
+    def slot(self, index, r):
+        """(l, j) for position ``index`` = l*r + j of a rank k*r vector."""
+        return divmod(index, r)
+
+    def _lay_out(self, ring, r, terms):
+        """The rank k*r vector over ring from (l, j, monomial, coeff)."""
+        out = {}
+        for l, j, m, c in terms:
+            key = (l * r + j, m)
+            out[key] = (out.get(key, 0) + c) % ring.p
+        return VecPoly(ring, self.k * r, {kk: c for kk, c in out.items() if c})
+
+    def to_slots(self, r, parts):
+        """The S-vector with each R-vector of the (l, vec) pairs in dual
+        slot l; R-monomials get a zero z exponent."""
+        return self._lay_out(self.ring, r, (
+            (l, j, self.monomial(m, 0), c)
+            for l, vec in parts for (j, m), c in vec.terms.items()))
+
+    def restrict(self, vec):
+        """An S-vector in R-coordinates: the z^l coefficient of component j
+        (reduced mod g) at position l*r + j."""
+        return self._lay_out(self.rmap.source, vec.rank, (
+            (l, j, m, c)
+            for j in range(vec.rank)
+            for l, h in enumerate(self.reduce_scalar(vec.component(j)))
+            for m, c in h.terms.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -275,137 +320,89 @@ def _vec_map_ring(vec, new_ring, var_map):
                                            for c in vec.columns()])
 
 
-class ShriekFiniteResult:
-    """f^! M with the book-keeping needed to transport submodules."""
+@dataclass(frozen=True)
+class FunctorResult:
+    """A functor's image of a module, with the transport of submodules of
+    the given module into it (``pullback``, ``shriek_finite`` and
+    ``pushforward_finite`` return one)."""
 
-    def __init__(self, cm, data, source_cm):
-        self.cm = cm
-        self.data = data
-        self.source_cm = source_cm
-
-    def transport_submodule(self, sub):
-        """Hom(S, W) for W <= M: W-generators placed in every dual slot."""
-        data = self.data
-        r = self.source_cm.module.rank
-        gens = []
-        for l in range(data.k):
-            for w in sub.basis():
-                terms = {}
-                for (pos, m), c in w.terms.items():
-                    mm = tuple(list(m) + [0])
-                    terms[(l * r + pos, mm)] = c
-                gens.append(VecPoly(data.ring, data.k * r, terms))
-        return self.cm.canon(gens)
+    cm: CartierModule
+    transport_submodule: object  # Submodule -> Submodule
 
 
 def shriek_finite(cm, rmap):
-    """Hom_R(S, M) over S with the trace-through-multiplication action."""
+    """Hom_R(S, M) over S with the trace-through-multiplication action.
+
+    A submodule W of M goes to Hom(S, W): its generators in every dual slot.
+    Hom commutes with inverting a base element, so a localized module is
+    handled unlocalized and the image of c is inverted upstairs.
+    """
     if rmap.kind != "finite":
         raise UnsupportedShapeError("shriek_finite needs a finite map")
-    if cm.inverted is not None:
-        # Hom commutes with inverting a base element: pull back the
-        # unlocalized module, then invert the image of c upstairs
-        plain = CartierModule(cm.module, cm.algebra,
-                              validated=cm.validated)
-        result = shriek_finite(plain, rmap)
-        up = result.cm.localize(cm.inverted.map_ring(
-            rmap.target, list(range(cm.ring.nvars))))
-        if cm.carrier is not None:
-            carrier_up = result.transport_submodule(cm.carrier)
-            up = up.with_carrier(up.canon(carrier_up.gens))
-        return ShriekFiniteResult(up, result.data, cm)
     data = FiniteMapData(rmap)
     ring = data.ring
     source = rmap.source
     r = cm.module.rank
     k = data.k
-    rank = r * k
     var_map = list(range(source.nvars))
-
-    def slot(l, j):
-        return l * r + j
 
     # presentation: per-slot copies of M's relations, plus z acting through
     # the multiplication table (z phi)(b_l) = phi(z b_l)
-    rels = []
-    for rel in cm.module.relations:
-        for l in range(k):
-            terms = {}
-            for (pos, m), c in rel.terms.items():
-                terms[(slot(l, pos), tuple(list(m) + [0]))] = c
-            rels.append(VecPoly(ring, rank, terms))
-    zvec = [0] * ring.nvars
-    zvec[-1] = 1
-    zmono = tuple(zvec)
+    rels = [data.to_slots(r, [(l, rel)])
+            for rel in cm.module.relations for l in range(k)]
     for l in range(k):
         for j in range(r):
             # dual basis: z G_(l,j) = sum_u [z b_u]_l G_(u,j)
-            terms = {(slot(l, j), zmono): 1}
-            for u in range(k):
-                h = data.zpow(u + 1)[l]
-                for m, c in h.terms.items():
-                    key = (slot(u, j), tuple(list(m) + [0]))
-                    terms[key] = (terms.get(key, 0) - c) % ring.p
-                    if terms[key] == 0:
-                        del terms[key]
-            rels.append(VecPoly(ring, rank, terms))
-    module = PresentedModule(ring, rank, rels)
+            ej = cm.module.generator(j)
+            z_g = data.to_slots(r, [(l, ej)]).mul_term(data.zmono(1), 1)
+            rels.append(z_g - data.to_slots(
+                r, [(u, ej.mul_poly(data.zpow(u + 1)[l])) for u in range(k)]))
+    module = PresentedModule(ring, r * k, rels)
 
     ops = []
     for op in cm.algebra.generators:
         q = source.p ** op.e
 
         def action(a, jj, op=op, q=q):
-            l, j = divmod(jj, r)
+            l, j = data.slot(jj, r)
             az = a[-1]
             ax = a[:-1]
-            out = {}
+            parts = []
             for u in range(k):
-                row = data.zpow(az + u * q)
-                h = row[l]
+                h = data.zpow(az + u * q)[l]
                 if h.is_zero():
                     continue
-                src_vec = VecPoly(source, r,
-                                  {(j, ax): 1}).mul_poly(h)
-                img = op.apply_vec(src_vec)
-                img = cm.module.reduce(img)
-                for (pos, m), c in img.terms.items():
-                    key = (slot(u, pos), tuple(list(m) + [0]))
-                    out[key] = (out.get(key, 0) + c) % ring.p
-            return VecPoly(ring, rank, {kk: cc for kk, cc in out.items() if cc})
+                src_vec = VecPoly(source, r, {(j, ax): 1}).mul_poly(h)
+                parts.append((u, cm.module.reduce(op.apply_vec(src_vec))))
+            return data.to_slots(r, parts)
 
         ops.append(operator_from_action(module, op.e, action))
     twists = [(Ideal(ring, [g.map_ring(ring, var_map) for g in ideal.gens]), t)
               for ideal, t in cm.algebra.twists]
-    algebra = CartierAlgebraSpec(ops, twists or None)
-    out = validate_structure(module, algebra)
-    return ShriekFiniteResult(out, data, cm)
+    up = validate_structure(module, CartierAlgebraSpec(ops, twists or None))
 
+    def lifted(sub):
+        return [data.to_slots(r, [(l, w)])
+                for l in range(k) for w in sub.basis()]
 
-@dataclass(frozen=True)
-class PullbackResult:
-    """f^! M along a localization or affine-line map, with the transport
-    of submodules of M upstairs (the same generators over the new ring)."""
-
-    cm: CartierModule
-    transport_submodule: object  # Submodule -> Submodule
+    if cm.inverted is not None:
+        up = up.localize(cm.inverted.map_ring(ring, var_map))
+        if cm.carrier is not None:
+            up = up.with_carrier(up.canon(lifted(cm.carrier)))
+    return FunctorResult(up, lambda sub: up.canon(lifted(sub)))
 
 
 def pullback(cm, rmap):
-    """f^! M along one elementary map, with the transport of submodules.
-
-    The result has ``cm`` (the module upstairs) and ``transport_submodule``;
-    for a finite map it is ``shriek_finite``'s result.
-    """
+    """f^! M along one elementary map, with the transport of submodules."""
     if rmap.kind == "finite":
         return shriek_finite(cm, rmap)
     if rmap.kind == "localize":
         up = shriek_localize(cm, rmap.data["at"])
-        return PullbackResult(up, lambda sub: up.canon(sub.gens))
+        return FunctorResult(up, lambda sub: up.canon(sub.gens))
     if rmap.kind == "affine-line":
         up = shriek_affine_line(cm, rmap.data["var"])
         var_map = list(range(cm.ring.nvars))
-        return PullbackResult(up, lambda sub: up.canon(
+        return FunctorResult(up, lambda sub: up.canon(
             [_vec_map_ring(v, up.ring, var_map) for v in sub.basis()]))
     raise UnsupportedShapeError(f"cannot pull back along {rmap.kind}")
 
@@ -414,49 +411,13 @@ def pullback(cm, rmap):
 # pushforwards
 
 
-class PushforwardFiniteResult:
-    def __init__(self, cm, data, source_cm):
-        self.cm = cm
-        self.data = data
-        self.source_cm = source_cm
-
-    def transport_submodule(self, sub):
-        """The same subset, re-coordinatized over the base ring.
-
-        Restriction of scalars keeps only R-combinations, so each generator
-        contributes its z^l multiples (l below the basis degree) explicitly.
-        """
-        ring = self.data.ring
-        gens = []
-        for v in sub.basis():
-            for l in range(self.data.k):
-                zl = [0] * ring.nvars
-                zl[-1] = l
-                gens.append(self._expand(v.mul_term(tuple(zl), 1)))
-        return self.cm.canon(gens)
-
-    def _expand(self, vec):
-        data = self.data
-        src = self.source_cm.module
-        out = {}
-        for pos in range(src.rank):
-            comp = vec.component(pos)
-            if comp.is_zero():
-                continue
-            rows = data.reduce_scalar(comp)
-            for l, h in enumerate(rows):
-                for m, c in h.terms.items():
-                    key = (l * src.rank + pos, m)
-                    out[key] = (out.get(key, 0) + c) % data.rmap.source.p
-        return VecPoly(data.rmap.source, src.rank * data.k,
-                       {k2: c for k2, c in out.items() if c})
-
-
 def pushforward_finite(cm, rmap):
     """Restriction of scalars along a finite map, base generators acting.
 
     The module must be an honest S-module: the relation submodule has to
-    absorb g times every generator (checked).
+    absorb g times every generator (checked).  A submodule goes to the same
+    subset over R, where only R-combinations remain, so each generator
+    contributes its z^l multiples (l below the basis degree) explicitly.
     """
     if rmap.kind != "finite":
         raise UnsupportedShapeError("pushforward_finite needs a finite map")
@@ -474,17 +435,12 @@ def pushforward_finite(cm, rmap):
                 "not a module over the extension ring")
     r = cm.module.rank
     k = data.k
-    rank = r * k
-    helper = PushforwardFiniteResult(None, data, cm)
 
-    rels = []
-    for rel in cm.module.relations:
-        for l in range(k):
-            zl = [0] * ring.nvars
-            zl[-1] = l
-            shifted = rel.mul_term(tuple(zl), 1)
-            rels.append(helper._expand(shifted))
-    module = PresentedModule(source, rank, rels)
+    def restricted(vecs):
+        return [data.restrict(v.mul_term(data.zmono(l), 1))
+                for v in vecs for l in range(k)]
+
+    module = PresentedModule(source, r * k, restricted(cm.module.relations))
 
     if cm.algebra.is_twisted():
         raise UnsupportedShapeError(
@@ -493,27 +449,19 @@ def pushforward_finite(cm, rmap):
     ops = []
     for op in cm.algebra.generators:
         def action(a, jj, op=op):
-            l, j = divmod(jj, r)
-            ax = list(a) + [0]
-            zl = [0] * ring.nvars
-            zl[-1] = l
-            vec = VecPoly(ring, r, {(j, tuple(zl)): 1})
-            vec = vec.mul_term(tuple(ax), 1)
-            img = cm.module.reduce(op.apply_vec(vec))
-            return helper._expand(img)
+            l, j = data.slot(jj, r)
+            vec = VecPoly(ring, r, {(j, data.monomial(a, l)): 1})
+            return data.restrict(cm.module.reduce(op.apply_vec(vec)))
 
         ops.append(operator_from_action(module, op.e, action))
-    algebra = CartierAlgebraSpec(ops)
-    out = validate_structure(module, algebra)
-    helper.cm = out
-    return helper
+    out = validate_structure(module, CartierAlgebraSpec(ops))
+    return FunctorResult(out, lambda sub: out.canon(restricted(sub.basis())))
 
 
 def contract_prime(rmap, prime):
     """nu cap R for a prime nu of S containing (g): annihilator of the
     pushforward of S/nu."""
-    data = FiniteMapData(rmap)
-    ring = data.ring
+    ring = rmap.target
     quot = PresentedModule.quotient_ring(ring, prime.ideal)
     trivial = CartierAlgebraSpec([CartierOp(1, [[ring.zero()]])])
     cmq = CartierModule(quot, trivial, validated=True)
@@ -524,8 +472,7 @@ def contract_prime(rmap, prime):
 
 def fiber_primes(rmap, prime):
     """Primes of S over a prime of R (restricted shapes)."""
-    data = FiniteMapData(rmap)
-    ring = data.ring
+    ring = rmap.target
     gens = [g.map_ring(ring) for g in prime.ideal.gens]
     gens.append(rmap.data["relation"])
     return minimal_primes(Ideal(ring, gens))

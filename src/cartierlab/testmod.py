@@ -216,7 +216,7 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
 
 
 @memo_scope()
-def is_f_regular(cm, witness=None, candidates=None, seed=0):
+def is_f_regular(cm, candidates=None, seed=0):
     """Decide whether the carrier equals its own test module.
 
     Returns (bool, certificate).  False answers carry a proper qualifying
@@ -238,16 +238,6 @@ def is_f_regular(cm, witness=None, candidates=None, seed=0):
             "no associated primes found for a nonzero module; "
             "supply candidates")
     cert["ass"] = [pr.ideal.serialize() for pr in ass]
-    if witness is not None:
-        if any(pr.contains(witness) for pr in ass):
-            raise ValueError("witness lies in an associated prime")
-        shrunk, _ = graded_sum(cmc, cmc.canon(
-            list(core.scale_poly(witness).gens)))
-        cert["witness"] = str(witness)
-        if shrunk != core:
-            cert["proper_submodule"] = shrunk.serialize()
-            return False, cert
-        # fall through to the full pool for a stronger verdict
     fixed, tried = _shrink_fixed_point(cmc, ass, seed=seed)
     cert["candidates"] = tried
     if fixed != core:

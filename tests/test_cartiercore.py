@@ -3,7 +3,8 @@
 import pytest
 
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
-                                    apply_cplus, ass_cartier, is_f_pure,
+                                    apply_cplus, ass_cartier,
+                                    check_equivariant, is_f_pure,
                                     nil_isomorphism, nilpotence,
                                     operator_from_action, underline,
                                     validate_structure)
@@ -207,6 +208,21 @@ class TestNilIsomorphism:
         phi = ModuleMap(cm.module, cm.module, [[x]])  # mult by x
         with pytest.raises(NotEquivariantError):
             nil_isomorphism(phi, cm, cm)
+
+    def test_witness_is_first_failing_basis_monomial(self):
+        # the operators differ by trace((x^2*y + x*y^2) * -), which is
+        # nonzero on x^a y^b exactly for (a, b) in {(0, 1), (1, 0)}; the
+        # witness is the first of them in the box order
+        R = RingSpec(2, ("x", "y"))
+        M = PresentedModule.free(R, 1)
+        one = R.one()
+        src = validate_structure(M, CartierAlgebraSpec([CartierOp(1, [[one]])]))
+        tgt = validate_structure(M, CartierAlgebraSpec(
+            [CartierOp(1, [[one + R.parse("x^2*y + x*y^2")]])]))
+        phi = ModuleMap.identity(M)
+        with pytest.raises(NotEquivariantError) as info:
+            check_equivariant(phi, src, tgt)
+        assert info.value.witness == (0, 0, (0, 1))
 
 
 class TestOperators:

@@ -13,7 +13,8 @@ from cartierlab.fpmod import ModuleMap, PresentedModule
 from cartierlab.functorops import (FiniteMapData, PulledBackElement, RingMap,
                                    coherent_model, coherent_models_agree,
                                    contract_prime, fiber_primes,
-                                   gauge_growth_probe, pullback_algebra,
+                                   gauge_growth_probe, pullback,
+                                   pullback_algebra,
                                    check_pullback_laws, pushforward_finite,
                                    pushforward_point, shriek_affine_line,
                                    shriek_finite, shriek_localize,
@@ -252,6 +253,55 @@ class TestPushforwardFinite:
         assert (ku == 0) == (kd == 0)
 
 
+def _pulled_back(cm, rmap):
+    return cm, pullback(cm, rmap)
+
+
+def _localized_pair_with_carrier():
+    R = RingSpec(3, ("x",))
+    x = R.var("x")
+    M = PresentedModule.free(R, 1)
+    cm = validate_structure(M, CartierAlgebraSpec([CartierOp(1, [[x ** 2]])]),
+                            carrier=M.submodule([[x]]), inverted=x + R.one())
+    return _pulled_back(cm, RingMap.finite(R, "z", "z^2 + 2x"))
+
+
+def _pushed_forward():
+    cm = plain_line(3)
+    rmap = RingMap.finite(cm.ring, "z", "z^2 + 2x")
+    up = shriek_finite(cm, rmap).cm
+    return up, pushforward_finite(up, rmap)
+
+
+TRANSPORT_CASES = {
+    "localize": lambda: _pulled_back(
+        twisted_line(2), RingMap.localize(RingSpec(2, ("x",)), "x")),
+    "affine-line": lambda: _pulled_back(
+        plain_line(3), RingMap.affine_line(RingSpec(3, ("x",)), "y")),
+    "finite": lambda: _pulled_back(
+        plain_line(3), RingMap.finite(RingSpec(3, ("x",)), "z", "z^2 + 2x")),
+    "finite-localized-carrier": _localized_pair_with_carrier,
+    "pushforward-finite": _pushed_forward,
+}
+
+
+class TestTransports:
+    """Every functor's FunctorResult carries 0 to 0 and the carrier (the
+    full module when there is none) to the carrier upstairs."""
+
+    @pytest.mark.parametrize("case", sorted(TRANSPORT_CASES))
+    def test_zero_and_carrier(self, case):
+        cm, res = TRANSPORT_CASES[case]()
+        assert res.transport_submodule(cm.module.zero_submodule()).is_trivial()
+        assert res.transport_submodule(cm.carrier_sub()) == \
+            res.cm.carrier_sub()
+
+    def test_localized_carrier_is_transported(self):
+        cm, res = _localized_pair_with_carrier()
+        assert res.cm.inverted is not None and res.cm.carrier is not None
+        assert not res.cm.carrier.is_full()
+
+
 class TestAdjunctions:
     def test_finite_counit_equivariant(self):
         # counit f_* f^! M -> M: phi -> phi(1); on slot coordinates the map
@@ -260,16 +310,16 @@ class TestAdjunctions:
         rmap = RingMap.finite(cm.ring, "z", "z^2 + 2x")
         F = shriek_finite(cm, rmap)
         P = pushforward_finite(F.cm, rmap)
+        data = FiniteMapData(rmap)
         R = cm.ring
         r = cm.module.rank
-        k = F.data.k
         cols = []
         for idx in range(P.cm.module.rank):
             lz, rest = divmod(idx, F.cm.module.rank)
             l2, j = divmod(rest, r)
             # generator z^lz * G_(l2, j): evaluated at 1 gives [z^lz b_(l2)]_0-ish;
             # phi(1) has component j scaled by the coefficient of b_(l2) in z^lz
-            coeff = F.data.zpow(lz)[l2]
+            coeff = data.zpow(lz)[l2]
             col = [R.zero()] * r
             col[j] = coeff
             cols.append(col)

@@ -82,11 +82,6 @@ class TestIsFRegular:
         okp, _ = is_f_regular(cm.with_carrier(piece))
         assert not okp
 
-    def test_witness_in_associated_prime_rejected(self):
-        cm = intro_module()
-        with pytest.raises(ValueError):
-            is_f_regular(cm, witness=cm.ring.var("y"))
-
 
 class TestFindTestElements:
     def test_sec3_sequence(self):
