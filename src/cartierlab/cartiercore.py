@@ -177,15 +177,13 @@ class CartierModule:
     it stops there (see ``graded_sum``).
     """
 
-    __slots__ = ("module", "algebra", "carrier", "inverted", "validated")
+    __slots__ = ("module", "algebra", "carrier", "inverted")
 
-    def __init__(self, module, algebra, carrier=None, inverted=None,
-                 validated=False):
+    def __init__(self, module, algebra, carrier=None, inverted=None):
         self.module = module
         self.algebra = algebra
         self.carrier = carrier
         self.inverted = inverted
-        self.validated = validated
 
     @property
     def ring(self):
@@ -205,11 +203,11 @@ class CartierModule:
 
     def with_carrier(self, sub):
         return CartierModule(self.module, self.algebra, carrier=sub,
-                             inverted=self.inverted, validated=self.validated)
+                             inverted=self.inverted)
 
     def with_algebra(self, algebra):
         return CartierModule(self.module, algebra, carrier=self.carrier,
-                             inverted=self.inverted, validated=False)
+                             inverted=self.inverted)
 
     def localize(self, c):
         inv = c if self.inverted is None else self.inverted * c
@@ -221,8 +219,7 @@ class CartierModule:
             if len(kept) != len(algebra.twists):
                 algebra = CartierAlgebraSpec(algebra.generators, kept)
         carrier = self.carrier
-        cm = CartierModule(self.module, algebra, carrier=None,
-                           inverted=inv, validated=self.validated)
+        cm = CartierModule(self.module, algebra, inverted=inv)
         if carrier is not None:
             cm = cm.with_carrier(cm.canon(carrier.gens))
         return cm
@@ -274,8 +271,7 @@ def validate_structure(module, algebra, carrier=None, inverted=None):
                     raise InvalidStructureError(
                         "operator does not preserve relations",
                         witness=(gi, ri, witness_a))
-    cm = CartierModule(module, algebra, carrier=None, inverted=inverted,
-                       validated=True)
+    cm = CartierModule(module, algebra, inverted=inverted)
     if carrier is not None:
         carrier = cm.canon(carrier.gens)
         stable = apply_cplus(cm, carrier)
@@ -430,11 +426,6 @@ def graded_piece_gens(cm, e, seed_gens):
                 continue
             target = states.setdefault(nxt, {})
             for pending, gens in level.items():
-                if not twists:
-                    images = _apply_generator(cm, op, gens)
-                    if images:
-                        target.setdefault((), []).extend(images)
-                    continue
                 for mult, new_pending in _twist_moves(ring, twists, op.e,
                                                       pending):
                     scaled = gens if mult.is_one() else \
@@ -447,7 +438,7 @@ def graded_piece_gens(cm, e, seed_gens):
     for pending, gens in sorted(final.items()):
         if not gens:
             continue
-        if not twists or not any(pending):
+        if not any(pending):
             out.extend(gens)
             continue
         for f in _expand_twist_powers(twists, pending,
@@ -691,6 +682,15 @@ def _candidate_primes(cm, core):
     return out
 
 
+def stable_torsion(cm, prime, within):
+    """The stable core of the ``prime``-power torsion of ``within``."""
+    tor = cm.canon_sub(torsion(cm.module, prime.ideal, within=within))
+    if tor.is_trivial():
+        return tor
+    stable, _k = underline(cm, start=tor)
+    return stable
+
+
 def ass_cartier(cm, candidates=None):
     """Primes eta whose eta-torsion stays non-nilpotent after localizing.
 
@@ -708,12 +708,9 @@ def ass_cartier(cm, candidates=None):
             cand = [pr for pr in cand if not pr.contains(cm.inverted)]
     out = []
     for pr in cand:
-        tor = torsion(cm.module, pr.ideal, within=core)
-        tor = cm.canon_sub(tor)
-        if tor.is_trivial():
-            continue
-        stable, _k = underline(cm, start=tor)
-        if not support_vanishes(stable, pr.ideal, inverted=cm.inverted):
+        stable = stable_torsion(cm, pr, core)
+        if not (stable.is_trivial()
+                or support_vanishes(stable, pr.ideal, inverted=cm.inverted)):
             out.append(pr)
     out.sort(key=lambda pr: tuple(pr.ideal.serialize()))
     return out
@@ -764,7 +761,7 @@ def nil_isomorphism(phi, source_cm, target_cm):
         return False
     coker = phi.cokernel()
     coker_cm = CartierModule(coker, target_cm.algebra,
-                             inverted=target_cm.inverted, validated=True)
+                             inverted=target_cm.inverted)
     stable, _ = underline(coker_cm)
     return stable.is_trivial()
 

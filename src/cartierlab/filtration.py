@@ -300,14 +300,18 @@ def skoda_report(cm, ideal, t, e_max=None, seed=0):
     if t < 1:
         raise ValueError("need t >= 1")
     sampler = _TauSampler(cm, ideal, e_max=e_max, seed=seed)
-    low = sampler.at(t - 1)
-    high = sampler.at(t)
+    return {"t": f"{t.numerator}/{t.denominator}",
+            **_skoda_verdict(cm, ideal, t, sampler.at(t - 1), sampler.at(t))}
+
+
+def _skoda_verdict(cm, ideal, t, low, high):
+    """The Skoda rule a * low <= high, with equality expected for t >= mu,
+    the number of generators of a."""
     scaled = cm.canon(low.scale_ideal(ideal).gens)
     inclusion = high.contains_sub(scaled)
     mu = len(ideal.gens)
     equality = scaled == high
-    return {"t": f"{t.numerator}/{t.denominator}",
-            "inclusion": inclusion,
+    return {"inclusion": inclusion,
             "mu": mu,
             "equality_expected": t >= mu,
             "equality": equality,
@@ -331,18 +335,9 @@ def mixed_skoda_report(cm, pairs, index, seed=0):
         raise ValueError("need t_i >= 1")
     lowered = [(ideal, t - 1 if k == index else t)
                for k, (ideal, t) in enumerate(pairs)]
-    low = _tau_mixed(cm, lowered, seed)
-    high = _tau_mixed(cm, pairs, seed)
-    scaled = cm.canon(low.scale_ideal(ideal_i).gens)
-    inclusion = high.contains_sub(scaled)
-    mu = len(ideal_i.gens)
-    equality = scaled == high
     return {"index": index,
-            "inclusion": inclusion,
-            "mu": mu,
-            "equality_expected": t_i >= mu,
-            "equality": equality,
-            "ok": inclusion and (equality or t_i < mu)}
+            **_skoda_verdict(cm, ideal_i, t_i, _tau_mixed(cm, lowered, seed),
+                             _tau_mixed(cm, pairs, seed))}
 
 
 def mixed_right_continuity(cm, pairs, epsilons, seed=0):

@@ -14,9 +14,13 @@ literally unchanged because the trace of the extended ring splits off the
 new variable's dualizing action.  Pushforward along finite maps is
 restriction of scalars with base-generator actions only.
 
-Every functor (``pullback``, ``shriek_finite``, ``pushforward_finite``)
-returns a ``FunctorResult(cm, transport_submodule)``: the module on the
-other side and the map carrying submodules of the given module over to it.
+Every functor (``shriek_localize``, ``shriek_affine_line``,
+``shriek_finite``, ``pushforward_finite``, and ``pullback``, which picks one
+of the first three) returns a ``FunctorResult(cm, transport_submodule)``:
+the module on the other side and the map carrying submodules of the given
+module over to it.  Each functor states once how a submodule crosses it,
+and ``_carried`` uses that rule both as the transport and to carry the
+given module's carrier, so the image's carrier is the carrier's transport.
 Along a finite map of degree k both sides of an r-generated module have
 rank k*r, basis index l and component j at position l*r + j (the dual slot
 G_(l,j), or the z^l coefficient over R); ``FiniteMapData`` alone spells
@@ -278,11 +282,36 @@ def check_pullback_laws(pb, samples):
 # twisted inverse images
 
 
+@dataclass(frozen=True)
+class FunctorResult:
+    """A functor's image of a module, with the transport of submodules of
+    the given module into it (every functor returns one)."""
+
+    cm: CartierModule
+    transport_submodule: object  # Submodule -> Submodule
+
+
+def _carried(cm, up, lift):
+    """The FunctorResult of ``up``, the image of ``cm`` without a carrier.
+
+    ``lift`` is the functor's one rule for a submodule W of ``cm``: it
+    returns generators of W's image over ``up``.  It is the transport, and
+    the image's carrier is the transport of ``cm``'s carrier.
+    """
+    def transport(sub):
+        return up.canon(lift(sub))
+
+    if cm.carrier is None:
+        return FunctorResult(up, transport)
+    return FunctorResult(up.with_carrier(transport(cm.carrier)), transport)
+
+
 def shriek_localize(cm, c):
     """Module over R_c for a Poly c: same data, saturated canonical forms."""
     if c.is_zero():
         raise ValueError("cannot invert zero")
-    return cm.localize(c)
+    return _carried(cm, cm.with_carrier(None).localize(c),
+                    lambda sub: sub.gens)
 
 
 def shriek_affine_line(cm, var):
@@ -290,44 +319,32 @@ def shriek_affine_line(cm, var):
 
     The trace of the extended ring factors as the old trace times the
     dualizing action on the new variable, which is exactly the stated
-    formula (terms with non-integral (i+1)/p^e vanish).
+    formula (terms with non-integral (i+1)/p^e vanish).  A submodule goes
+    to the span of its generators read over R[x].
     """
-    ring = cm.ring
-    new_ring = ring.extend(var)
-    var_map = list(range(ring.nvars))
-    rels = [_vec_map_ring(r, new_ring, var_map) for r in cm.module.relations]
+    new_ring = cm.ring.extend(var)
+    rels = [_vec_map_ring(r, new_ring) for r in cm.module.relations]
     module = PresentedModule(new_ring, cm.module.rank, rels)
-    gens = []
-    for op in cm.algebra.generators:
-        matrix = [[u.map_ring(new_ring, var_map) for u in row]
-                  for row in op.matrix]
-        gens.append(CartierOp(op.e, matrix))
-    twists = [(Ideal(new_ring, [g.map_ring(new_ring, var_map)
-                                for g in ideal.gens]), t)
-              for ideal, t in cm.algebra.twists]
-    algebra = CartierAlgebraSpec(gens, twists or None)
-    inv = cm.inverted.map_ring(new_ring, var_map) if cm.inverted is not None \
-        else None
-    out = validate_structure(module, algebra, inverted=inv)
-    if cm.carrier is not None:
-        out = out.with_carrier(out.canon(
-            [_vec_map_ring(g, new_ring, var_map) for g in cm.carrier.gens]))
-    return out
+    gens = [CartierOp(op.e, [[u.map_ring(new_ring) for u in row]
+                             for row in op.matrix])
+            for op in cm.algebra.generators]
+    algebra = CartierAlgebraSpec(gens, _mapped_twists(cm.algebra, new_ring))
+    inv = cm.inverted.map_ring(new_ring) if cm.inverted is not None else None
+    up = validate_structure(module, algebra, inverted=inv)
+    return _carried(cm, up, lambda sub: [_vec_map_ring(v, new_ring)
+                                         for v in sub.basis()])
 
 
-def _vec_map_ring(vec, new_ring, var_map):
-    return VecPoly.from_columns(new_ring, [c.map_ring(new_ring, var_map)
+def _vec_map_ring(vec, new_ring):
+    """``vec`` read over a ring that extends its own."""
+    return VecPoly.from_columns(new_ring, [c.map_ring(new_ring)
                                            for c in vec.columns()])
 
 
-@dataclass(frozen=True)
-class FunctorResult:
-    """A functor's image of a module, with the transport of submodules of
-    the given module into it (``pullback``, ``shriek_finite`` and
-    ``pushforward_finite`` return one)."""
-
-    cm: CartierModule
-    transport_submodule: object  # Submodule -> Submodule
+def _mapped_twists(algebra, new_ring):
+    """The twists of ``algebra`` read over ``new_ring`` (None if untwisted)."""
+    return [(Ideal(new_ring, [g.map_ring(new_ring) for g in ideal.gens]), t)
+            for ideal, t in algebra.twists] or None
 
 
 def shriek_finite(cm, rmap):
@@ -344,7 +361,6 @@ def shriek_finite(cm, rmap):
     source = rmap.source
     r = cm.module.rank
     k = data.k
-    var_map = list(range(source.nvars))
 
     # presentation: per-slot copies of M's relations, plus z acting through
     # the multiplication table (z phi)(b_l) = phi(z b_l)
@@ -377,19 +393,13 @@ def shriek_finite(cm, rmap):
             return data.to_slots(r, parts)
 
         ops.append(operator_from_action(module, op.e, action))
-    twists = [(Ideal(ring, [g.map_ring(ring, var_map) for g in ideal.gens]), t)
-              for ideal, t in cm.algebra.twists]
-    up = validate_structure(module, CartierAlgebraSpec(ops, twists or None))
-
-    def lifted(sub):
-        return [data.to_slots(r, [(l, w)])
-                for l in range(k) for w in sub.basis()]
-
+    up = validate_structure(module, CartierAlgebraSpec(
+        ops, _mapped_twists(cm.algebra, ring)))
     if cm.inverted is not None:
-        up = up.localize(cm.inverted.map_ring(ring, var_map))
-        if cm.carrier is not None:
-            up = up.with_carrier(up.canon(lifted(cm.carrier)))
-    return FunctorResult(up, lambda sub: up.canon(lifted(sub)))
+        up = up.localize(cm.inverted.map_ring(ring))
+    return _carried(cm, up, lambda sub: [data.to_slots(r, [(l, w)])
+                                         for l in range(k)
+                                         for w in sub.basis()])
 
 
 def pullback(cm, rmap):
@@ -397,13 +407,9 @@ def pullback(cm, rmap):
     if rmap.kind == "finite":
         return shriek_finite(cm, rmap)
     if rmap.kind == "localize":
-        up = shriek_localize(cm, rmap.data["at"])
-        return FunctorResult(up, lambda sub: up.canon(sub.gens))
+        return shriek_localize(cm, rmap.data["at"])
     if rmap.kind == "affine-line":
-        up = shriek_affine_line(cm, rmap.data["var"])
-        var_map = list(range(cm.ring.nvars))
-        return FunctorResult(up, lambda sub: up.canon(
-            [_vec_map_ring(v, up.ring, var_map) for v in sub.basis()]))
+        return shriek_affine_line(cm, rmap.data["var"])
     raise UnsupportedShapeError(f"cannot pull back along {rmap.kind}")
 
 
@@ -454,8 +460,8 @@ def pushforward_finite(cm, rmap):
             return data.restrict(cm.module.reduce(op.apply_vec(vec)))
 
         ops.append(operator_from_action(module, op.e, action))
-    out = validate_structure(module, CartierAlgebraSpec(ops))
-    return FunctorResult(out, lambda sub: out.canon(restricted(sub.basis())))
+    return _carried(cm, validate_structure(module, CartierAlgebraSpec(ops)),
+                    lambda sub: restricted(sub.basis()))
 
 
 def contract_prime(rmap, prime):
@@ -464,7 +470,7 @@ def contract_prime(rmap, prime):
     ring = rmap.target
     quot = PresentedModule.quotient_ring(ring, prime.ideal)
     trivial = CartierAlgebraSpec([CartierOp(1, [[ring.zero()]])])
-    cmq = CartierModule(quot, trivial, validated=True)
+    cmq = CartierModule(quot, trivial)
     pushed = pushforward_finite(cmq, rmap)
     ann = pushed.cm.module.full_submodule().annihilator()
     return PrimeIdeal(ann, prime.proved)
@@ -551,8 +557,7 @@ def coherent_model(cm, K=None):
         for op in cm.algebra.generators:
             mult = c ** (level * (cm.ring.p ** op.e - 1))
             ops.append(op.premultiplied(mult))
-        return CartierModule(cm.module, CartierAlgebraSpec(ops),
-                             validated=True)
+        return CartierModule(cm.module, CartierAlgebraSpec(ops))
 
     plain = conjugated(K)
     if cm.carrier is not None:
@@ -732,7 +737,7 @@ def commutation_suite(cm, rmap, seed=0):
         report["ass_transport"] = (
             sorted(tuple(p.ideal.serialize()) for p in ass_cartier(pb.cm))
             == sorted(tuple(p.ideal.serialize()) for p in down))
-        full = cm.module.full_submodule()
+        full = cm.carrier_sub()
         report["cplus_commutes"] = (apply_cplus(pb.cm, lift(full))
                                     == lift(apply_cplus(cm, full)))
         report["ok"] = all((report["tau_commutes"], report["ass_transport"],

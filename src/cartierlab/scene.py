@@ -408,6 +408,9 @@ def _run_jumps(f, flags, seed):
     if top <= 0:
         raise f.error("jumps needs max-t > 0")
     policy = flags.get("exact_policy") or f.kv.get("exact-policy", "strict")
+    if policy not in ("strict", "lower-bound"):
+        raise f.error(f"exact-policy must be strict or lower-bound, "
+                      f"got {policy!r}")
     e_max = int(flags["e_max"]) if flags.get("e_max") else None
     spectrum = jumping_numbers(
         cm, ideal, top, caps=caps, exact_policy=policy,

@@ -37,7 +37,7 @@ import math
 import random
 
 from .cartiercore import (ass_cartier, ceil_pattern_period, graded_sum,
-                          underline)
+                          stable_torsion, underline)
 from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion, unit_at
@@ -254,16 +254,9 @@ def is_f_regular(cm, candidates=None, seed=0):
 _VERIFY_CACHE = {}
 
 
-def _piece_at(cm, prime, core):
-    """Stable core of the prime-power-torsion inside the stable core."""
-    tor = torsion(cm.module, prime.ideal, within=core)
-    tor = cm.canon_sub(tor)
-    piece, _ = underline(cm, start=tor)
-    return piece
-
-
-def _verify_test_element(cm, prime, c, core, seed=0):
-    """Check that the localized stable torsion piece is regular.
+def _verify_test_element(cm, prime, c, piece, seed=0):
+    """Check that ``piece``, the stable ``prime``-torsion of the core, is
+    regular after inverting c.
 
     Results are cached for the process on the localized data (ring and
     caps, module, localized algebra with its remaining twists, saturated
@@ -273,7 +266,6 @@ def _verify_test_element(cm, prime, c, core, seed=0):
     lookups, each from the twist exponent that stored the entry, and an
     oracle-grid surface, whose exponents all differ, hits none.
     """
-    piece = _piece_at(cm, prime, core)
     if piece.is_trivial():
         return True, {"note": "torsion piece vanishes"}
     loc = cm.localize(c)
@@ -323,6 +315,7 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
     keeps the recursive verification in its single-prime base case.
     """
     diagnostics = []
+    piece = stable_torsion(cmc, prime, core)
     pool, _factors = candidate_elements(cmc, seed=seed)
     stages = [[c for c in pool
                if all(nu.contains(c) for nu in isolate)]] if isolate else []
@@ -332,7 +325,7 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
         for c in stage:
             if prime.contains(c):
                 continue
-            ok, cert = _verify_test_element(cmc, prime, c, core, seed=seed)
+            ok, cert = _verify_test_element(cmc, prime, c, piece, seed=seed)
             if ok:
                 return TestElementEntry(prime, c, cert)
             diagnostics.append(str(c))
@@ -340,13 +333,15 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
         f"no test element found for {prime!r}; tried {diagnostics}")
 
 
-def _find_for_primes(cmc, core, ass, seed):
+def _find_for_primes(cmc, core, primes, ass, seed, mandatory_isolation):
+    """One verified element per prime of ``primes``, isolating it from the
+    associated primes ``ass`` strictly above it."""
     entries = []
-    for prime in _order_by_inclusion(ass):
+    for prime in _order_by_inclusion(primes):
         isolate = [nu for nu in ass
                    if nu != prime and nu.ideal.contains_ideal(prime.ideal)]
         entries.append(_search_element(cmc, prime, core, isolate, seed,
-                                       mandatory_isolation=False))
+                                       mandatory_isolation))
     return TestElementSequence(entries)
 
 
@@ -362,7 +357,8 @@ def find_test_elements(cm, candidates=None, seed=0):
     core, _ = underline(cm)
     cmc = cm.with_carrier(core)
     ass = ass_cartier(cmc, candidates=candidates)
-    return _find_for_primes(cmc, core, ass, seed)
+    return _find_for_primes(cmc, core, ass, ass, seed,
+                            mandatory_isolation=False)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +372,7 @@ def _nil_iso_at(cm, prime, big, small):
     stable chain member of the eta-torsion of ``big`` lands in ``small``
     after localizing, i.e.  ann(stable/small) is not inside eta.
     """
-    tor_big = cm.canon_sub(torsion(cm.module, prime.ideal, within=big))
-    stable, _ = underline(cm, start=tor_big)
+    stable = stable_torsion(cm, prime, big)
     tor_small = cm.canon_sub(torsion(cm.module, prime.ideal, within=small))
     return _equal_at(cm, prime, stable, tor_small)
 
@@ -405,7 +400,7 @@ def _tau_engine(cmc, stab, primes, test_elements, e0, holds_at):
         entry = test_elements.element_for(prime)
         if entry is None:
             raise SearchBudgetError(f"no test element supplied for {prime!r}")
-        piece = _piece_at(cmc, prime, core)
+        piece = stable_torsion(cmc, prime, core)
         seeded = piece.scale_poly(entry.element)
         part, info = graded_sum(cmc, cmc.canon(list(seeded.gens)), e_min=e0)
         windows.append(info)
@@ -439,7 +434,8 @@ def tau(cm, test_elements=None, candidates=None, e0=0, seed=0):
         return TauResult(core, {"note": "stable core is zero"})
     primes = ass_cartier(cmc, candidates=candidates)
     if test_elements is None:
-        test_elements = _find_for_primes(cmc, core, primes, seed)
+        test_elements = _find_for_primes(cmc, core, primes, primes, seed,
+                                         mandatory_isolation=False)
     return _tau_engine(cmc, stab, primes, test_elements, e0, _nil_iso_at)
 
 
@@ -459,13 +455,8 @@ def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0):
     primes = minimal_primes(ann, candidates=candidates)
     if test_elements is None:
         ass = ass_cartier(cmc, candidates=candidates)
-        entries = []
-        for prime in primes:
-            isolate = [nu for nu in ass
-                       if nu != prime and nu.ideal.contains_ideal(prime.ideal)]
-            entries.append(_search_element(cmc, prime, core, isolate, seed,
-                                           mandatory_isolation=True))
-        test_elements = TestElementSequence(entries)
+        test_elements = _find_for_primes(cmc, core, primes, ass, seed,
+                                         mandatory_isolation=True)
     return _tau_engine(cmc, stab, primes, test_elements, e0, _equal_at)
 
 

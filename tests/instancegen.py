@@ -1,4 +1,5 @@
-"""Seeded random instance generator for the property suites.
+"""Seeded random instance generator for the property suites, and the
+bundled corpus pairs as test fixtures.
 
 Instances are valid by construction: free modules accept any operator
 matrix; quotients R/(f) accept premultipliers divisible by f^(p-1); direct
@@ -8,6 +9,7 @@ pieces) so the restricted associated-prime machinery stays decidable; draws
 that still fall outside it are redrawn deterministically.
 """
 
+from importlib import resources
 import random
 
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
@@ -15,6 +17,15 @@ from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
 from cartierlab.errors import CartierLabError
 from cartierlab.fppoly import Poly, RingSpec
 from cartierlab.fpmod import PresentedModule
+from cartierlab.scene import parse_scene
+
+
+def corpus_pair(scene, pair="P"):
+    """The validated pair ``pair`` of the bundled corpus scene ``scene``
+    (the file name without ``.scene``)."""
+    text = resources.files("cartierlab").joinpath(
+        "corpus", f"{scene}.scene").read_text(encoding="utf-8")
+    return parse_scene(text, name=scene).pairs[pair]
 
 
 def random_poly(rng, ring, deg=3, terms=3, nonzero=False):

@@ -22,13 +22,13 @@ from cartierlab.fpmod import PresentedModule, torsion
 from cartierlab.functorops import (RingMap, coherent_model, fiber_primes,
                                    contract_prime, gauge_growth_probe,
                                    pushforward_finite, shriek_affine_line,
-                                   shriek_localize, shriek_finite,
-                                   _vec_map_ring)
+                                   shriek_finite, _vec_map_ring)
 from cartierlab.idealkit import Ideal
 from cartierlab.testmod import (find_test_elements, is_f_regular, tau,
                                 tau_bms, tau_prime)
 
-from instancegen import random_cartier_module, random_sum_instance
+from instancegen import (corpus_pair, random_cartier_module,
+                         random_sum_instance)
 
 
 class Criterion:
@@ -45,51 +45,14 @@ class Criterion:
             f"criterion {self.number} exceeded its time limit"
 
 
-def plain_line(p, var="y"):
-    R = RingSpec(p, (var,))
-    M = PresentedModule.free(R, 1)
-    return validate_structure(
-        M, CartierAlgebraSpec([CartierOp(1, [[R.one()]])]))
-
-
-def intro_module():
-    R = RingSpec(2, ("x", "y"))
-    x, y = R.gens()
-    z = R.zero()
-    N = PresentedModule(R, 2, [[y, z]])
-    return validate_structure(N, CartierAlgebraSpec(
-        [CartierOp(1, [[y, z], [z, x]])]))
-
-
-def sec3_module():
-    R = RingSpec(3, ("x", "y"))
-    x, y = R.gens()
-    z = R.zero()
-    M = PresentedModule(R, 2, [[z, x]])
-    return validate_structure(M, CartierAlgebraSpec(
-        [CartierOp(1, [[x, z], [x * x, (x * y) ** 2]])]))
-
-
 def corpus_modules():
     """The bundled example modules used by the functor criteria."""
-    out = [("intro", intro_module()), ("sec3", sec3_module())]
-    R3 = RingSpec(3, ("x",))
-    x3 = R3.var("x")
-    z3 = R3.zero()
-    M3 = PresentedModule(R3, 2, [[z3, x3]])
-    out.append(("remark", validate_structure(
-        M3, CartierAlgebraSpec([CartierOp(1, [[x3, z3],
-                                              [x3 * x3, z3]])]))))
-    R2 = RingSpec(2, ("x",))
-    x2 = R2.var("x")
-    out.append(("twisted-line", validate_structure(
-        PresentedModule.free(R2, 1),
-        CartierAlgebraSpec([CartierOp(1, [[x2]])]))))
-    out.append(("quotient-line", validate_structure(
-        PresentedModule.quotient_ring(R2, Ideal(R2, [x2])),
-        CartierAlgebraSpec([CartierOp(1, [[x2]])]))))
-    out.append(("plain-line", plain_line(2)))
-    return out
+    return [("intro", corpus_pair("intro_example_p2")),
+            ("sec3", corpus_pair("sec3_example_p3")),
+            ("remark", corpus_pair("remark_pathology_p3")),
+            ("twisted-line", corpus_pair("basic_line_p2")),
+            ("quotient-line", corpus_pair("basic_line_p2", "PQ")),
+            ("plain-line", corpus_pair("floor_formula_p2"))]
 
 
 def test_criterion_01_floor_formula():
@@ -111,7 +74,7 @@ def test_criterion_01_floor_formula():
 
 def test_criterion_02_intro_example():
     crit = Criterion(2, 2.0)
-    cm = intro_module()
+    cm = corpus_pair("intro_example_p2")
     R = cm.ring
     x = R.var("x")
     zero = R.zero()
@@ -172,7 +135,7 @@ def test_criterion_03_ass_pathology():
 
 def test_criterion_04_test_elements():
     crit = Criterion(4, 5.0)
-    cm = sec3_module()
+    cm = corpus_pair("sec3_example_p3")
     seq = find_test_elements(cm)
     got = [(tuple(e.prime.ideal.serialize()), str(e.element))
            for e in seq.entries]
@@ -232,8 +195,7 @@ def test_criterion_05_property_suite():
         cm = random_cartier_module(rng, p, rng.choice((1, 2)),
                                    extra_generator=True)
         small = CartierModule(cm.module,
-                              CartierAlgebraSpec(cm.algebra.generators[:1]),
-                              validated=True)
+                              CartierAlgebraSpec(cm.algebra.generators[:1]))
         if not tau(cm).submodule.contains_sub(tau(small).submodule):
             failures.append(("subalgebra", i))
 
@@ -252,10 +214,9 @@ def test_criterion_05_property_suite():
 def test_criterion_06_affine_line():
     crit = Criterion(6, 10.0)
     for name, cm in corpus_modules():
-        up = shriek_affine_line(cm, "u")
-        var_map = list(range(cm.ring.nvars))
+        up = shriek_affine_line(cm, "u").cm
         tau_up = tau(up).submodule
-        lifted = up.canon([_vec_map_ring(v, up.ring, var_map)
+        lifted = up.canon([_vec_map_ring(v, up.ring)
                            for v in tau(cm).submodule.basis()])
         assert tau_up == lifted, name
         down_primes = sorted(tuple(p.ideal.serialize())
@@ -305,15 +266,14 @@ def test_criterion_07_finite_map():
 def test_criterion_08_open_immersion():
     crit = Criterion(8, 2.0)
     for p in (2, 3):
-        cm = plain_line(p, var="x")
-        x = cm.ring.var("x")
-        loc = shriek_localize(cm, x)
+        loc = corpus_pair(f"open_immersion_p{p}")  # F_p[x] with x inverted
+        x = loc.ring.var("x")
         res = coherent_model(loc)
         K = res.K
         # model core: x^(K-1), i.e. the model is x^(-1) F_p[x]
-        assert res.core() == cm.module.submodule([[x ** (K - 1)]])
+        assert res.core() == loc.module.submodule([[x ** (K - 1)]])
         tau_model = tau(res.cm).submodule
-        assert tau_model == cm.module.submodule([[x ** K]])  # = F_p[x]
+        assert tau_model == loc.module.submodule([[x ** K]])  # = F_p[x]
         assert res.core().contains_sub(tau_model)
         assert res.core() != tau_model  # strict: pushforward of tau is bigger
         # j_* tau(M) is the full localized module: tau(M_c) = M_c
@@ -324,7 +284,7 @@ def test_criterion_08_open_immersion():
 
 def test_criterion_09_jumping_spectra():
     crit = Criterion(9, 120.0)
-    cm = plain_line(2)
+    cm = corpus_pair("floor_formula_p2")
     y = cm.ring.var("y")
     spec = jumping_numbers(cm, Ideal(cm.ring, [y]), 3, caps=(2, 2))
     assert spec.jump_values() == [1, 2, 3]

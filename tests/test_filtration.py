@@ -13,12 +13,13 @@ from cartierlab.fppoly import RingSpec
 from cartierlab.fpmod import PresentedModule
 from cartierlab.idealkit import Ideal
 
+from instancegen import corpus_pair
 
-def plain_line(p, var="y"):
-    R = RingSpec(p, (var,))
-    M = PresentedModule.free(R, 1)
-    cm = validate_structure(M, CartierAlgebraSpec([CartierOp(1, [[R.one()]])]))
-    return cm, R.var(var)
+
+def plain_line(p):
+    """F_p[y] with the plain trace, and y."""
+    cm = corpus_pair(f"floor_formula_p{p}")
+    return cm, cm.ring.var("y")
 
 
 class TestTwistAlgebra:
@@ -133,7 +134,7 @@ class TestGr:
     def test_structure_validates(self):
         cm, y = plain_line(3)
         qcm, _ = gr(cm, Ideal(cm.ring, [y]), Fraction(2))
-        assert qcm.validated
+        validate_structure(qcm.module, qcm.algebra)
 
 
 class TestSkoda:

@@ -4,14 +4,15 @@ import pytest
 
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     apply_cplus, ass_cartier,
-                                    check_equivariant, underline,
-                                    validate_structure)
+                                    check_equivariant, operator_from_action,
+                                    underline, validate_structure)
 from cartierlab.errors import (GaugeBoundError, ResourceCapError,
                                UnsupportedShapeError)
 from cartierlab.fppoly import EngineCaps, RingSpec, cartier_trace
-from cartierlab.fpmod import ModuleMap, PresentedModule
+from cartierlab.fpmod import ModuleMap, PresentedModule, present_submodule
 from cartierlab.functorops import (FiniteMapData, PulledBackElement, RingMap,
                                    coherent_model, coherent_models_agree,
+                                   commutation_suite,
                                    contract_prime, fiber_primes,
                                    gauge_growth_probe, pullback,
                                    pullback_algebra,
@@ -19,6 +20,8 @@ from cartierlab.functorops import (FiniteMapData, PulledBackElement, RingMap,
                                    pushforward_point, shriek_affine_line,
                                    shriek_finite, shriek_localize,
                                    _vec_map_ring)
+from cartierlab.groebner import LiftContext, VecPoly
+from cartierlab.idealkit import Ideal
 from cartierlab.testmod import is_f_regular, tau
 
 
@@ -125,12 +128,12 @@ class TestShriekFinite:
 class TestShriekLocalize:
     def test_unit_is_identity(self):
         cm = plain_line(2)
-        loc = shriek_localize(cm, cm.ring.one())
+        loc = shriek_localize(cm, cm.ring.one()).cm
         assert tau(loc).submodule == tau(cm).submodule
 
     def test_twisted_line_localized_regular(self):
         cm = twisted_line(2)
-        loc = shriek_localize(cm, cm.ring.var("x"))
+        loc = shriek_localize(cm, cm.ring.var("x")).cm
         ok, _ = is_f_regular(loc)
         assert ok
 
@@ -141,14 +144,14 @@ class TestShriekLocalize:
         N = PresentedModule(R, 2, [[y, z]])
         U = CartierOp(1, [[y, z], [z, x]])
         cm = validate_structure(N, CartierAlgebraSpec([U]))
-        loc = shriek_localize(cm, y)
+        loc = shriek_localize(cm, y).cm
         primes = ass_cartier(loc)
         assert [tuple(p.ideal.serialize()) for p in primes] == [()]
 
     def test_cplus_commutes_with_localization(self):
         cm = twisted_line(2)
         x = cm.ring.var("x")
-        loc = shriek_localize(cm, x)
+        loc = shriek_localize(cm, x).cm
         full = cm.module.full_submodule()
         lhs = apply_cplus(loc, loc.canon(full.gens))
         rhs = loc.canon(apply_cplus(cm, full).gens)
@@ -169,7 +172,7 @@ class TestAffineLine:
 
     def test_matrices_unchanged(self):
         cm = twisted_line(2)
-        up = shriek_affine_line(cm, "u")
+        up = shriek_affine_line(cm, "u").cm
         old = cm.algebra.generators[0].matrix[0][0]
         new = up.algebra.generators[0].matrix[0][0]
         assert str(old) == str(new)
@@ -181,7 +184,7 @@ class TestAffineLine:
         M0 = PresentedModule.free(R0, 1)
         cm0 = validate_structure(M0, CartierAlgebraSpec(
             [CartierOp(1, [[R0.one()]])]))
-        up = shriek_affine_line(cm0, "u")
+        up = shriek_affine_line(cm0, "u").cm
         assert up.ring.vars == ("u",)
         t_up = tau(up).submodule
         assert t_up.is_full()
@@ -193,9 +196,9 @@ class TestAffineLine:
         M = PresentedModule.free(R, 1)
         cm = validate_structure(M, CartierAlgebraSpec(
             [CartierOp(1, [[x]])]))
-        up = shriek_affine_line(cm, "u")
+        up = shriek_affine_line(cm, "u").cm
         t_up = tau(up).submodule
-        lifted = up.canon([_vec_map_ring(v, up.ring, [0])
+        lifted = up.canon([_vec_map_ring(v, up.ring)
                            for v in tau(cm).submodule.basis()])
         assert t_up == lifted
         up_primes = ass_cartier(up)
@@ -302,6 +305,108 @@ class TestTransports:
         assert not res.cm.carrier.is_full()
 
 
+def _carrier_pair(p, summands, carrier):
+    """A diagonal pair over F_p[x] with a carrier.  ``summands`` lists
+    (f, u): the summand R/(f), or R when f is None, with operator entry u;
+    ``carrier`` is one generator, as text per component."""
+    R = RingSpec(p, ("x",))
+    M = None
+    for f, _u in summands:
+        piece = PresentedModule.free(R, 1) if f is None else \
+            PresentedModule.quotient_ring(R, Ideal(R, [R.parse(f)]))
+        M = piece if M is None else M.direct_sum(piece)
+    U = [[R.parse(u) if i == j else R.zero()
+          for j in range(len(summands))]
+         for i, (_f, u) in enumerate(summands)]
+    return validate_structure(M, CartierAlgebraSpec([CartierOp(1, U)]),
+                              carrier=M.submodule([[R.parse(c)
+                                                    for c in carrier]]))
+
+
+def _re_presented(cm):
+    """The carrier of ``cm`` as a module of its own, as ``filtration.gr``
+    presents a submodule: its generators, their syzygies, and the
+    operators lifted onto them."""
+    module, gens = present_submodule(cm.carrier)
+    ctx = LiftContext(gens, cm.module.relation_gb(), cm.module.rank)
+
+    def on_carrier(op):
+        def action(a, j):
+            image = op.apply_vec(gens[j].mul_term(a, 1))
+            return VecPoly.from_columns(cm.ring, ctx.lift(image))
+        return operator_from_action(module, op.e, action)
+
+    return validate_structure(module, CartierAlgebraSpec(
+        [on_carrier(op) for op in cm.algebra.generators]))
+
+
+# (pair, relation of a finite map over its ring): three pairs along the
+# etale cover z^2+z+x of F_2[x], one along the ramified z^2+2x of F_3[x]
+# of rank 2, and a rank-1 pair along z^2+2x
+CARRIER_PAIRS = {
+    "etale-first-summand": (
+        lambda: _carrier_pair(2, [("x", "x"), (None, "1")], ["1", "0"]),
+        "z^2 + z + x"),
+    "etale-second-summand": (
+        lambda: _carrier_pair(2, [("x", "x"), (None, "1")], ["0", "1"]),
+        "z^2 + z + x"),
+    "etale-free-summand": (
+        lambda: _carrier_pair(2, [(None, "1"), ("x", "x")], ["1", "0"]),
+        "z^2 + z + x"),
+    "ramified-rank-2": (
+        lambda: _carrier_pair(3, [(None, "x^2"), (None, "x^2")], ["x", "0"]),
+        "z^2 + 2x"),
+    "ramified-rank-1": (
+        lambda: _carrier_pair(3, [(None, "x^2")], ["x"]), "z^2 + 2x"),
+}
+
+
+def _maps(cm, relation):
+    return {"finite": RingMap.finite(cm.ring, "z", relation),
+            "affine-line": RingMap.affine_line(cm.ring, "u"),
+            "localize": RingMap.localize(cm.ring, "x + 1")}
+
+
+class TestCarrierPairs:
+    """A pair with a carrier W is W: every functor carries the carrier, so
+    the paper's commutation statements hold on it as they hold on W."""
+
+    @pytest.mark.parametrize("case", sorted(CARRIER_PAIRS))
+    def test_finite_suite_holds(self, case):
+        make, relation = CARRIER_PAIRS[case]
+        cm = make()
+        report = commutation_suite(cm, RingMap.finite(cm.ring, "z",
+                                                      relation))
+        assert report["tau_included"] and report["tau_equal"], report
+        assert report["shriek_ass_transport"] and report["ok"], report
+
+    @pytest.mark.parametrize("kind", ["finite", "affine-line", "localize"])
+    @pytest.mark.parametrize("case", sorted(CARRIER_PAIRS))
+    def test_suite_equals_suite_on_the_carrier_alone(self, case, kind):
+        make, relation = CARRIER_PAIRS[case]
+        cm = make()
+        alone = _re_presented(cm)
+        assert commutation_suite(cm, _maps(cm, relation)[kind]) == \
+            commutation_suite(alone, _maps(alone, relation)[kind])
+
+    @pytest.mark.parametrize("kind", ["finite", "affine-line", "localize",
+                                      "pushforward-finite"])
+    @pytest.mark.parametrize("case", sorted(CARRIER_PAIRS))
+    def test_transported_carrier_is_stable_upstairs(self, case, kind):
+        make, relation = CARRIER_PAIRS[case]
+        cm = make()
+        if kind == "pushforward-finite":
+            rmap = RingMap.finite(cm.ring, "z", relation)
+            cm = shriek_finite(cm, rmap).cm
+            res = pushforward_finite(cm, rmap)
+        else:
+            res = pullback(cm, _maps(cm, relation)[kind])
+        up = res.cm
+        assert up.carrier == res.transport_submodule(cm.carrier)
+        validate_structure(up.module, up.algebra, carrier=up.carrier,
+                           inverted=up.inverted)
+
+
 class TestAdjunctions:
     def test_finite_counit_equivariant(self):
         # counit f_* f^! M -> M: phi -> phi(1); on slot coordinates the map
@@ -330,7 +435,7 @@ class TestAdjunctions:
         cm = twisted_line(2)
         # unit M -> M_c is the identity on our shared presentation
         phi = ModuleMap.identity(cm.module)
-        loc = shriek_localize(cm, cm.ring.var("x"))
+        loc = shriek_localize(cm, cm.ring.var("x")).cm
         assert check_equivariant(phi, cm, loc)
 
 
@@ -356,7 +461,7 @@ class TestCoherentModel:
         for p in (2, 3):
             cm = plain_line(p)
             x = cm.ring.var("x")
-            loc = shriek_localize(cm, x)
+            loc = shriek_localize(cm, x).cm
             res = coherent_model(loc)
             K = res.K
             assert res.core() == cm.module.submodule([[x ** (K - 1)]])
@@ -367,14 +472,14 @@ class TestCoherentModel:
 
     def test_cutoff_independence(self):
         cm = plain_line(2)
-        loc = shriek_localize(cm, cm.ring.var("x"))
+        loc = shriek_localize(cm, cm.ring.var("x")).cm
         res1 = coherent_model(loc)
         res2 = coherent_model(loc, K=res1.K + 2)
         assert coherent_models_agree(res1, res2)
 
     def test_bad_cutoff_rejected(self):
         cm = plain_line(2)
-        loc = shriek_localize(cm, cm.ring.var("x"))
+        loc = shriek_localize(cm, cm.ring.var("x")).cm
         with pytest.raises(GaugeBoundError):
             coherent_model(loc, K=0)
 
@@ -405,8 +510,6 @@ class TestGaugeDetector:
 
 class TestCommutationSuite:
     def test_all_map_kinds(self):
-        from cartierlab.functorops import commutation_suite
-
         cm = plain_line(3)
         for rmap in (RingMap.finite(cm.ring, "z", "z^2 + 2x"),
                      RingMap.affine_line(cm.ring, "u"),

@@ -71,8 +71,7 @@ class TestSubalgebraMonotonicity:
 
             # a subset of validated generators is still a valid structure
             small = CartierModule(
-                cm.module, CartierAlgebraSpec(cm.algebra.generators[:1]),
-                validated=True)
+                cm.module, CartierAlgebraSpec(cm.algebra.generators[:1]))
             assert tau(cm).submodule.contains_sub(tau(small).submodule)
 
 

@@ -217,6 +217,9 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         "jumps-zero-grid-denominator": (
             FLOOR + "task jumps pair=P ideal=(y) max-t=1 denom-caps=1,0\n",
             8),
+        "jumps-unknown-exact-policy": (
+            FLOOR + "task jumps pair=P ideal=(y) max-t=1 denom-caps=1,1 "
+            "exact-policy=strcit\n", 8),
         "skoda-t-below-1": (
             FLOOR + "task skoda pair=P ideal=(y) t=1/2\n", 8),
         "gr-negative-t": (FLOOR + "task gr pair=P ideal=(y) t=-1\n", 8),

@@ -24,6 +24,8 @@ from cartierlab.testmod import (_nil_iso_at, find_test_elements,
                                 is_f_regular, tau, tau_bms, tau_prime)
 from cartierlab.cartiercore import ass_cartier
 
+from instancegen import corpus_pair
+
 
 def twisted_line(p, t, premul=None):
     R = RingSpec(p, ("y",))
@@ -36,21 +38,11 @@ def twisted_line(p, t, premul=None):
 
 
 def sec3_module():
-    R = RingSpec(3, ("x", "y"))
-    x, y = R.gens()
-    z = R.zero()
-    M = PresentedModule(R, 2, [[z, x]])
-    U = CartierOp(1, [[x, z], [x * x, (x * y) ** 2]])
-    return validate_structure(M, CartierAlgebraSpec([U]))
+    return corpus_pair("sec3_example_p3")
 
 
 def intro_module():
-    R = RingSpec(2, ("x", "y"))
-    x, y = R.gens()
-    z = R.zero()
-    N = PresentedModule(R, 2, [[y, z]])
-    U = CartierOp(1, [[y, z], [z, x]])
-    return validate_structure(N, CartierAlgebraSpec([U]))
+    return corpus_pair("intro_example_p2")
 
 
 class TestIsFRegular:
