@@ -27,6 +27,22 @@ window, because it is a partial sum of cl(cT) <= T.  The lemma needs T
 stable, which the carrier is; after a descent T is a sum that may be
 uncertified, so the shrink computes every closure from then on.
 
+For one shape a single closure proves regularity: a rank-1 free module
+(possibly localized) whose algebra has the one generator ``Tr`` =
+``CartierOp(1, [[1]])`` and only principal twists f_i^t_i.  Take d =
+prod f_i^ceil(t_i).  By the projection formula tau(f^m) = f^m tau(R) = (f^m)
+for an integer m (Blickle-Mustata-Smith, Michigan Math. J. 2008), tau
+shrinks as the exponents grow, and tau(R) = R for the full trace, so d lies
+in the test ideal tau(prod f_i^t_i).  That ideal is the smallest nonzero
+compatible ideal (Schwede, Trans. AMS 2011), and the test module of a
+nonzero stable T in this domain is tau(T) = tau(R) (the smallest stable
+submodule agreeing with T at its associated primes, Blickle-Staebler,
+arXiv:1605.09517).  So d*T lies in the stable tau(T), cl(dT) <= tau(T) <= T,
+and cl(dT) = T proves T regular; a sum that returns T proves it even if it
+stopped on its window.  Every candidate c that avoids the associated primes
+then has tau(T) <= cl(cT) <= T = tau(T), so the full pool would reach the
+same fixed point and record the same candidates.
+
 ``tau_bms`` is the fast path for principal twists on the rank-1 free module:
 the stable member of the ascending Frobenius-root chain of f^ceil(t*p^e).
 """
@@ -36,8 +52,8 @@ from fractions import Fraction
 import math
 import random
 
-from .cartiercore import (ass_cartier, ceil_pattern_period, graded_sum,
-                          stable_torsion, underline)
+from .cartiercore import (CartierOp, ass_cartier, ceil_pattern_period,
+                          graded_sum, stable_torsion, underline)
 from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion, unit_at
@@ -168,6 +184,22 @@ def candidate_elements(cm, seed=0):
 # regularity in the operator sense
 
 
+def _principal_test_element(cm):
+    """d = prod f_i^ceil(t_i) when ``cm`` has the shape of the one-closure
+    proof in the module docstring (rank 1, no relations, the one generator
+    ``Tr``, principal twists only); None otherwise."""
+    ring = cm.ring
+    algebra = cm.algebra
+    if (cm.module.rank != 1 or cm.module.relations
+            or algebra.generators != (CartierOp(1, [[ring.one()]]),)
+            or any(len(ideal.gens) != 1 for ideal, _t in algebra.twists)):
+        return None
+    d = ring.one()
+    for ideal, t in algebra.twists:
+        d = d * ideal.gens[0] ** math.ceil(t)
+    return d
+
+
 def _shrink_fixed_point(cm, ass_primes, seed=0):
     """Iterated one-element shrinking of the algebra-stable carrier.
 
@@ -176,11 +208,14 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
     conditions, so any strict descent certifies a proper qualifying
     submodule.  Returns (fixed point, tried candidates).
 
-    Until the first descent T is the carrier, which is stable, and a
-    candidate whose closure is T needs no sum when it is a nonzero constant
-    or the product of two candidates that passed (the lemma in the module
-    docstring).  A descent leaves a sum that may be uncertified, so from
-    then on every candidate is summed.
+    In the rank-1 principal shape one closure of d*T comes first, with d
+    from ``_principal_test_element``; when it returns T, T is regular and
+    the pool would find no descent (the argument in the module docstring).
+    Otherwise the loop runs.  Until the first descent T is the carrier,
+    which is stable, and a candidate whose closure is T needs no sum when
+    it is a nonzero constant or the product of two candidates that passed
+    (the lemma in the module docstring).  A descent leaves a sum that may
+    be uncertified, so from then on every candidate is summed.
     """
     carrier = cm.carrier_sub()
     pool, factors = candidate_elements(cm, seed=seed)
@@ -189,6 +224,12 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
     if not cands:
         raise SearchBudgetError(
             "no avoider found for the associated primes; supply a witness")
+    tried = [str(c) for c in cands]
+    d = _principal_test_element(cm)
+    if d is not None:
+        seeded = cm.canon(list(carrier.scale_poly(d).gens))
+        if graded_sum(cm, seeded)[0] == carrier:
+            return carrier, tried
     current = carrier
     good = set()  # closure(c*carrier) == carrier; None after a descent
     changed = True
@@ -212,7 +253,7 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
                 good = None
             elif good is not None:
                 good.add(c)
-    return current, [str(c) for c in cands]
+    return current, tried
 
 
 @memo_scope()
@@ -220,8 +261,14 @@ def is_f_regular(cm, candidates=None, seed=0):
     """Decide whether the carrier equals its own test module.
 
     Returns (bool, certificate).  False answers carry a proper qualifying
-    submodule and are sound; True answers record the candidate pool that
-    failed to shrink the module (heuristic completeness, flagged).
+    submodule and are sound.  True answers record the candidate pool that
+    failed to shrink the module (heuristic completeness, flagged), except
+    in the rank-1 principal shape: a rank-1 free module, possibly localized,
+    with the one generator ``Tr`` and principal twists f_i^t_i.  There
+    d = prod f_i^ceil(t_i) lies in tau (tau(f^m) = (f^m), Blickle-Mustata-
+    Smith 2008; tau is the smallest nonzero compatible ideal, Schwede 2011),
+    so cl(d*T) = T proves the True verdict with one closure; the verdict
+    string and the candidate list are the ones the pool would report.
     """
     core, k = underline(cm)
     cert = {"f_pure": k == 0}
