@@ -194,6 +194,14 @@ class CartierModule:
             return self.carrier
         return self.module.full_submodule()
 
+    def is_trace_line(self):
+        """Rank 1, no relations, and the one generator ``Tr`` =
+        ``CartierOp(1, [[1]])``: the standard trace on R, or on R_c when
+        something is inverted, whatever the twists."""
+        return (self.module.rank == 1 and not self.module.relations
+                and self.algebra.generators
+                == (CartierOp(1, [[self.ring.one()]]),))
+
     def canon(self, gens):
         """Canonical (c-saturated) submodule spanned by ``gens``."""
         return Submodule(self.module, tuple(gens)).saturate(self.inverted)
@@ -252,7 +260,7 @@ def validate_structure(module, algebra, carrier=None, inverted=None):
 
     Returns a validated CartierModule; raises InvalidStructureError with a
     witness triple (generator index, relation index, basis monomial) if some
-    compatibility fails.
+    compatibility fails.  A carrier must be a submodule of ``module``.
     """
     ring = module.ring
     if inverted is not None and inverted.is_zero():
@@ -260,6 +268,8 @@ def validate_structure(module, algebra, carrier=None, inverted=None):
     if algebra.rank != module.rank:
         raise InvalidStructureError(
             f"operator rank {algebra.rank} != module rank {module.rank}")
+    if carrier is not None and carrier.parent != module:
+        raise InvalidStructureError("carrier is a submodule of another module")
     relsub = Submodule(module, ())
     for gi, op in enumerate(algebra.generators):
         ring.caps.check_e(op.e)

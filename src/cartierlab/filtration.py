@@ -39,19 +39,11 @@ def grid_denominator(p, caps):
 
 
 def _is_fast_path(cm, ideal):
-    """tau_bms applies: free rank-1 module, single plain degree-1 trace
-    generator, principal twist ideal, nothing else inverted."""
-    if cm.module.rank != 1 or cm.module.relations:
-        return False
-    if cm.inverted is not None:
-        return False
-    alg = cm.algebra
-    if len(alg.generators) != 1 or alg.twists:
-        return False
-    op = alg.generators[0]
-    if op.e != 1 or not op.matrix[0][0].is_one():
-        return False
-    return len(ideal.gens) == 1 and not ideal.gens[0].is_zero()
+    """tau_bms applies: a trace line with nothing inverted and no twists,
+    and a principal nonzero ideal."""
+    return (cm.is_trace_line() and cm.inverted is None
+            and not cm.algebra.twists
+            and len(ideal.gens) == 1 and not ideal.gens[0].is_zero())
 
 
 class _TauSampler:

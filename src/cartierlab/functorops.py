@@ -672,8 +672,12 @@ def pushforward_point(cm):
     Returns (model span, stable core span): the base acts through F_p, so
     chains use plain operator images with no monomial premultiples.  Seeds
     are cut off at the gauge bound of the generators.  A descending core
-    chain that outlasts ``chain_cap`` raises ResourceCapError.
+    chain that outlasts ``chain_cap`` raises ResourceCapError.  The chains
+    apply the generators only, so a twisted algebra is refused.
     """
+    if cm.algebra.is_twisted():
+        raise UnsupportedShapeError(
+            "point pushforwards are implemented for untwisted algebras")
     ring = cm.ring
     K = max(generator_gauge_bound(op) for op in cm.algebra.generators)
     module = cm.module

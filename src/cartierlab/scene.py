@@ -248,11 +248,16 @@ def _parse_line(scene, line, line_no, default_name):
 def _parse_map(f):
     ring = f.scene.ring
     if "compose" in f:
-        # left-to-right composition of previously declared maps
+        # left-to-right composition of previously declared maps; each
+        # stage's new variable must be new to the ring the chain has reached
         chain = []
         for name in f.text("compose").split(","):
             step = f.lookup("maps", name.strip())
             chain.extend(step if isinstance(step, list) else [step])
+        adjoined = [m.data["var"] for m in chain if m.kind != "localize"]
+        for i, var in enumerate(adjoined):
+            if var in adjoined[:i]:
+                raise f.error(f"composite adjoins {var} twice")
         return chain
     # the constructors only parse and check their arguments: a ValueError
     # or UnsupportedShapeError from them rejects a value (e.g. a variable
@@ -303,9 +308,9 @@ def _expect_sub(f, key, sub):
     """True unless the task states ``key`` and ``sub`` is another submodule."""
     if key not in f:
         return True
-    parent = sub.parent
-    want = parent.submodule(_parse_vectors(f.scene.ring, f.text(key)))
-    return sub == parent.submodule(tuple(want.gens))
+    want = f.make(sub.parent.submodule,
+                  _parse_vectors(f.scene.ring, f.text(key)))
+    return sub == want
 
 
 def _prime_label(prime):

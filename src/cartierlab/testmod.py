@@ -15,17 +15,11 @@ recorded in the certificate (the pool is heuristic, the spec's acknowledged
 trade-off, and every final result is post-verified against the defining
 conditions).
 
-Many candidates of that pass need no closure.  Write cl(X) for the sum of
-C_e(X) over e >= 0, which is what ``graded_sum`` computes.  Every phi in
-C_e, twisted or localized, has r*phi(x) = phi(r^(p^e)*x), and
-a^(p^e)*b*T lies in a*b*T, so a*cl(bT) lies in cl(abT) (the projection
-formula of Blickle, J. Algebraic Geom. 2013).  For a stable T with
-cl(aT) = cl(bT) = T this gives T = cl(a*cl(bT)) <= cl(abT) <= T: a product
-of two passing candidates passes, and so does a nonzero constant.  A
-computed sum that returns T proves cl(cT) = T even if it stopped on its
-window, because it is a partial sum of cl(cT) <= T.  The lemma needs T
-stable, which the carrier is; after a descent T is a sum that may be
-uncertified, so the shrink computes every closure from then on.
+Write cl(X) for the sum of C_e(X) over e >= 0, which is what
+``graded_sum`` computes.  Every phi in C_e, twisted or localized, has
+r*phi(x) = phi(r^(p^e)*x) (the projection formula of Blickle, J. Algebraic
+Geom. 2013).  A computed sum that returns a stable T proves cl(cT) = T even
+if it stopped on its window, because it is a partial sum of cl(cT) <= T.
 
 For one shape a single closure proves regularity: a rank-1 free module
 (possibly localized) whose algebra has the one generator ``Tr`` =
@@ -38,10 +32,9 @@ compatible ideal (Schwede, Trans. AMS 2011), and the test module of a
 nonzero stable T in this domain is tau(T) = tau(R) (the smallest stable
 submodule agreeing with T at its associated primes, Blickle-Staebler,
 arXiv:1605.09517).  So d*T lies in the stable tau(T), cl(dT) <= tau(T) <= T,
-and cl(dT) = T proves T regular; a sum that returns T proves it even if it
-stopped on its window.  Every candidate c that avoids the associated primes
-then has tau(T) <= cl(cT) <= T = tau(T), so the full pool would reach the
-same fixed point and record the same candidates.
+and cl(dT) = T proves T regular.  Every candidate c that avoids the
+associated primes then has tau(T) <= cl(cT) <= T = tau(T), so the full pool
+would reach the same fixed point and record the same candidates.
 
 ``tau_bms`` is the fast path for principal twists on the rank-1 free module:
 the stable member of the ascending Frobenius-root chain of f^ceil(t*p^e).
@@ -52,8 +45,8 @@ from fractions import Fraction
 import math
 import random
 
-from .cartiercore import (CartierOp, ass_cartier, ceil_pattern_period,
-                          graded_sum, stable_torsion, underline)
+from .cartiercore import (ass_cartier, ceil_pattern_period, graded_sum,
+                          stable_torsion, underline)
 from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion, unit_at
@@ -132,12 +125,7 @@ def _factor_pool(cm):
 
 
 def candidate_elements(cm, seed=0):
-    """Deterministic candidates first, then 12 seeded random linear forms.
-
-    Returns (candidates, factors): ``factors`` maps each product ``a*b`` of
-    two earlier candidates to its pair ``(a, b)``.  Every factor precedes
-    its product in the list.
-    """
+    """Deterministic candidates first, then 12 seeded random linear forms."""
     ring = cm.ring
     seen = set()
 
@@ -162,13 +150,11 @@ def candidate_elements(cm, seed=0):
         if emit(f):
             out.append(f)
     base = variables + pool
-    factors = {}
     for i, a in enumerate(base):
         for b in base[i:]:
             f = a * b
             if emit(f):
                 out.append(f)
-                factors[f] = (a, b)
     rng = random.Random(0x7E57E1 + seed)
     for _ in range(12):
         coeffs = [rng.randrange(ring.p) for _ in range(ring.nvars + 1)]
@@ -177,7 +163,7 @@ def candidate_elements(cm, seed=0):
             f = f + v.scale(c)
         if not f.is_constant() and emit(f):
             out.append(f)
-    return out, factors
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +172,14 @@ def candidate_elements(cm, seed=0):
 
 def _principal_test_element(cm):
     """d = prod f_i^ceil(t_i) when ``cm`` has the shape of the one-closure
-    proof in the module docstring (rank 1, no relations, the one generator
-    ``Tr``, principal twists only); None otherwise."""
-    ring = cm.ring
-    algebra = cm.algebra
-    if (cm.module.rank != 1 or cm.module.relations
-            or algebra.generators != (CartierOp(1, [[ring.one()]]),)
-            or any(len(ideal.gens) != 1 for ideal, _t in algebra.twists)):
+    proof in the module docstring (a trace line, principal twists only);
+    None otherwise."""
+    twists = cm.algebra.twists
+    if (not cm.is_trace_line()
+            or any(len(ideal.gens) != 1 for ideal, _t in twists)):
         return None
-    d = ring.one()
-    for ideal, t in algebra.twists:
+    d = cm.ring.one()
+    for ideal, t in twists:
         d = d * ideal.gens[0] ** math.ceil(t)
     return d
 
@@ -211,14 +195,10 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
     In the rank-1 principal shape one closure of d*T comes first, with d
     from ``_principal_test_element``; when it returns T, T is regular and
     the pool would find no descent (the argument in the module docstring).
-    Otherwise the loop runs.  Until the first descent T is the carrier,
-    which is stable, and a candidate whose closure is T needs no sum when
-    it is a nonzero constant or the product of two candidates that passed
-    (the lemma in the module docstring).  A descent leaves a sum that may
-    be uncertified, so from then on every candidate is summed.
+    Otherwise the loop sums one closure per candidate per pass.
     """
     carrier = cm.carrier_sub()
-    pool, factors = candidate_elements(cm, seed=seed)
+    pool = candidate_elements(cm, seed=seed)
     cands = [c for c in pool
              if not any(pr.contains(c) for pr in ass_primes)]
     if not cands:
@@ -231,17 +211,10 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
         if graded_sum(cm, seeded)[0] == carrier:
             return carrier, tried
     current = carrier
-    good = set()  # closure(c*carrier) == carrier; None after a descent
     changed = True
     while changed:
         changed = False
         for c in cands:
-            if good is not None:
-                pair = factors.get(c)
-                if c.is_constant() or (pair and pair[0] in good
-                                       and pair[1] in good):
-                    good.add(c)
-                    continue
             seeded = current.scale_poly(c)
             shrunk, _info = graded_sum(cm, cm.canon(list(seeded.gens)))
             if shrunk != current:
@@ -250,9 +223,6 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
                         "closure of a multiple left the module (internal)")
                 current = shrunk
                 changed = True
-                good = None
-            elif good is not None:
-                good.add(c)
     return current, tried
 
 
@@ -363,7 +333,7 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
     """
     diagnostics = []
     piece = stable_torsion(cmc, prime, core)
-    pool, _factors = candidate_elements(cmc, seed=seed)
+    pool = candidate_elements(cmc, seed=seed)
     stages = [[c for c in pool
                if all(nu.contains(c) for nu in isolate)]] if isolate else []
     if not mandatory_isolation or not isolate:

@@ -58,6 +58,19 @@ class TestValidate:
             validate_structure(M, CartierAlgebraSpec(
                 [CartierOp(1, [[R.one()]])]))
 
+    def test_carrier_from_another_module(self):
+        R = RingSpec(2, ("x",))
+        M = PresentedModule.free(R, 1)
+        N = PresentedModule.free(R, 2)
+        S = N.submodule([[R.one(), R.zero()]])
+        algebra = CartierAlgebraSpec([CartierOp(1, [[R.one()]])])
+        with pytest.raises(InvalidStructureError, match="another module"):
+            validate_structure(M, algebra, carrier=S)
+        # a carrier of an equal presentation is the same submodule
+        twin = PresentedModule.free(R, 1).full_submodule()
+        assert validate_structure(M, algebra, carrier=twin).carrier \
+            == M.full_submodule()
+
 
 class TestApplyCplus:
     def test_full_module_f_pure(self):

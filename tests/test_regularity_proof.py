@@ -113,7 +113,7 @@ def in_shape(p, ntwists, localized, seed):
     cm = validate_structure(PresentedModule.free(ring, 1),
                             trace_algebra(ring, twists))
     if localized:
-        pool, _factors = candidate_elements(cm)
+        pool = candidate_elements(cm)
         cm = cm.localize(pool[1 + seed % 2])  # a variable
     return with_core(cm), twists
 

@@ -1,20 +1,16 @@
-"""Differential and property tests for the regularity skip.
+"""Differential tests for the regularity shrink loop.
 
-``_shrink_fixed_point`` computes no closure for a candidate that is a nonzero
-constant or the product of two candidates that already passed, as long as
-no descent has happened: for a stable T, cl(aT) = cl(bT) = T gives
-cl(abT) = T.  The oracle below is the loop without the skip, which sums
-every candidate; both must return the same fixed point and the same tried
-list on seeded modules of rank 1 and 2 over p in {2, 3, 5}, untwisted,
-with a principal twist, and localized at a candidate, and on one p = 5
-module with two generators whose shrink descends.
+``_shrink_fixed_point`` proves the rank-1 principal shape with one closure
+and otherwise sums one closure per candidate per pass.  The oracle below is
+the loop alone, without the proof; both must return the same fixed point and the same tried list on seeded modules of rank 1 and 2
+over p in {2, 3, 5}, untwisted, with a principal twist, and localized at a
+candidate, and on one p = 5 module with two generators whose shrink
+descends.  ``test_regularity_proof`` imports ``full_shrink`` and
+``counted_shrink`` from here.
 
-The suite catches a skip that also passes candidates without recorded
-factors (variables, pool factors, the random linear forms): those find the
-descents below.  It cannot catch a skip that checks only one factor of a
-product.  Both factors precede their product in the candidate order, and a
-factor that fails descends, which ends the skip, so such a mutant returns
-the same answers; no test here claims it.
+The seeded cases hold descents over p = 2 and 3, and the graded-sum lemma
+is checked directly: for a stable T, cl(aT) = cl(bT) = T gives
+cl(abT) = T, by the projection formula.
 """
 
 from fractions import Fraction
@@ -40,9 +36,9 @@ SEEDS = range(4)
 
 
 def full_shrink(cm, ass_primes, seed=0):
-    """The shrink without the skip: one closure per candidate per pass."""
+    """The shrink without the proof: one closure per candidate per pass."""
     carrier = cm.carrier_sub()
-    pool, _factors = candidate_elements(cm, seed=seed)
+    pool = candidate_elements(cm, seed=seed)
     cands = [c for c in pool
              if not any(pr.contains(c) for pr in ass_primes)]
     if not cands:
@@ -67,7 +63,7 @@ def build(p, rank, variant, seed):
     cmc = instance(p, rank, variant == "twisted",
                    seed=1000 * p + 10 * rank + seed)
     if variant == "localized":
-        pool, _factors = candidate_elements(cmc)
+        pool = candidate_elements(cmc)
         loc = cmc.localize(pool[1])  # the first variable
         core, _k = underline(loc)
         cmc = loc.with_carrier(core)
@@ -103,30 +99,23 @@ def test_skip_matches_full_loop(p, rank, variant, monkeypatch):
     cases = built_cases(p, rank, variant)
     assert cases
     for cmc, ass in cases:
-        want, full = counted_shrink(monkeypatch, full_shrink, cmc, ass)
-        got, skipped = counted_shrink(monkeypatch, _shrink_fixed_point,
-                                      cmc, ass)
+        want, _full = counted_shrink(monkeypatch, full_shrink, cmc, ass)
+        got, _sums = counted_shrink(monkeypatch, _shrink_fixed_point,
+                                    cmc, ass)
         assert got == want
-        # the constant 1 is never summed, and descents re-sum everything
-        assert skipped < full
 
 
-def test_cases_descend_and_skip(monkeypatch):
-    """The differential cases hold descents over p = 2 and 3, and fixed
-    points whose pass skips a product.  No draw over p = 5 descends: the
-    generator's modules there are all regular."""
+def test_cases_descend_and_skip():
+    """The differential cases hold descents over p = 2 and 3.  No draw over
+    p = 5 descends: the generator's modules there are all regular."""
     descents = {2: 0, 3: 0, 5: 0}
-    product_skips = 0
     for p, rank, variant in CASES:
         for cmc, ass in built_cases(p, rank, variant):
-            (fixed, tried), sums = counted_shrink(
-                monkeypatch, _shrink_fixed_point, cmc, ass)
+            with memo_scope():
+                fixed, _tried = _shrink_fixed_point(cmc, ass)
             if fixed != cmc.carrier_sub():
                 descents[p] += 1
-            elif sums < len(tried) - 1:
-                product_skips += 1
     assert descents[2] and descents[3], descents
-    assert product_skips > 0
 
 
 @pytest.mark.parametrize("p,rank,variant", CASES)
@@ -137,7 +126,7 @@ def test_closure_of_a_product_of_passing_candidates_is_the_carrier(
     checked = 0
     for cmc, _ass in built_cases(p, rank, variant):
         carrier = cmc.carrier_sub()
-        pool, _factors = candidate_elements(cmc)
+        pool = candidate_elements(cmc)
         singles = [c for c in pool if not c.is_constant()][:6]
 
         def closure(c):
@@ -172,9 +161,8 @@ def p5_descent():
 def test_p5_descent_matches_full_loop(monkeypatch):
     cmc, ass = p5_descent()
     assert cmc.ring.p == 5 and len(cmc.algebra.generators) == 2
-    want, full = counted_shrink(monkeypatch, full_shrink, cmc, ass)
-    got, skipped = counted_shrink(monkeypatch, _shrink_fixed_point, cmc, ass)
+    want, _full = counted_shrink(monkeypatch, full_shrink, cmc, ass)
+    got, _sums = counted_shrink(monkeypatch, _shrink_fixed_point, cmc, ass)
     assert got == want
-    assert skipped < full
     fixed, _tried = got
     assert fixed != cmc.carrier_sub(), "the p = 5 case no longer descends"

@@ -165,6 +165,32 @@ task point-pushforward pair=P expect-negative=true
                             "--expect-negative")
         assert proc.returncode == 4
 
+    def test_carrier_from_another_module_exit_3(self, tmp_path):
+        scene = tmp_path / "foreign.scene"
+        scene.write_text(FLOOR + """module N rank=2
+submodule S of=N gens="1|0"
+pair Q module=M algebra=A carrier=S
+""")
+        proc = self.run_cli("check", "--scene", str(scene))
+        assert proc.returncode == 3
+        assert "carrier is a submodule of another module" in proc.stderr
+
+    def test_twisted_point_pushforward_is_refused(self, tmp_path):
+        scene = tmp_path / "twisted.scene"
+        scene.write_text("""
+scene twisted
+ring p=2 vars=x
+module M rank=1
+algebra T gens="1:1" twist="(x)^1"
+pair P module=M algebra=T
+task point-pushforward pair=P
+""")
+        proc = self.run_cli("check", "--scene", str(scene), "--json")
+        assert proc.returncode == 5
+        task, = json.loads(proc.stdout)["tasks"]
+        assert task["status"] == "error"
+        assert "untwisted" in task["result"]["error"]
+
     def test_expectation_failure_exit_5(self, tmp_path):
         scene = tmp_path / "wrong.scene"
         scene.write_text("""
@@ -231,6 +257,16 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
             FLOOR.replace("vars=y", "vars=y order=grlex"), 3),
         "finite-map-relation-not-monic": (
             FLOOR + 'map g kind=finite adjoin=z relation="y*z^2+1"\n', 8),
+        "stabilize-expect-of-wrong-rank": (
+            FLOOR + "task stabilize pair=P expect=1|0\n", 8),
+        "tau-expect-of-wrong-rank": (
+            FLOOR + 'task tau pair=P expect="y|y"\n', 8),
+        "composite-adjoins-a-variable-twice": (
+            FLOOR + 'map F kind=finite adjoin=z relation="z^2+y"\n'
+            "map G compose=F,F\n", 9),
+        "composite-adjoins-a-line-variable-twice": (
+            FLOOR + "map F kind=affine-line var=u\n"
+            "map G compose=F,F\n", 9),
     }
 
     @pytest.mark.parametrize("text, line", MALFORMED.values(),
