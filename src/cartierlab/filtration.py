@@ -1,12 +1,17 @@
 """Ideal-twisted filtrations: jumping numbers, associated graded pieces,
 and the Skoda-type inclusion/equality checks.
 
-The jumping-number sweep walks a rational grid with denominator
-p^A (p^B - 1); drops are certified by recomputation at the two straddling
-grid points and right-continuity is witnessed at half a grid step past each
-jump.  Spectra are labelled EXACT only on the principal fast path (where the
-denominator heuristic pins the candidate set); everything else is reported
-as a LOWER-BOUND spectrum with the grid disclosed.
+The jumping-number sweep searches a rational grid with denominator
+p^A (p^B - 1).  The test modules tau(M, a^t) only shrink as t grows
+(Blickle-Mustata-Smith, Michigan Math. J. 2008, for ideals;
+Blickle-Staebler, arXiv:1605.09517, for Cartier modules).  So when the two
+ends of a stretch of grid points have the same tau, every point between
+them has it too, and the sweep bisects the grid instead of walking it.
+Drops are certified by computation at the two neighbouring grid points that
+straddle them, and right-continuity is witnessed at half a grid step past
+each jump.  Spectra are labelled EXACT only on the principal fast path (where
+the denominator heuristic pins the candidate set); everything else is
+reported as a LOWER-BOUND spectrum with the grid disclosed.
 """
 
 from dataclasses import dataclass, field
@@ -167,7 +172,7 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
     ``_TauSampler``) and writes it once at the end, also when the sweep
     raises, so the points computed before the fault are kept.  A sweep that
     computed nothing new writes nothing.  ``cache_hits`` counts the grid
-    values read from the table.
+    values that the bisection of ``_scan`` reads from the table.
     """
     ring = cm.ring
     top = Fraction(top)
@@ -189,25 +194,42 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
 
 
 def _scan(sampler, ideal, top, D):
-    """The certified jumps of ``sampler`` on the grid ``k/D``, ``k/D <= top``."""
+    """The certified jumps of ``sampler`` on the grid ``k/D``, ``k/D <= top``.
+
+    tau(M, a^t) only shrinks as t grows (see the module docstring), so a
+    stretch of grid points whose two ends have the same tau is constant and
+    holds no jump.  The scan reads the two ends of the grid and splits a
+    stretch at its middle point only while its end values differ.  Where two
+    neighbouring grid points differ, it records the jump in ascending order.
+    Monotonicity is asserted on every pair of neighbouring points it reads;
+    points inside a stretch shown constant are never computed.
+    """
     trivial_twist = ideal.is_unit()
+    delta = Fraction(1, D)
     jumps = []
-    prev_t = Fraction(0)
-    prev = sampler.at(prev_t)
-    steps = int(top * D)
-    for k in range(1, steps + 1):
-        t = Fraction(k, D)
-        cur = sampler.at(t)
-        if not prev.contains_sub(cur):
+
+    def split(lo, hi, before, after):
+        if before == after:
+            return
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            middle = sampler.at(mid * delta)
+            split(lo, mid, before, middle)
+            split(mid, hi, middle, after)
+            return
+        t = hi * delta
+        if not before.contains_sub(after):
             raise AssertionError(
-                f"tau not monotone between {prev_t} and {t} (internal error)")
-        if cur != prev and not trivial_twist:
-            delta = t - prev_t
-            half = sampler.at(t + delta / 2) if t + delta / 2 <= top else cur
+                f"tau not monotone between {lo * delta} and {t} "
+                "(internal error)")
+        if not trivial_twist:
+            half = sampler.at(t + delta / 2) if t + delta / 2 <= top else after
             jumps.append(JumpRecord(
-                t, prev.serialize()["generators"],
-                cur.serialize()["generators"], delta, half == cur))
-        prev, prev_t = cur, t
+                t, before.serialize()["generators"],
+                after.serialize()["generators"], delta, half == after))
+
+    steps = int(top * D)
+    split(0, steps, sampler.at(Fraction(0)), sampler.at(steps * delta))
     return jumps
 
 

@@ -191,6 +191,30 @@ task point-pushforward pair=P
         assert task["status"] == "error"
         assert "untwisted" in task["result"]["error"]
 
+    def test_twisted_pullback_along_a_finite_map(self, tmp_path):
+        """The pullback of a twisted pair is checked and its pushforward
+        half left out; the pushforward task itself is still refused."""
+        scene = tmp_path / "twisted.scene"
+        scene.write_text("""
+scene twisted
+ring p=2 vars=x
+module M rank=1
+algebra T gens="1:1" twist="(x)^1"
+pair P module=M algebra=T
+map f kind=finite adjoin=z relation="z^2+x"
+task pullback pair=P map=f
+task pushforward pair=P map=f
+""")
+        proc = self.run_cli("check", "--scene", str(scene), "--json")
+        assert proc.returncode == 5
+        pullback, pushforward = json.loads(proc.stdout)["tasks"]
+        assert pullback["status"] == "ok"
+        assert pullback["result"]["tau_equal"] is True
+        assert pullback["result"]["pushforward_tau_commutes"] is None
+        assert pullback["result"]["pushforward_ass_transport"] is None
+        assert pushforward["status"] == "error"
+        assert "before twisting" in pushforward["result"]["error"]
+
     def test_expectation_failure_exit_5(self, tmp_path):
         scene = tmp_path / "wrong.scene"
         scene.write_text("""
