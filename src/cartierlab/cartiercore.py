@@ -209,6 +209,18 @@ class CartierModule:
     def canon_sub(self, sub):
         return sub.saturate(self.inverted)
 
+    def structure_key(self):
+        """What the memoised invariants read of this module besides its
+        carrier: the ring caps, the module, the inverted element (inverting
+        1 changes nothing, so it reads as None), the operators, and the
+        twist generators (the digit peeling walks them) with their
+        exponents."""
+        inverted = None if self.inverted is None or self.inverted.is_one() \
+            else self.inverted
+        return (self.ring.caps, self.module, inverted,
+                self.algebra.generators,
+                tuple((tuple(a.gens), t) for a, t in self.algebra.twists))
+
     def with_carrier(self, sub):
         return CartierModule(self.module, self.algebra, carrier=sub,
                              inverted=self.inverted)
@@ -523,12 +535,7 @@ def graded_sum(cm, seed, e_min=0):
     seed = seed if isinstance(seed, Submodule) else cm.canon(seed)
     seed_gens = seed.basis()
     memo = memo_table("graded_sum")
-    # inverting 1 changes nothing; the digit peeling walks the twist gens
-    inverted = None if cm.inverted is None or cm.inverted.is_one() \
-        else cm.inverted
-    key = (cm.ring.caps, cm.module, inverted, cm.algebra.generators,
-           tuple((tuple(a.gens), t) for a, t in cm.algebra.twists),
-           tuple(seed_gens), e_min)
+    key = (cm.structure_key(), tuple(seed_gens), e_min)
     if key not in memo:
         memo[key] = _graded_sum(cm, seed_gens, e_min)
     total, info = memo[key]
@@ -621,18 +628,35 @@ def underline(cm, start=None):
 
     Returns (Submodule, exponent).  The chain descends because the start is
     algebra-stable; stabilization is certified by the first equal step.
+    Chains are memoised for the open memo scope on the structure key and
+    the start's basis; the carrier enters only as the default start.  A
+    chain that is stationary at once returns the caller's own start.
     """
-    current = start if start is not None else cm.carrier_sub()
-    current = cm.canon_sub(current)
+    current = cm.canon_sub(start if start is not None else cm.carrier_sub())
+    memo = memo_table("underline")
+    key = (cm.structure_key(), tuple(current.basis()))
+    if key not in memo:
+        memo[key] = _underline(cm, current)
+    core, k = memo[key]
+    return (current if k == 0 else core), k
+
+
+def _underline(cm, current):
+    """The chain behind ``underline``.  The first step is bounded by the
+    carrier of ``cm``, each later one by the member it starts from: that
+    member is C_+ of a stable submodule, so it is stable, and the sum stops
+    once it fills it (see ``graded_sum``)."""
     cap = cm.ring.caps.chain_cap
+    bounded = cm
     for k in range(cap + 1):
-        nxt = apply_cplus(cm, current)
+        nxt = apply_cplus(bounded, current)
         if nxt == current:
             return current, k
         if not current.contains_sub(nxt):
             raise InvalidStructureError(
                 "C_+ chain is not descending; carrier not stable?")
         current = nxt
+        bounded = cm.with_carrier(current)
     raise ResourceCapError("stable-core chain exceeded iteration cap")
 
 
@@ -693,12 +717,15 @@ def _candidate_primes(cm, core):
 
 
 def stable_torsion(cm, prime, within):
-    """The stable core of the ``prime``-power torsion of ``within``."""
-    tor = cm.canon_sub(torsion(cm.module, prime.ideal, within=within))
-    if tor.is_trivial():
-        return tor
-    stable, _k = underline(cm, start=tor)
-    return stable
+    """The stable core of the ``prime``-power torsion of ``within``,
+    memoised for the open memo scope on the structure key, the prime and
+    the basis of ``within``."""
+    memo = memo_table("stable_torsion")
+    key = (cm.structure_key(), prime, tuple(within.basis()))
+    if key not in memo:
+        tor = cm.canon_sub(torsion(cm.module, prime.ideal, within=within))
+        memo[key] = tor if tor.is_trivial() else underline(cm, start=tor)[0]
+    return memo[key]
 
 
 def ass_cartier(cm, candidates=None):
@@ -706,10 +733,22 @@ def ass_cartier(cm, candidates=None):
 
     Filters module-level candidates (computed for restricted shapes, or
     supplied) by the nilpotence test on the stabilized torsion submodule.
+    Memoised for the open memo scope on the structure key, the core's basis
+    and the supplied candidates with their provenance.
     """
     core, _ = underline(cm)
     if core.is_trivial():
         return []
+    memo = memo_table("ass_cartier")
+    key = (cm.structure_key(), tuple(core.basis()),
+           None if candidates is None
+           else tuple((pr, pr.proved) for pr in candidates))
+    if key not in memo:
+        memo[key] = tuple(_ass_cartier(cm, core, candidates))
+    return list(memo[key])
+
+
+def _ass_cartier(cm, core, candidates):
     if candidates is None:
         cand = _candidate_primes(cm, core)
     else:

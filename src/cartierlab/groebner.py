@@ -28,7 +28,10 @@ filtration and scene layers), ``buchberger`` remembers each reduced basis it
 computed, keyed on its exact input, and the memo is dropped when the
 outermost scope exits.  A hit returns exactly what a fresh computation
 would, so answers never depend on what ran earlier.  Other layers keep
-their own call-scoped tables in the same memo via ``memo_table``.
+their own call-scoped tables in the same memo via ``memo_table``:
+Frobenius-root digit prefixes (``idealkit``); small twist powers, graded
+sums, stable cores, stable torsion and associated primes (``cartiercore``);
+and candidate pools (``testmod``).
 """
 
 import contextlib

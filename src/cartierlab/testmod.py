@@ -50,7 +50,7 @@ from .cartiercore import (ass_cartier, ceil_pattern_period, graded_sum,
 from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion, unit_at
-from .groebner import memo_scope
+from .groebner import memo_scope, memo_table
 from .idealkit import (PrimeIdeal, frobenius_root_of_power,
                        irreducible_factors_best_effort, minimal_primes)
 
@@ -125,7 +125,19 @@ def _factor_pool(cm):
 
 
 def candidate_elements(cm, seed=0):
-    """Deterministic candidates first, then 12 seeded random linear forms."""
+    """Deterministic candidates first, then 12 seeded random linear forms.
+
+    Memoised for the open memo scope on the structure key, the carrier's
+    basis and the seed.
+    """
+    memo = memo_table("candidate_pool")
+    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()), seed)
+    if key not in memo:
+        memo[key] = tuple(_candidate_elements(cm, seed))
+    return list(memo[key])
+
+
+def _candidate_elements(cm, seed):
     ring = cm.ring
     seen = set()
 
@@ -326,16 +338,22 @@ def _order_by_inclusion(primes):
 def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
     """First verified element c with c not in ``prime``.
 
-    Candidates lying inside every prime of ``isolate`` are tried first;
-    isolation pins the associated primes of the localized piece down to
-    ``prime`` itself, which both matches the existence proof's search and
-    keeps the recursive verification in its single-prime base case.
+    Candidates lying inside every prime of ``isolate`` are tried first,
+    the cheapest (lowest total degree, then fewest terms) first, because
+    every localized check saturates by the element; the rest follow in pool
+    order.  Isolation pins the associated primes of the localized piece
+    down to ``prime`` itself, which both matches the existence proof's
+    search and keeps the recursive verification in its single-prime base
+    case.
     """
     diagnostics = []
     piece = stable_torsion(cmc, prime, core)
     pool = candidate_elements(cmc, seed=seed)
-    stages = [[c for c in pool
-               if all(nu.contains(c) for nu in isolate)]] if isolate else []
+    stages = []
+    if isolate:
+        isolating = [c for c in pool if all(nu.contains(c) for nu in isolate)]
+        stages.append(sorted(isolating,
+                             key=lambda c: (c.total_degree(), len(c.terms))))
     if not mandatory_isolation or not isolate:
         stages.append(pool)
     for stage in stages:

@@ -12,7 +12,7 @@ statements are checked on every draw, with no draw dropped or redrawn:
   are the fiber primes of those below, on untwisted draws.
 
 The p = 5 covers have five dual slots, so a rank-2 draw there is a rank-10
-module upstairs; that family runs four draws where the others run ten.
+module upstairs; every family runs ten draws.
 """
 
 from fractions import Fraction
@@ -48,7 +48,7 @@ def test_affine_line_commutes_on_twisted_draws(p):
         assert primes(up.cm) == primes(cm), (p, seed)
 
 
-@pytest.mark.parametrize("p,draws", [(2, 10), (3, 10), (5, 4)])
+@pytest.mark.parametrize("p,draws", [(2, 10), (3, 10), (5, 10)])
 def test_artin_schreier_cover_commutes(p, draws):
     for seed in range(draws):
         rng = random.Random(2000 * p + seed)
@@ -62,3 +62,17 @@ def test_artin_schreier_cover_commutes(p, draws):
             fibers |= {tuple(q.ideal.serialize())
                        for q in fiber_primes(rmap, pr)}
         assert primes(up.cm) == fibers, (p, seed)
+
+
+def test_the_cheapest_isolating_element_verifies_the_cover_prime():
+    # draw 5 of the p = 5 family: the prime (z^5 + x + 4z) upstairs is
+    # isolated by x^2 + 4x, ahead of the higher-degree pool factors
+    rng = random.Random(2000 * 5 + 5)
+    cm = random_cartier_module(rng, 5, 1)
+    rmap = RingMap.finite(cm.ring, "z", "z^5 - z + x")
+    up = shriek_finite(cm, rmap)
+    above = tau(up.cm)
+    assert above.submodule == up.transport_submodule(tau(cm).submodule)
+    elements = {tuple(entry["prime"]): entry["element"]
+                for entry in above.certificate["test_elements"]}
+    assert elements[("z^5 + x + 4*z",)] == "x^2 + 4*x"

@@ -12,12 +12,14 @@ from fractions import Fraction
 
 import pytest
 
+from cartierlab import cartiercore
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     _apply_generator, _max_degree,
                                     _twist_window, graded_piece_gens,
                                     graded_sum, underline, validate_structure)
-from cartierlab.errors import ResourceCapError
+from cartierlab.errors import InvalidStructureError, ResourceCapError
 from cartierlab.fppoly import EngineCaps, RingSpec
+from cartierlab.groebner import VecPoly, memo_scope
 from cartierlab.fpmod import PresentedModule
 from cartierlab.idealkit import Ideal
 
@@ -62,9 +64,9 @@ def windowed_sum(cm, seed_gens, e_min):
     raise ResourceCapError("graded sum did not stabilize")
 
 
-def instance(p, rank, twisted, seed):
-    """A seeded instancegen module of the given rank, with its stable core
-    as carrier; the twisted variant scales degree e by f^ceil(t*p^e)."""
+def draw(p, rank, twisted, seed):
+    """A seeded instancegen module of the given rank; the twisted variant
+    scales degree e by f^ceil(t*p^e)."""
     rng = random.Random(seed)
     for _draw in range(40):
         cm = random_cartier_module(rng, p, 2, max_rank=2)
@@ -77,6 +79,12 @@ def instance(p, rank, twisted, seed):
         t = Fraction(rng.randint(1, p + 1), p + 1)
         cm = validate_structure(cm.module,
                                 cm.algebra.with_twist(Ideal(cm.ring, [f]), t))
+    return cm
+
+
+def instance(p, rank, twisted, seed):
+    """``draw`` with its stable core as carrier."""
+    cm = draw(p, rank, twisted, seed)
     core, _k = underline(cm)
     return cm.with_carrier(core)
 
@@ -135,3 +143,43 @@ def test_seed_outside_the_carrier_is_not_trusted():
     want = windowed_sum(cm, seed.basis(), 1)
     assert got[0] == want[0] == M.full_submodule()
     assert list(got[1].items()) == list(want[1].items())
+
+
+@pytest.mark.parametrize("p,rank", [(p, rank) for p in (2, 3, 5)
+                                    for rank in (1, 2)])
+def test_every_underline_step_matches_windowed_scan(p, rank, monkeypatch):
+    # underline bounds each step after the first by the member it starts
+    # from; every step must still be what the windowed scan gives
+    cm = draw(p, rank, True, seed=1000 * p + 10 * rank + 1)
+    steps = []
+    real = cartiercore.graded_sum
+
+    def recording(step_cm, seed, e_min=0):
+        got = real(step_cm, seed, e_min=e_min)
+        steps.append((step_cm, seed, e_min, got))
+        return got
+
+    monkeypatch.setattr(cartiercore, "graded_sum", recording)
+    core, k = underline(cm)
+    assert len(steps) == k + 1
+    for i, (step_cm, seed, e_min, got) in enumerate(steps):
+        assert e_min == 1
+        assert step_cm.carrier_sub() == (cm.carrier_sub() if i == 0 else seed)
+        want = windowed_sum(cm, seed.basis(), e_min)
+        assert got[0].basis() == want[0].basis()
+        assert list(got[1].items()) == list(want[1].items())
+    assert steps[-1][3][0] == core
+
+
+def test_a_start_that_is_not_stable_still_raises():
+    # Tr(x) = 1 over F_2, so C_+ (x) is the whole ring; the first step keeps
+    # the module's own carrier, and a repeated call raises again
+    R = RingSpec(2, ("x",))
+    cm = validate_structure(PresentedModule.free(R, 1),
+                            CartierAlgebraSpec([CartierOp(1, [[R.one()]])]))
+    start = cm.canon([VecPoly.from_columns(R, [R.parse("x")])])
+    with memo_scope():
+        for _ in range(2):
+            with pytest.raises(InvalidStructureError,
+                               match="C_\\+ chain is not descending"):
+                underline(cm, start=start)

@@ -1,9 +1,11 @@
-"""The scoped memo of reduced Groebner bases and graded sums.
+"""The scoped memo of reduced Groebner bases, graded sums and the derived
+invariants of a Cartier module.
 
-Inside a ``memo_scope`` a repeated ``buchberger`` or ``graded_sum`` input
-returns the stored result; these tests pin down that a hit is
-indistinguishable from a fresh computation and that the memo never outlives
-its outermost scope.
+Inside a ``memo_scope`` a repeated ``buchberger``, ``graded_sum``,
+``underline``, ``stable_torsion``, ``ass_cartier`` or ``candidate_elements``
+input returns the stored result; these tests pin down that a hit is
+indistinguishable from a fresh computation, that an error is raised afresh,
+and that the memo never outlives its outermost scope.
 """
 
 import random
@@ -11,15 +13,16 @@ from fractions import Fraction
 
 import pytest
 
-from cartierlab import cartiercore, groebner
+from cartierlab import cartiercore, groebner, testmod
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
-                                    graded_sum, validate_structure)
+                                    ass_cartier, graded_sum, stable_torsion,
+                                    underline, validate_structure)
 from cartierlab.errors import ResourceCapError
 from cartierlab.fpmod import PresentedModule
 from cartierlab.fppoly import Poly, RingSpec
 from cartierlab.groebner import VecPoly, buchberger, memo_scope
-from cartierlab.idealkit import Ideal
-from cartierlab.testmod import tau_bms
+from cartierlab.idealkit import Ideal, PrimeIdeal
+from cartierlab.testmod import candidate_elements, tau_bms
 
 
 def _vecs(polys):
@@ -124,6 +127,13 @@ def test_the_memo_is_dropped_when_the_outermost_scope_exits():
         failing()
     assert groebner._MEMO.get() is None
 
+    cm = cusp_module("1/2")
+    with memo_scope():
+        for call, _owner, _inner in INVARIANTS.values():
+            call(cm)
+        assert set(INVARIANTS) <= set(groebner._MEMO.get())
+    assert groebner._MEMO.get() is None
+
 
 def test_top_level_calls_memoise_and_leave_no_memo(monkeypatch):
     R = RingSpec(2, ("x", "y"))
@@ -171,3 +181,85 @@ def test_a_graded_sum_hit_equals_a_fresh_sum(monkeypatch):
     assert computed == [1]
     assert first == again == fresh
     assert again_info == fresh_info
+
+
+def cusp_module(t):
+    """Tr on F_2[x,y] twisted by (x^3 + y^2)^t: the stable core is the whole
+    ring for t = 1/4 and (x, y) for t = 1/2."""
+    R = RingSpec(2, ("x", "y"))
+    alg = CartierAlgebraSpec([CartierOp(1, [[R.one()]])],
+                             twist=(Ideal(R, [R.parse("x^3 + y^2")]),
+                                    Fraction(t)))
+    return validate_structure(PresentedModule.free(R, 1), alg)
+
+
+def _generic_point(cm):
+    return PrimeIdeal(Ideal(cm.ring, []), True)
+
+
+# memo table name -> (call, module owning the computation, its name)
+INVARIANTS = {
+    "underline": (underline, cartiercore, "_underline"),
+    "stable_torsion": (
+        lambda cm: stable_torsion(cm, _generic_point(cm), cm.carrier_sub()),
+        cartiercore, "torsion"),
+    "ass_cartier": (ass_cartier, cartiercore, "_ass_cartier"),
+    "candidate_pool": (candidate_elements, testmod, "_candidate_elements"),
+}
+
+
+def _counting(monkeypatch, owner, name):
+    computed = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        computed.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return computed
+
+
+@pytest.mark.parametrize("table", sorted(INVARIANTS))
+def test_an_invariant_hit_equals_a_fresh_computation(table, monkeypatch):
+    call, owner, inner = INVARIANTS[table]
+    # two twist exponents of one curve, each also with 1 inverted
+    modules = [cusp_module(t) for t in ("1/4", "1/2")]
+    modules += [cm.localize(cm.ring.one()) for cm in modules]
+    fresh = []
+    for cm in modules:
+        with memo_scope():
+            fresh.append(call(cm))
+    # a key that dropped the exponent would hand t = 1/2 the core of 1/4
+    assert underline(modules[0]) != underline(modules[1])
+    computed = _counting(monkeypatch, owner, inner)
+    with memo_scope():
+        first = [call(cm) for cm in modules]
+        for result in first:
+            if isinstance(result, list):
+                result.clear()
+        again = [call(cm) for cm in modules]
+    # one computation per exponent: inverting 1 reads as inverting nothing
+    assert len(computed) == 2
+    assert again == fresh
+
+
+@pytest.mark.parametrize("table", sorted(INVARIANTS))
+def test_an_invariant_error_is_not_stored(table, monkeypatch):
+    call, owner, inner = INVARIANTS[table]
+    cm = cusp_module("1/2")
+    with memo_scope():
+        fresh = call(cm)
+    real = getattr(owner, inner)
+    failures = [ResourceCapError("cap reached once")]
+
+    def flaky(*args, **kwargs):
+        if failures:
+            raise failures.pop()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, inner, flaky)
+    with memo_scope():
+        with pytest.raises(ResourceCapError):
+            call(cm)
+        assert call(cm) == fresh
