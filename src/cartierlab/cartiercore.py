@@ -22,7 +22,7 @@ from itertools import product as iproduct
 from .errors import (InvalidStructureError, NotEquivariantError,
                      ResourceCapError, UnsupportedShapeError)
 from .fpmod import Submodule, support_vanishes, torsion
-from .groebner import VecPoly, memo_table
+from .groebner import VecPoly, memo_scope, memo_table
 from .idealkit import (PrimeIdeal, minimal_primes,
                        monomial_associated_primes)
 
@@ -211,13 +211,14 @@ class CartierModule:
 
     def structure_key(self):
         """What the memoised invariants read of this module besides its
-        carrier: the ring caps, the module, the inverted element (inverting
-        1 changes nothing, so it reads as None), the operators, and the
-        twist generators (the digit peeling walks them) with their
-        exponents."""
+        carrier: the ring caps, the module with its relations as given
+        (equal modules may differ in them, and the candidate pool factors
+        them), the inverted element (inverting 1 changes nothing, so it
+        reads as None), the operators, and the twist generators (the digit
+        peeling walks them) with their exponents."""
         inverted = None if self.inverted is None or self.inverted.is_one() \
             else self.inverted
-        return (self.ring.caps, self.module, inverted,
+        return (self.ring.caps, self.module, self.module.relations, inverted,
                 self.algebra.generators,
                 tuple((tuple(a.gens), t) for a, t in self.algebra.twists))
 
@@ -623,6 +624,7 @@ def apply_cplus(cm, sub):
     return total
 
 
+@memo_scope()
 def underline(cm, start=None):
     """Stable core: iterate N <- C_+ N from the carrier until stationary.
 
@@ -716,6 +718,7 @@ def _candidate_primes(cm, core):
     return out
 
 
+@memo_scope()
 def stable_torsion(cm, prime, within):
     """The stable core of the ``prime``-power torsion of ``within``,
     memoised for the open memo scope on the structure key, the prime and
@@ -728,6 +731,7 @@ def stable_torsion(cm, prime, within):
     return memo[key]
 
 
+@memo_scope()
 def ass_cartier(cm, candidates=None):
     """Primes eta whose eta-torsion stays non-nilpotent after localizing.
 

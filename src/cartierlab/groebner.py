@@ -23,15 +23,17 @@ still to reduce in a heap rather than scanning for the largest, and every
 many reductions finds its leads once.  ``interreduce`` turns a Groebner
 basis into the reduced one in a single pass once redundant leads are gone.
 
-Inside a ``memo_scope`` (opened by the top-level calls of the test-module,
-filtration and scene layers), ``buchberger`` remembers each reduced basis it
-computed, keyed on its exact input, and the memo is dropped when the
-outermost scope exits.  A hit returns exactly what a fresh computation
-would, so answers never depend on what ran earlier.  Other layers keep
-their own call-scoped tables in the same memo via ``memo_table``:
-Frobenius-root digit prefixes (``idealkit``); small twist powers, graded
-sums, stable cores, stable torsion and associated primes (``cartiercore``);
-and candidate pools (``testmod``).
+Inside a ``memo_scope`` (opened by the top-level calls of the
+``cartiercore``, test-module and filtration layers), ``buchberger``
+remembers each reduced basis it computed, keyed on its exact input.  A
+library call's memo is dropped when its outermost scope exits; the tasks of
+one parsed ``Scene`` share the memo the scene holds.  A hit returns exactly
+what a fresh computation would, so answers never depend on what ran
+earlier.  Other layers keep their own tables in the same memo via
+``memo_table``: Frobenius-root digit prefixes (``idealkit``); small twist
+powers, graded sums, stable cores, stable torsion and associated primes
+(``cartiercore``); and candidate pools and regularity verdicts
+(``testmod``).
 """
 
 import contextlib
@@ -277,17 +279,20 @@ _MEMO = contextvars.ContextVar("cartierlab_groebner_memo", default=None)
 
 
 @contextlib.contextmanager
-def memo_scope():
-    """Memoise ``buchberger`` for the duration of one top-level call.
+def memo_scope(memo=None):
+    """Memoise ``buchberger`` and the ``memo_table`` tables while the
+    scope of a top-level call or a scene task is open.
 
     Usable as ``with memo_scope():`` and as the decorator ``@memo_scope()``.
-    Reentrant: the outermost entry creates the memo and its exit drops it,
-    so no basis outlives the call that computed it.
+    Reentrant: an inner entry joins the open memo.  The outermost entry
+    holds its tables in ``memo``, so the caller that passes a dict decides
+    how long they live (a ``Scene`` keeps one for all of its tasks); with
+    ``memo=None`` it starts a fresh dict that its exit drops.
     """
     if _MEMO.get() is not None:
         yield
         return
-    token = _MEMO.set({})
+    token = _MEMO.set({} if memo is None else memo)
     try:
         yield
     finally:

@@ -7,10 +7,13 @@ triangular zero-dimensional quotients that are fields); anything else must be
 asserted by the caller and is tagged as such.
 """
 
+import math
 import random
 from functools import reduce
+from itertools import product
 
-from .errors import CartierLabError, ResourceCapError, UnsupportedShapeError
+from .errors import (CartierLabError, ResourceCapError, RingMismatchError,
+                     UnsupportedShapeError)
 from .fppoly import Poly, pe_decompose
 from .groebner import (VecPoly, _divides, buchberger, intersection,
                        memo_table, normal_form, syzygies)
@@ -79,8 +82,6 @@ class Ideal:
 
     def _same_ring(self, other):
         if self.ring != other.ring:
-            from .errors import RingMismatchError
-
             raise RingMismatchError("ideals over different rings")
 
     def __add__(self, other):
@@ -695,9 +696,7 @@ def monomial_associated_primes(ideal):
         raise UnsupportedShapeError(
             "monomial associated-prime scan exceeds box cap; supply candidates")
     out = []
-    from itertools import product as iproduct
-
-    for exps in iproduct(*[range(e + 1) for e in lcm]):
+    for exps in product(*[range(e + 1) for e in lcm]):
         mono = ring.monomial(exps)
         if ideal.contains(mono):
             continue
@@ -723,11 +722,7 @@ def _is_zero_dimensional(gb, nvars):
 
 def _pure_power_index(mono):
     nz = [i for i, e in enumerate(mono) if e]
-    if len(nz) == 1:
-        return nz[0]
-    if len(nz) == 0:
-        return None
-    return None
+    return nz[0] if len(nz) == 1 else None
 
 
 def standard_monomials(ideal):
@@ -749,10 +744,8 @@ def standard_monomials(ideal):
         total *= b
         if total > _POINT_ENUM_CAP:
             raise ResourceCapError("standard monomial enumeration exceeds cap")
-    from itertools import product as iproduct
-
     out = []
-    for exps in iproduct(*[range(b) for b in bounds]):
+    for exps in product(*[range(b) for b in bounds]):
         if not any(_divides(lt, exps) for lt in leads):
             out.append(exps)
     return sorted(out, key=ring.monomial_key, reverse=True)
@@ -764,16 +757,14 @@ def _minimal_polynomial(ideal, vi, std):
     p = ring.p
     index = {m: k for k, m in enumerate(std)}
     rows = []
-    powers = []
     v = ring.var(ring.vars[vi])
     cur = ring.one()
-    for k in range(len(std) + 1):
+    for _ in range(len(std) + 1):
         nf = ideal.normal_form(cur)
         vecrow = [0] * len(std)
         for m, c in nf.terms.items():
             vecrow[index[m]] = c
         rows.append(vecrow)
-        powers.append(k)
         dep = _find_dependency(rows, p)
         if dep is not None:
             return _u_trim(list(dep))
@@ -820,16 +811,13 @@ def _zero_dim_minimal_primes(ideal):
     std = standard_monomials(ideal)
     if not std:
         return []
-    from itertools import product as iproduct
-    from math import lcm as _lcm
-
     factor_lists = []
     for vi in range(ring.nvars):
         mp = _minimal_polynomial(ideal, vi, std)
         facs = sorted(_u_factor(mp, ring.p).keys())
         factor_lists.append([(vi, list(c)) for c in facs])
     out = []
-    for combo in iproduct(*factor_lists):
+    for combo in product(*factor_lists):
         gens = list(ideal.gens) + [_list_to_poly(ring, vi, coeffs)
                                    for vi, coeffs in combo]
         J = Ideal(ring, gens)
@@ -839,7 +827,7 @@ def _zero_dim_minimal_primes(ideal):
         degrees = [len(coeffs) - 1 for _vi, coeffs in combo]
         expected = 1
         for d in degrees:
-            expected = _lcm(expected, d)
+            expected = math.lcm(expected, d)
         if dim == expected:
             prime = PrimeIdeal(J, proved=True)
             if prime not in out:

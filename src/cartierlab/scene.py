@@ -51,6 +51,8 @@ class Scene:
         self.maps = {}
         self.pairs = {}
         self.tasks = []
+        # the memo_scope tables that all tasks of this scene share
+        self.memo = {}
 
 
 class _Fields:
@@ -524,14 +526,13 @@ _TASK_OPS = {"tau": _run_tau, "tauprime": _run_tau, "taubms": _run_taubms,
              "point-pushforward": _run_point_pushforward}
 
 
-@memo_scope()
 def run_task(scene, task, flags):
     f = _Fields(scene, task, task.get("line"))
     handler = _TASK_OPS.get(task["op"])
     if handler is None:
         raise f.error(f"unknown task op {task['op']!r}")
     seed = f.make(int, flags.get("seed", task.get("seed", 0)))
-    with _at_line(f.line):
+    with _at_line(f.line), memo_scope(scene.memo):
         return handler(f, flags, seed)
 
 

@@ -280,41 +280,31 @@ def is_f_regular(cm, candidates=None, seed=0):
 # test elements
 
 
-_VERIFY_CACHE = {}
-
-
 def _verify_test_element(cm, prime, c, piece, seed=0):
     """Check that ``piece``, the stable ``prime``-torsion of the core, is
     regular after inverting c.
 
-    Results are cached for the process on the localized data (ring and
-    caps, module, localized algebra with its remaining twists, saturated
-    carrier, prime, inverted element, seed).  What this shares is verdicts
-    between tasks of one run that meet the same localized piece, not
-    verdicts across twist exponents: one corpus replay hits 30 of its 76
-    lookups, each from the twist exponent that stored the entry, and an
-    oracle-grid surface, whose exponents all differ, hits none.
+    Verdicts are memoised in the ``verify`` table of the open memo scope on
+    the localized module's structure key, its saturated carrier, the prime
+    and the seed.  A ``Scene`` holds one memo for all of its tasks, so what
+    this shares is verdicts between tasks that meet the same localized
+    piece, not verdicts across twist exponents: one corpus replay hits 23
+    of its 76 lookups, each from the twist exponent that stored the entry,
+    and an oracle-grid surface, whose exponents all differ, hits none.
     """
     if piece.is_trivial():
         return True, {"note": "torsion piece vanishes"}
     loc = cm.localize(c)
     loc_piece = loc.canon(piece.gens)
     loc = loc.with_carrier(loc_piece)
-    key = (loc.ring, loc.ring.caps,
-           str(loc.module.serialize()),
-           str(loc.algebra.serialize()),
-           str(loc_piece.serialize()),
-           tuple(prime.ideal.serialize()),
-           str(loc.inverted),
-           seed)
-    if key in _VERIFY_CACHE:
-        return _VERIFY_CACHE[key]
-    try:
-        result = is_f_regular(loc, seed=seed)
-    except (UnsupportedShapeError, SearchBudgetError) as ex:
-        result = (False, {"error": str(ex)})
-    _VERIFY_CACHE[key] = result
-    return result
+    memo = memo_table("verify")
+    key = (loc.structure_key(), tuple(loc_piece.basis()), prime, seed)
+    if key not in memo:
+        try:
+            memo[key] = is_f_regular(loc, seed=seed)
+        except (UnsupportedShapeError, SearchBudgetError) as ex:
+            memo[key] = (False, {"error": str(ex)})
+    return memo[key]
 
 
 def _order_by_inclusion(primes):

@@ -135,8 +135,11 @@ def test_the_memo_is_dropped_when_the_outermost_scope_exits():
     assert groebner._MEMO.get() is None
 
 
-def test_top_level_calls_memoise_and_leave_no_memo(monkeypatch):
+@pytest.mark.parametrize(
+    "call", ["tau_bms", "underline", "stable_torsion", "ass_cartier"])
+def test_top_level_calls_memoise_and_leave_no_memo(call, monkeypatch):
     R = RingSpec(2, ("x", "y"))
+    cm = cusp_module("1/2")
     seen = []
     real = groebner._buchberger
 
@@ -145,7 +148,10 @@ def test_top_level_calls_memoise_and_leave_no_memo(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(groebner, "_buchberger", recording)
-    tau_bms(R.parse("x^3 + y^2"), "5/6")
+    if call == "tau_bms":
+        tau_bms(R.parse("x^3 + y^2"), "5/6")
+    else:
+        INVARIANTS[call][0](cm)
     assert seen and all(seen)
     assert groebner._MEMO.get() is None
 
@@ -263,3 +269,41 @@ def test_an_invariant_error_is_not_stored(table, monkeypatch):
         with pytest.raises(ResourceCapError):
             call(cm)
         assert call(cm) == fresh
+
+
+def test_equal_modules_with_other_relations_keep_their_own_pool():
+    """R/(x) and R/(x, xy^2+xy+x) are equal modules, but the candidate pool
+    factors the relations as given, so the second has the larger pool and
+    a memo hit from the first would change its regularity certificate."""
+    R = RingSpec(2, ("x", "y"))
+    alg = CartierAlgebraSpec([CartierOp(1, [[R.parse("x")]])])
+    small, large = (
+        validate_structure(
+            PresentedModule(R, 1, [[R.parse(r)] for r in relations]), alg)
+        for relations in (["x"], ["x", "x*y^2 + x*y + x"]))
+    assert small.module == large.module
+    fresh_pool = candidate_elements(large)
+    fresh_verdict = testmod.is_f_regular(large)
+    assert len(candidate_elements(small)) < len(fresh_pool)
+    with memo_scope():
+        candidate_elements(small)
+        testmod.is_f_regular(small)
+        assert candidate_elements(large) == fresh_pool
+        assert testmod.is_f_regular(large) == fresh_verdict
+
+
+def test_a_regularity_verdict_is_kept_per_localized_carrier():
+    """The ``verify`` table keys on the piece it checks: the cusp at
+    t = 1/2 is not F-pure on the whole ring but regular on its core."""
+    cm = cusp_module("1/2")
+    point = _generic_point(cm)
+    pieces = (cm.carrier_sub(), underline(cm)[0])
+    fresh = []
+    for piece in pieces:
+        with memo_scope():
+            fresh.append(testmod._verify_test_element(cm, point,
+                                                      cm.ring.one(), piece))
+    assert fresh[0][0] is False and fresh[1][0] is True
+    with memo_scope():
+        assert [testmod._verify_test_element(cm, point, cm.ring.one(), piece)
+                for piece in pieces] == fresh

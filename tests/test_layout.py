@@ -1,6 +1,8 @@
 """Repository layout: the corpus is the one home of the worked examples,
-and every library name the bench tracer hooks exists."""
+every library name the bench tracer hooks exists, and no library module
+keeps a cache of its own."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -44,3 +46,27 @@ def test_every_name_the_bench_tracer_wraps_resolves():
     assert fpmod.normal_form is groebner.normal_form
     assert idealkit.normal_form is groebner.normal_form
     assert fppoly.Poly.__rmul__ is fppoly.Poly.__mul__
+
+
+def _empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("set", "dict")
+            and not node.args and not node.keywords)
+
+
+def test_no_library_module_binds_an_empty_container():
+    """Module-level caches make an answer depend on what ran earlier in the
+    process; memoised work belongs in a ``memo_table`` of the open
+    ``memo_scope``."""
+    found = []
+    for path in sorted((ROOT / "src" / "cartierlab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) \
+                    and node.value is not None \
+                    and _empty_container(node.value):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -3,14 +3,16 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from cartierlab import groebner
 from cartierlab.cache import ResultCache, canonical_json
 from cartierlab.cli import corpus_scene_names, main, run_corpus
 from cartierlab.errors import ParseError
-from cartierlab.scene import parse_scene, run_scene
+from cartierlab.scene import parse_scene, run_scene, run_task
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -84,6 +86,32 @@ class TestCorpus:
                     for scene in report["scenes"]
                     for i, task in enumerate(scene["tasks"])}
         assert replayed == reference
+
+    @pytest.mark.parametrize("name", corpus_scene_names())
+    def test_a_shared_scene_memo_changes_no_task(self, name):
+        """The tasks of one scene share its memo; run in order, each reports
+        byte for byte what it reports alone on a freshly parsed scene."""
+        text = resources.files("cartierlab").joinpath(
+            "corpus", name).read_text(encoding="utf-8")
+
+        def report(scene, task):
+            outcome = canonical_json(run_task(scene, task, {}).serialize())
+            assert groebner._MEMO.get() is None
+            return outcome
+
+        shared = parse_scene(text, name=name)
+        together = [report(shared, task) for task in shared.tasks]
+        alone = []
+        for index in range(len(together)):
+            fresh = parse_scene(text, name=name)
+            alone.append(report(fresh, fresh.tasks[index]))
+        assert together == alone
+
+    def test_a_task_leaves_its_verdicts_in_the_scene_memo(self):
+        scene = parse_scene(FLOOR)
+        run_task(scene, scene.tasks[0], {})
+        assert groebner._MEMO.get() is None
+        assert scene.memo["verify"]
 
     def test_scene_names_stable(self):
         names = corpus_scene_names()
