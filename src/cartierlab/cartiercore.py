@@ -24,7 +24,7 @@ from .errors import (InvalidStructureError, NotEquivariantError,
 from .fpmod import Submodule, support_vanishes, torsion
 from .groebner import VecPoly, memo_scope, memo_table
 from .idealkit import (PrimeIdeal, minimal_primes,
-                       monomial_associated_primes)
+                       monomial_associated_primes, small_power)
 
 
 class CartierOp:
@@ -325,9 +325,8 @@ def _twist_moves(ring, twists, e, pendings):
     Yields (multiplier poly, new pending tuple): the multiplier is the
     product of the chosen small ideal-generator powers; the remaining huge
     powers follow the operator through as p^e-th roots.  The small powers
-    are memoised for the open memo scope.
+    come from ``small_power``.
     """
-    powers = memo_table("small_power")
     per_ideal = []
     for (ideal, _t), pending in zip(twists, pendings):
         choices = _gamma_choices_one(ring, len(ideal.gens), e, pending)
@@ -340,10 +339,7 @@ def _twist_moves(ring, twists, e, pendings):
         for gens, gamma, new in combo:
             for g, a in zip(gens, gamma):
                 if a:
-                    power = powers.get((g, a))
-                    if power is None:
-                        power = powers[(g, a)] = g ** a
-                    mult = mult * power
+                    mult = mult * small_power(g, a)
             new_pendings.append(new)
         yield mult, tuple(new_pendings)
 

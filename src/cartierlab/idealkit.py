@@ -200,6 +200,23 @@ def frobenius_root(ideal, e):
     return Ideal(ideal.ring, frobenius_root_gens(ideal.gens, e))
 
 
+def small_power(g, a):
+    """``g ** a``, memoised in the ``small_power`` table of the open memo
+    scope.
+
+    The key holds the ring's caps: ``RingSpec`` equality ignores them, and
+    the power carries its ring, whose caps the degree checks of later
+    products read.  A power cached under a roomy ring would otherwise let a
+    product on an equal but tighter ring skip its ``ResourceCapError``.
+    """
+    powers = memo_table("small_power")
+    key = (g.ring.caps, g, a)
+    power = powers.get(key)
+    if power is None:
+        power = powers[key] = g ** a
+    return power
+
+
 def frobenius_root_of_power(f, exponent, e):
     """root_e of the ideal (f^exponent) without expanding f^exponent.
 
@@ -209,13 +226,16 @@ def frobenius_root_of_power(f, exponent, e):
     bottom, so intermediate degrees stay contracted.
 
     Digits are peeled from the lowest, so the basis after j levels depends
-    only on f, the ring's caps and exponent mod p^j.  It is memoised under
-    that key for the open memo scope, and a jumping-number sweep shares
-    digit prefixes across its grid points and levels e.  A hit is exact:
-    the level's input list ``[f^d * g for g in previous level]``, hence its
-    ``buchberger`` basis, is a function of the key.  The caps are in the
-    key because degree checks read them, so a hit never skips a
-    ``ResourceCapError`` that a fresh walk would raise.
+    only on f, the ring's caps and exponent mod p^j.  The open memo scope
+    keeps one level table per (caps, f), looked up once per call, whose
+    entries are keyed on (p^j, exponent mod p^j); a jumping-number sweep
+    shares digit prefixes across its grid points and levels e.  A hit is
+    exact: the level's input list ``[f^d * g for g in previous level]``
+    (the previous level itself when d = 0), hence its ``buchberger`` basis,
+    is a function of the key.  The caps are in the key because degree
+    checks read them, so a hit never skips a ``ResourceCapError`` that a
+    fresh walk would raise.  The digit powers f^d and the tail power come
+    from ``small_power``, so a sweep builds each of them once.
 
     When ``exponent < p^e`` the root is generated by the last level's
     reduced basis, which the returned ideal carries as its own, so
@@ -223,18 +243,21 @@ def frobenius_root_of_power(f, exponent, e):
     """
     ring = f.ring
     p = ring.p
-    prefixes = memo_table("frobenius_root_of_power")
+    levels = memo_table("frobenius_root_of_power").setdefault(
+        (ring.caps, f), {})
     current = (ring.one(),)
     q = 1
     for _ in range(e):
         digit = exponent // q % p
         q *= p
-        key = (ring.caps, f, q, exponent % q)
-        level = prefixes.get(key)
+        key = (q, exponent % q)
+        level = levels.get(key)
         if level is None:
-            fd = f ** digit
-            gens = frobenius_root_gens([fd * g for g in current], 1)
-            level = prefixes[key] = tuple(
+            if digit:
+                fd = small_power(f, digit)
+                current = [fd * g for g in current]
+            gens = frobenius_root_gens(current, 1)
+            level = levels[key] = tuple(
                 v.component(0) for v in buchberger([_vec(g) for g in gens]))
         if not level:
             return Ideal(ring, [])
@@ -244,7 +267,7 @@ def frobenius_root_of_power(f, exponent, e):
         root = Ideal(ring, current)
         root._gb = current
         return root
-    tail = f ** remaining
+    tail = small_power(f, remaining)
     return Ideal(ring, [tail * g for g in current])
 
 

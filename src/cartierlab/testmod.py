@@ -125,7 +125,14 @@ def _factor_pool(cm):
 
 
 def candidate_elements(cm, seed=0):
-    """Deterministic candidates first, then 12 seeded random linear forms.
+    """Deterministic candidates first, then 12 seeded random linear forms;
+    memoised by ``_candidate_pool``."""
+    return list(_candidate_pool(cm, seed)[0])
+
+
+def _candidate_pool(cm, seed):
+    """(candidates, factors): the pool of ``candidate_elements`` and a dict
+    sending each product a*b the pool emits to its factors (a, b).
 
     Memoised for the open memo scope on the structure key, the carrier's
     basis and the seed.
@@ -133,8 +140,8 @@ def candidate_elements(cm, seed=0):
     memo = memo_table("candidate_pool")
     key = (cm.structure_key(), tuple(cm.carrier_sub().basis()), seed)
     if key not in memo:
-        memo[key] = tuple(_candidate_elements(cm, seed))
-    return list(memo[key])
+        memo[key] = _candidate_elements(cm, seed)
+    return memo[key]
 
 
 def _candidate_elements(cm, seed):
@@ -162,11 +169,13 @@ def _candidate_elements(cm, seed):
         if emit(f):
             out.append(f)
     base = variables + pool
+    factors = {}
     for i, a in enumerate(base):
         for b in base[i:]:
             f = a * b
             if emit(f):
                 out.append(f)
+                factors[f] = (a, b)
     rng = random.Random(0x7E57E1 + seed)
     for _ in range(12):
         coeffs = [rng.randrange(ring.p) for _ in range(ring.nvars + 1)]
@@ -175,7 +184,7 @@ def _candidate_elements(cm, seed):
             f = f + v.scale(c)
         if not f.is_constant() and emit(f):
             out.append(f)
-    return out
+    return tuple(out), factors
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +216,24 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
     In the rank-1 principal shape one closure of d*T comes first, with d
     from ``_principal_test_element``; when it returns T, T is regular and
     the pool would find no descent (the argument in the module docstring).
-    Otherwise the loop sums one closure per candidate per pass.
+
+    Otherwise the loop walks the candidates cyclically, in pool order, and
+    stops once every candidate has fixed the current T since the last
+    shrink; the candidate that shrank T counts only after it is re-tested.
+    This is the order of repeated full passes, stopped as soon as a pass
+    could change nothing more, so the fixed point is the same, and no
+    candidate is closed twice on one T.  A closure known to return T is not
+    computed either:
+
+    * c = 1: T is stable, so cl(T) = T;
+    * an untwisted algebra and c = a*b a pool product whose factors both
+      fixed T.  By the projection formula a*C_e(N) = C_e(a^(p^e)*N), so
+      a*cl(bT) lies in cl(abT), and cl(abT) = cl(a*cl(bT)) = cl(aT) = T.
+      Untwisted sums are certified fixed points, so a computed closure is
+      the exact cl; a twisted sum may stop on its window, and is computed.
     """
     carrier = cm.carrier_sub()
-    pool = candidate_elements(cm, seed=seed)
+    pool, factors = _candidate_pool(cm, seed)
     cands = [c for c in pool
              if not any(pr.contains(c) for pr in ass_primes)]
     if not cands:
@@ -222,11 +245,16 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
         seeded = cm.canon(list(carrier.scale_poly(d).gens))
         if graded_sum(cm, seeded)[0] == carrier:
             return carrier, tried
+    untwisted = not cm.algebra.is_twisted()
     current = carrier
-    changed = True
-    while changed:
-        changed = False
-        for c in cands:
+    fixing = set()  # candidates whose closure returned ``current``
+    k = 0
+    while len(fixing) < len(cands):
+        c = cands[k % len(cands)]
+        k += 1
+        skip = c.is_one() or (untwisted and c in factors
+                              and fixing.issuperset(factors[c]))
+        if not skip:
             seeded = current.scale_poly(c)
             shrunk, _info = graded_sum(cm, cm.canon(list(seeded.gens)))
             if shrunk != current:
@@ -234,7 +262,9 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
                     raise AssertionError(
                         "closure of a multiple left the module (internal)")
                 current = shrunk
-                changed = True
+                fixing = set()
+                continue
+        fixing.add(c)
     return current, tried
 
 
@@ -509,10 +539,11 @@ def tau_bms(f, t, e_max=None):
     e_max = e_max if e_max is not None else ring.caps.chain_cap
     pre, period = ceil_pattern_period(ring.p, t)
     window = max(3, pre + period + 1)
+    num, den = t.numerator, t.denominator
     prev = None
     quiet = 0
     for e in range(1, e_max + 1):
-        exponent = math.ceil(t * ring.p ** e)
+        exponent = -(-num * ring.p ** e // den)  # ceil(t * p^e)
         current = frobenius_root_of_power(f, exponent, e)
         if prev is not None:
             if current == prev:

@@ -364,6 +364,39 @@ class TestCacheTable:
         after = sorted(p.name for p in tmp_path.iterdir())
         assert len(after) == 8 and set(before) < set(after)
 
+    def test_a_table_of_unreduced_generators_gives_the_same_spectrum(
+            self, tmp_path):
+        """Each stored basis rewritten as another generating set of the
+        same submodule (reversed, scaled by a unit, one redundant member
+        added) still parses; the revisit reads it and gives a
+        byte-identical spectrum."""
+        import json
+
+        from cartierlab.cache import ResultCache
+
+        cm, ideal = cusp_sweep()
+        ring = cm.ring
+        x = ring.var("x")
+        jumping_numbers(cm, ideal, 1, caps=(2, 2),
+                        cache=ResultCache(str(tmp_path)))
+        clean = jumping_numbers(cm, ideal, 1, caps=(2, 2),
+                                cache=ResultCache(str(tmp_path)))
+        (entry,) = tmp_path.iterdir()
+        doc = json.loads(entry.read_text())
+        table = doc["value"]
+        for t, rows in table.items():
+            gens = [[ring.parse(s) for s in row] for row in rows]
+            redundant = [x * a + b for a, b in zip(gens[0], gens[-1])]
+            table[t] = [[str(g.scale(2)) for g in row]
+                        for row in reversed(gens + [redundant])]
+            assert table[t] != rows
+        entry.write_text(json.dumps(doc))
+        again = jumping_numbers(cm, ideal, 1, caps=(2, 2),
+                                cache=ResultCache(str(tmp_path)))
+        assert again.cache_hits == clean.cache_hits > 0
+        assert json.dumps(again.serialize(), sort_keys=True) \
+            == json.dumps(clean.serialize(), sort_keys=True)
+
     def test_a_corrupted_table_is_recomputed(self, tmp_path, caplog):
         from cartierlab.cache import ResultCache
 

@@ -3,15 +3,21 @@
 Inside a ``memo_scope`` the basis after j digit levels is shared between
 calls whose exponents agree mod p^j; these tests pin down that a root built
 from shared prefixes equals the root of a fresh walk, in any call order,
-and that a hit never hides a degree-cap error.
+that a hit never hides a degree-cap error (neither a prefix hit nor a
+power that the twisted graded walk left in the shared small-power table),
+and that ``tau_bms`` roots at exactly ceil(t*p^e).
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cartierlab.errors import ResourceCapError
+from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
+                                    graded_piece_gens, validate_structure)
+from cartierlab.errors import NoStabilizationError, ResourceCapError
+from cartierlab.fpmod import PresentedModule
 from cartierlab.fppoly import EngineCaps, Poly, RingSpec
 from cartierlab.groebner import memo_scope, memo_table
 from cartierlab.idealkit import Ideal, frobenius_root, frobenius_root_of_power
@@ -49,7 +55,8 @@ def test_shared_prefixes_give_the_fresh_root_in_any_order(p):
     with memo_scope():
         for call in calls:
             assert frobenius_root_of_power(*call) == fresh[call]
-        shared = len(memo_table("frobenius_root_of_power"))
+        shared = sum(len(levels) for levels
+                     in memo_table("frobenius_root_of_power").values())
     # the calls did share prefixes, so the memo was read, not just filled
     assert shared < sum(e for _f, _A, e in calls)
 
@@ -92,3 +99,60 @@ def test_a_root_carries_the_reduced_basis_of_its_generators(p):
                     roots.append(frobenius_root_of_power(f, A, e))
     for root in roots:
         assert root.groebner() == Ideal(ring, root.gens).groebner()
+
+
+def test_a_power_from_a_twisted_walk_still_raises_the_degree_cap():
+    """The twisted graded walk and the Frobenius root share the small-power
+    table; a power cached on a roomy ring must not reach an equal ring
+    with a tighter degree cap."""
+    roomy = RingSpec(3, ("x", "y"), caps=EngineCaps(max_total_degree=10 ** 6))
+    tight = RingSpec(3, ("x", "y"), caps=EngineCaps(max_total_degree=5))
+    f = roomy.parse("x^3 + y^2")
+    # at t = 2/3 the one Tr letter of degree 1 peels the digit f^2
+    cm = validate_structure(PresentedModule.free(roomy, 1), CartierAlgebraSpec(
+        [CartierOp(1, [[roomy.one()]])], [(Ideal(roomy, [f]), Fraction(2, 3))]))
+    with memo_scope():
+        graded_piece_gens(cm, 1, cm.carrier_sub().basis())
+        assert f ** 2 in memo_table("small_power").values()
+        with pytest.raises(ResourceCapError,
+                           match="total degree 6 exceeds cap 5"):
+            frobenius_root_of_power(tight.parse("x^3 + y^2"), 2, 1)
+
+
+def ceil_fractions(p):
+    """Seeded exponents t >= 0: zero, integers, powers of p in the
+    denominator, and other fractions."""
+    rng = random.Random(7200 + p)
+    out = [Fraction(0), Fraction(1), Fraction(4), Fraction(1, p),
+           Fraction(p + 1, p ** 3), Fraction(1, p ** 8)]
+    for _ in range(30):
+        den = rng.choice([1, 2, 3, 5, 6, 7, 9, 10, 12, 25, 27, p ** 4])
+        out.append(Fraction(rng.randrange(4 * den), den))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tau_bms_roots_at_ceil_of_t_times_p_to_the_e(p, monkeypatch):
+    """tau_bms computes ceil(t*p^e) in integers; every exponent it asks a
+    root for equals math.ceil(t * p**e) on a Fraction."""
+    from cartierlab import testmod
+
+    x = RingSpec(p, ("x",)).var("x")
+    real = testmod.frobenius_root_of_power
+    levels = set()
+    for t in ceil_fractions(p):
+        asked = []
+
+        def recording(f, exponent, e):
+            asked.append((exponent, e))
+            return real(f, exponent, e)
+
+        monkeypatch.setattr(testmod, "frobenius_root_of_power", recording)
+        try:
+            tau_bms(x, t, e_max=8)
+        except NoStabilizationError:
+            pass
+        assert asked == [(math.ceil(t * p ** e), e)
+                         for e in range(1, len(asked) + 1)], t
+        levels.update(e for _exponent, e in asked)
+    assert levels == set(range(1, 9))

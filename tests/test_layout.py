@@ -1,6 +1,6 @@
 """Repository layout: the corpus is the one home of the worked examples,
-every library name the bench tracer hooks exists, and no library module
-keeps a cache of its own."""
+every library name the bench tracer hooks exists, no library module
+keeps a cache of its own, and each memo table has one owner."""
 
 import ast
 import importlib
@@ -70,3 +70,37 @@ def test_no_library_module_binds_an_empty_container():
                     and _empty_container(node.value):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _memo_table_openers():
+    """{table name: functions of ``src/cartierlab`` that call
+    ``memo_table("<name>")``}."""
+    owners = {}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{where}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "memo_table" and child.args \
+                        and isinstance(child.args[0], ast.Constant):
+                    owners.setdefault(child.args[0].value, set()).add(where)
+            visit(child, inner)
+
+    for path in sorted((ROOT / "src" / "cartierlab").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    return owners
+
+
+def test_each_memo_table_is_opened_in_one_function():
+    """A table opened in two places can be filled under two key shapes;
+    one function per table keeps one."""
+    owners = _memo_table_openers()
+    assert "small_power" in owners and "buchberger" in owners
+    shared = {name: sorted(where) for name, where in owners.items()
+              if len(where) != 1}
+    assert shared == {}

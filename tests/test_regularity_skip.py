@@ -35,8 +35,9 @@ CASES = [(p, rank, variant) for p in (2, 3, 5) for rank in (1, 2)
 SEEDS = range(4)
 
 
-def full_shrink(cm, ass_primes, seed=0):
-    """The shrink without the proof: one closure per candidate per pass."""
+def full_shrink(cm, ass_primes, seed=0, descents=None):
+    """The shrink without the proof: one closure per candidate per pass.
+    Each candidate that shrinks the module is appended to ``descents``."""
     carrier = cm.carrier_sub()
     pool = candidate_elements(cm, seed=seed)
     cands = [c for c in pool
@@ -54,6 +55,8 @@ def full_shrink(cm, ass_primes, seed=0):
             if shrunk != current:
                 current = shrunk
                 changed = True
+                if descents is not None:
+                    descents.append(c)
     return current, [str(c) for c in cands]
 
 
@@ -166,3 +169,61 @@ def test_p5_descent_matches_full_loop(monkeypatch):
     assert got == want
     fixed, _tried = got
     assert fixed != cmc.carrier_sub(), "the p = 5 case no longer descends"
+
+
+# (p, variables, seed) of ``random_cartier_module`` draws whose pass loop
+# shrinks two or three times
+SHRINKING_TWICE = [(2, 1, 2), (2, 1, 24), (2, 2, 19), (2, 2, 45),
+                   (3, 2, 78), (3, 2, 116)]
+
+
+def drawn_core(p, nvars, seed):
+    """The draw with its stable core as carrier, and its associated
+    primes."""
+    rng = random.Random(seed)
+    cm = random_cartier_module(rng, p, nvars, extra_generator=seed % 3 == 0)
+    core, _k = underline(cm)
+    cmc = cm.with_carrier(core)
+    return cmc, ass_cartier(cmc)
+
+
+@pytest.mark.parametrize("p,nvars,seed", SHRINKING_TWICE)
+def test_the_cyclic_walk_matches_the_pass_loop(p, nvars, seed, monkeypatch):
+    """Same fixed point and tried list as the pass loop, and the walk's
+    stop is certified: every candidate fixed the final module, by a closure
+    computed in this call or by one of the exact skips (c = 1, or an
+    untwisted product whose factors both fixed it).
+
+    The second check is the one that sees a walk which counts the shrinking
+    candidate as settled without re-testing it; its fixed point is the same
+    on these untwisted draws.  The loop starts at the F-pure core, and for
+    an F-pure T (C_e(T) = T) the projection formula gives
+    cT = C_e(c^(p^e)T), which lies in C_e(cT) and in C_e(c^2 T).  So
+    cl(cT) is F-pure again and cl(c*cl(cT)) = cl(c^2 T) = cl(cT): a re-test
+    of the shrinking candidate never shrinks again."""
+    cmc, ass = drawn_core(p, nvars, seed)
+    descents = []
+    with memo_scope():
+        want = full_shrink(cmc, ass, descents=descents)
+    assert len(descents) >= 2
+    closed = []
+
+    def recording(cm, seed_sub, e_min=0):
+        closed.append(tuple(seed_sub.basis()))
+        return graded_sum(cm, seed_sub, e_min)
+
+    with monkeypatch.context() as patch, memo_scope():
+        patch.setattr(testmod, "graded_sum", recording)
+        got = _shrink_fixed_point(cmc, ass)
+        pool, factors = testmod._candidate_pool(cmc, 0)
+    assert got == want
+    fixed = want[0]
+    cands = [c for c in pool if not any(pr.contains(c) for pr in ass)]
+    fixing = {c for c in cands
+              if tuple(cmc.canon(list(fixed.scale_poly(c).gens)).basis())
+              in closed}
+    assert descents[-1] in fixing
+    untwisted = not cmc.algebra.is_twisted()
+    for c in cands:
+        assert (c in fixing or c.is_one()
+                or (untwisted and set(factors.get(c, (None,))) <= fixing)), c
