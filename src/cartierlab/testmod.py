@@ -7,13 +7,15 @@ piece under the algebra and sum over the primes.  Everything the formula
 needs (stable cores, torsion pieces, localized checks) runs in place on
 saturated submodules, so no re-presentation is required for localization.
 
-Regularity of localized pieces is verified by a shrink fixed point: repeated
-one-element closures can only produce qualifying submodules, so finding a
-strictly smaller one is a sound "not regular" witness; a fixed point over
-the full candidate pool is reported as regular with the candidate list
-recorded in the certificate (the pool is heuristic, the spec's acknowledged
-trade-off, and every final result is post-verified against the defining
-conditions).
+Regularity is decided by shrinking: repeated one-element closures can only
+produce qualifying submodules, so finding a strictly smaller one is a sound
+"not regular" witness; a module that no candidate of the pool shrinks is
+reported as regular with the candidate list recorded in the certificate
+(the pool is heuristic, the spec's acknowledged trade-off, and every final
+result is post-verified against the defining conditions).  ``is_f_regular``
+walks on to the fixed point and reports it as the proper submodule; the
+check of a test element reads only the verdict, so it stops at the first
+descent.
 
 Write cl(X) for the sum of C_e(X) over e >= 0, which is what
 ``graded_sum`` computes.  Every phi in C_e, twisted or localized, has
@@ -205,13 +207,15 @@ def _principal_test_element(cm):
     return d
 
 
-def _shrink_fixed_point(cm, ass_primes, seed=0):
+def _shrink_fixed_point(cm, ass_primes, seed=0, *, first_descent=False):
     """Iterated one-element shrinking of the algebra-stable carrier.
 
     Each step replaces T by closure(c*T) for a candidate c avoiding every
     associated prime; such steps preserve the defining localization
     conditions, so any strict descent certifies a proper qualifying
-    submodule.  Returns (fixed point, tried candidates).
+    submodule.  Returns (fixed point, tried candidates).  With
+    ``first_descent`` the walk returns at its first strict descent instead:
+    that submodule already proves the carrier is not regular.
 
     In the rank-1 principal shape one closure of d*T comes first, with d
     from ``_principal_test_element``; when it returns T, T is regular and
@@ -261,6 +265,8 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
                 if not current.contains_sub(shrunk):
                     raise AssertionError(
                         "closure of a multiple left the module (internal)")
+                if first_descent:
+                    return shrunk, tried
                 current = shrunk
                 fixing = set()
                 continue
@@ -269,18 +275,21 @@ def _shrink_fixed_point(cm, ass_primes, seed=0):
 
 
 @memo_scope()
-def is_f_regular(cm, candidates=None, seed=0):
+def is_f_regular(cm, candidates=None, seed=0, *, first_descent=False):
     """Decide whether the carrier equals its own test module.
 
     Returns (bool, certificate).  False answers carry a proper qualifying
-    submodule and are sound.  True answers record the candidate pool that
-    failed to shrink the module (heuristic completeness, flagged), except
-    in the rank-1 principal shape: a rank-1 free module, possibly localized,
-    with the one generator ``Tr`` and principal twists f_i^t_i.  There
-    d = prod f_i^ceil(t_i) lies in tau (tau(f^m) = (f^m), Blickle-Mustata-
-    Smith 2008; tau is the smallest nonzero compatible ideal, Schwede 2011),
-    so cl(d*T) = T proves the True verdict with one closure; the verdict
-    string and the candidate list are the ones the pool would report.
+    submodule and are sound.  It is the full fixed point of the shrink
+    walk, or with ``first_descent`` (set only by the test-element check)
+    the walk's first descent, which already refutes regularity.  True
+    answers record the candidate pool that failed to shrink the module
+    (heuristic completeness, flagged), except in the rank-1 principal
+    shape: a rank-1 free module, possibly localized, with the one generator
+    ``Tr`` and principal twists f_i^t_i.  There d = prod f_i^ceil(t_i) lies
+    in tau (tau(f^m) = (f^m), Blickle-Mustata-Smith 2008; tau is the
+    smallest nonzero compatible ideal, Schwede 2011), so cl(d*T) = T proves
+    the True verdict with one closure; the verdict string and the candidate
+    list are the ones the pool would report.
     """
     core, k = underline(cm)
     cert = {"f_pure": k == 0}
@@ -297,7 +306,8 @@ def is_f_regular(cm, candidates=None, seed=0):
             "no associated primes found for a nonzero module; "
             "supply candidates")
     cert["ass"] = [pr.ideal.serialize() for pr in ass]
-    fixed, tried = _shrink_fixed_point(cmc, ass, seed=seed)
+    fixed, tried = _shrink_fixed_point(cmc, ass, seed=seed,
+                                       first_descent=first_descent)
     cert["candidates"] = tried
     if fixed != core:
         cert["proper_submodule"] = fixed.serialize()
@@ -313,6 +323,11 @@ def is_f_regular(cm, candidates=None, seed=0):
 def _verify_test_element(cm, prime, c, piece, seed=0):
     """Check that ``piece``, the stable ``prime``-torsion of the core, is
     regular after inverting c.
+
+    Only the verdict is read, so the regularity check stops at the first
+    descent: a False entry holds that first-descent witness as its proper
+    submodule, not the walk's fixed point.  Only this check writes the
+    ``verify`` table, so its key needs no mark for the early stop.
 
     Verdicts are memoised in the ``verify`` table of the open memo scope on
     the localized module's structure key, its saturated carrier, the prime
@@ -331,7 +346,7 @@ def _verify_test_element(cm, prime, c, piece, seed=0):
     key = (loc.structure_key(), tuple(loc_piece.basis()), prime, seed)
     if key not in memo:
         try:
-            memo[key] = is_f_regular(loc, seed=seed)
+            memo[key] = is_f_regular(loc, seed=seed, first_descent=True)
         except (UnsupportedShapeError, SearchBudgetError) as ex:
             memo[key] = (False, {"error": str(ex)})
     return memo[key]
@@ -364,9 +379,9 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
     order.  Isolation pins the associated primes of the localized piece
     down to ``prime`` itself, which both matches the existence proof's
     search and keeps the recursive verification in its single-prime base
-    case.
+    case.  The pool stage skips the isolating candidates already tried.
     """
-    diagnostics = []
+    tried = []
     piece = stable_torsion(cmc, prime, core)
     pool = candidate_elements(cmc, seed=seed)
     stages = []
@@ -378,14 +393,14 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
         stages.append(pool)
     for stage in stages:
         for c in stage:
-            if prime.contains(c):
+            if c in tried or prime.contains(c):
                 continue
             ok, cert = _verify_test_element(cmc, prime, c, piece, seed=seed)
             if ok:
                 return TestElementEntry(prime, c, cert)
-            diagnostics.append(str(c))
-    raise SearchBudgetError(
-        f"no test element found for {prime!r}; tried {diagnostics}")
+            tried.append(c)
+    raise SearchBudgetError(f"no test element found for {prime!r}; "
+                            f"tried {[str(c) for c in tried]}")
 
 
 def _find_for_primes(cmc, core, primes, ass, seed, mandatory_isolation):

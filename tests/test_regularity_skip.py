@@ -10,7 +10,10 @@ descends.  ``test_regularity_proof`` imports ``full_shrink`` and
 
 The seeded cases hold descents over p = 2 and 3, and the graded-sum lemma
 is checked directly: for a stable T, cl(aT) = cl(bT) = T gives
-cl(abT) = T, by the projection formula.
+cl(abT) = T, by the projection formula.  The test-element check stops the
+walk at its first descent; the same draws check that its verdict and
+witness agree with the pass loop, and that it closes nothing after that
+descent.
 """
 
 from fractions import Fraction
@@ -227,3 +230,86 @@ def test_the_cyclic_walk_matches_the_pass_loop(p, nvars, seed, monkeypatch):
     for c in cands:
         assert (c in fixing or c.is_one()
                 or (untwisted and set(factors.get(c, (None,))) <= fixing)), c
+
+
+def early_stop_cases():
+    """The seeded CASES draws and the SHRINKING_TWICE draws."""
+    cases = [b for case in CASES for b in built_cases(*case)]
+    return cases + [drawn_core(*draw) for draw in SHRINKING_TWICE]
+
+
+def test_the_verification_stops_at_the_first_descent():
+    """``is_f_regular(..., first_descent=True)``, the test-element check,
+    gives the pass loop's verdict.  Its False witness is the closure by the
+    pass loop's first shrinking candidate: proper, inside the carrier and
+    stable.  The public call keeps reporting the full fixed point, and on
+    the draws that shrink twice the two differ."""
+    refuted = differ = 0
+    for cmc, ass in early_stop_cases():
+        carrier = cmc.carrier_sub()
+        with memo_scope():
+            descents = []
+            fixed, _tried = full_shrink(cmc, ass, descents=descents)
+            ok, cert = testmod.is_f_regular(cmc, first_descent=True)
+            public_ok, public_cert = testmod.is_f_regular(cmc)
+            assert ok == public_ok == (fixed == carrier)
+            if ok:
+                continue
+            witness, _tried = _shrink_fixed_point(cmc, ass,
+                                                  first_descent=True)
+            first = cmc.canon(list(carrier.scale_poly(descents[0]).gens))
+            assert witness == graded_sum(cmc, first)[0]
+            assert witness != carrier and carrier.contains_sub(witness)
+            assert witness.contains_sub(
+                graded_sum(cmc, witness, e_min=1)[0])
+        assert cert["proper_submodule"] == witness.serialize()
+        assert public_cert["proper_submodule"] == fixed.serialize()
+        refuted += 1
+        differ += witness != fixed
+    assert refuted and differ, (refuted, differ)
+
+
+def test_a_false_verification_makes_no_closure_after_its_first_descent(
+        monkeypatch):
+    """Each regularity check of a test-element search records its graded
+    sums, as ``counted_shrink`` counts them.  A False verdict reached by the
+    walk ends on the closure that first shrank the carrier; the proof
+    closure of the rank-1 principal shape does not count as a descent."""
+    is_f_regular = testmod.is_f_regular
+    checks = []
+    active = []
+
+    def counting_sum(cm, seed_sub, e_min=0):
+        result = graded_sum(cm, seed_sub, e_min)
+        if active:
+            active[-1].append((cm, result[0]))
+        return result
+
+    def counting_check(cm, *args, **kwargs):
+        active.append([])
+        try:
+            ok, cert = is_f_regular(cm, *args, **kwargs)
+        finally:
+            closures = active.pop()
+        checks.append((ok, closures))
+        return ok, cert
+
+    with monkeypatch.context() as patch:
+        patch.setattr(testmod, "graded_sum", counting_sum)
+        patch.setattr(testmod, "is_f_regular", counting_check)
+        for cmc, _ass in early_stop_cases():
+            with memo_scope():
+                testmod.find_test_elements(cmc)
+    walked = 0
+    for ok, closures in checks:
+        if ok or not closures:
+            continue
+        cm = closures[0][0]
+        if testmod._principal_test_element(cm) is not None:
+            closures = closures[1:]
+        carrier = cm.carrier_sub()
+        shrank = [i for i, (_cm, shrunk) in enumerate(closures)
+                  if shrunk != carrier]
+        assert shrank == [len(closures) - 1], shrank
+        walked += 1
+    assert walked

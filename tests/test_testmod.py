@@ -16,7 +16,7 @@ from cartierlab import scene, testmod
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     graded_sum, underline,
                                     validate_structure)
-from cartierlab.errors import NoStabilizationError
+from cartierlab.errors import NoStabilizationError, SearchBudgetError
 from cartierlab.fppoly import EngineCaps, RingSpec
 from cartierlab.fpmod import PresentedModule, torsion
 from cartierlab.idealkit import Ideal
@@ -101,6 +101,24 @@ class TestFindTestElements:
         seq = find_test_elements(cm)
         assert [(tuple(e.prime.ideal.serialize()), str(e.element))
                 for e in seq.entries] == [(("x",), "1")]
+
+    def test_each_candidate_is_verified_once(self, monkeypatch):
+        # the prime (0) of sec3 is isolated from (x) by the candidates in
+        # (x); when every check fails, the pool stage that follows must not
+        # verify those again, and the error names each candidate once
+        verified = []
+
+        def failing(cmc, prime, c, piece, seed=0):
+            verified.append(str(c))
+            return False, {}
+
+        monkeypatch.setattr(testmod, "_verify_test_element", failing)
+        cm = sec3_module()
+        with pytest.raises(SearchBudgetError) as err:
+            find_test_elements(cm)
+        assert "x" in verified  # isolating, so tried in both stages
+        assert len(verified) == len(set(verified)), verified
+        assert str(err.value).endswith(f"tried {verified}")
 
 
 class TestTau:
