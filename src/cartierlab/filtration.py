@@ -10,7 +10,8 @@ them has it too, and the sweep bisects the grid instead of walking it.
 Drops are certified by computation at the two neighbouring grid points that
 straddle them, and right-continuity is witnessed at half a grid step past
 each jump.  Spectra are labelled EXACT only on the principal fast path (where
-the denominator heuristic pins the candidate set); everything else is
+the denominator heuristic pins the candidate set, and each tau value is the
+certified fixed point of ``tau_bms``'s root chain); everything else is
 reported as a LOWER-BOUND spectrum with the grid disclosed.
 """
 

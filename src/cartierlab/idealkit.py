@@ -235,7 +235,10 @@ def frobenius_root_of_power(f, exponent, e):
     is a function of the key.  The caps are in the key because degree
     checks read them, so a hit never skips a ``ResourceCapError`` that a
     fresh walk would raise.  The digit powers f^d and the tail power come
-    from ``small_power``, so a sweep builds each of them once.
+    from ``small_power``, so a sweep builds each of them once.  The
+    fixed-point certificate of ``tau_bms`` asks for the chain's own digit
+    prefixes (exponent mod p^j, j levels), so it reads only levels the
+    chain has already built.
 
     When ``exponent < p^e`` the root is generated by the last level's
     reduced basis, which the returned ideal carries as its own, so

@@ -40,6 +40,8 @@ would reach the same fixed point and record the same candidates.
 
 ``tau_bms`` is the fast path for principal twists on the rank-1 free module:
 the stable member of the ascending Frobenius-root chain of f^ceil(t*p^e).
+It stops at a proven fixed point of the chain's period step, so each EXACT
+value of a jumping-number sweep rests on a certified stop.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +55,7 @@ from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion, unit_at
 from .groebner import memo_scope, memo_table
-from .idealkit import (PrimeIdeal, frobenius_root_of_power,
+from .idealkit import (Ideal, PrimeIdeal, frobenius_root_of_power,
                        irreducible_factors_best_effort, minimal_primes)
 
 
@@ -536,14 +538,25 @@ def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0):
 
 @memo_scope()
 def tau_bms(f, t, e_max=None):
-    """Stable value of the ascending chain root_e(f^ceil(t*p^e)).
+    """Stable value of the ascending chain J_e = root_e(f^ceil(t*p^e)).
 
-    Consecutive equality alone can be a plateau before a later jump (the
-    exponent pattern is only eventually periodic), so stabilization is
-    declared after a full pattern window of equal steps; raises
-    NoStabilizationError when e_max is reached first.  The chain must
-    ascend; equal ideals contain each other, so that check runs only when
-    consecutive roots differ.
+    The stop is a proven fixed point (Blickle-Mustata-Smith, Michigan Math.
+    J. 2008).  Write t*p^pre = s = a/(p^k - 1) with (pre, k) =
+    ``ceil_pattern_period(p, t)`` and K_n = root_(nk)(f^ceil(s*p^(nk))).
+    Since ceil(s*p^((n+1)k)) = a*p^(nk) + ceil(s*p^(nk)), K_(n+1) =
+    Phi(K_n) with Phi(J) = root_k(f^a * J); so the first K_(n+1) = K_n is a
+    fixed point of Phi and every later K equals it.  J_(pre+nk) =
+    root_pre(K_n) and the J chain ascends, so J is constant from level
+    pre + nk on, and the level pre + (n+1)k where the equality is seen is
+    returned.  With A = ceil(t*p^e) at e = pre + nk, K_n = f^m * L_n for
+    m = A // p^(nk) and L_n = root_(nk)(f^(A mod p^(nk))), the chain's own
+    digit prefix after nk levels; K_0 is (f^ceil(t*p^pre)).  K_(n+1) = K_n
+    is tested as equality of the pairs (m, L_n), so no power f^m * L_n is
+    built.
+
+    Raises NoStabilizationError when level e_max passes without that
+    equality.  The chain must ascend; equal ideals contain each other, so
+    that check runs only when consecutive roots differ.
     """
     if f.is_zero():
         raise ValueError("hypersurface equation must be nonzero")
@@ -551,26 +564,27 @@ def tau_bms(f, t, e_max=None):
     if t < 0:
         raise ValueError("exponent must be >= 0")
     ring = f.ring
+    p = ring.p
     e_max = e_max if e_max is not None else ring.caps.chain_cap
-    pre, period = ceil_pattern_period(ring.p, t)
-    window = max(3, pre + period + 1)
+    pre, period = ceil_pattern_period(p, t)
     num, den = t.numerator, t.denominator
+    prev_step = (-(-num * p ** pre // den), Ideal(ring, [ring.one()]))  # K_0
     prev = None
-    quiet = 0
     for e in range(1, e_max + 1):
-        exponent = -(-num * ring.p ** e // den)  # ceil(t * p^e)
+        exponent = -(-num * p ** e // den)  # ceil(t * p^e)
         current = frobenius_root_of_power(f, exponent, e)
-        if prev is not None:
-            if current == prev:
-                quiet += 1
-                if quiet >= window:
-                    return current
-            elif not current.contains_ideal(prev):
-                raise AssertionError(
-                    "root chain failed to ascend (internal error)")
-            else:
-                quiet = 0
+        if (prev is not None and current != prev
+                and not current.contains_ideal(prev)):
+            raise AssertionError(
+                "root chain failed to ascend (internal error)")
+        if e > pre and (e - pre) % period == 0:
+            q = p ** (e - pre)
+            step = (exponent // q,
+                    frobenius_root_of_power(f, exponent % q, e - pre))
+            if step == prev_step:
+                return current
+            prev_step = step
         prev = current
     raise NoStabilizationError(
-        f"root chain did not stabilize within e_max={e_max} "
-        f"(window {window})")
+        f"root chain reached no certified fixed point by level "
+        f"e_max={e_max}")

@@ -5,7 +5,8 @@ calls whose exponents agree mod p^j; these tests pin down that a root built
 from shared prefixes equals the root of a fresh walk, in any call order,
 that a hit never hides a degree-cap error (neither a prefix hit nor a
 power that the twisted graded walk left in the shared small-power table),
-and that ``tau_bms`` roots at exactly ceil(t*p^e).
+and that ``tau_bms`` roots at exactly ceil(t*p^e) and certifies its stop
+on the chain's own digit prefixes.
 """
 
 import math
@@ -15,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
-                                    graded_piece_gens, validate_structure)
+                                    ceil_pattern_period, graded_piece_gens,
+                                    validate_structure)
 from cartierlab.errors import NoStabilizationError, ResourceCapError
 from cartierlab.fpmod import PresentedModule
 from cartierlab.fppoly import EngineCaps, Poly, RingSpec
@@ -133,14 +135,17 @@ def ceil_fractions(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tau_bms_roots_at_ceil_of_t_times_p_to_the_e(p, monkeypatch):
-    """tau_bms computes ceil(t*p^e) in integers; every exponent it asks a
-    root for equals math.ceil(t * p**e) on a Fraction."""
+    """tau_bms computes ceil(t*p^e) in integers; every exponent its chain
+    asks a root for equals math.ceil(t * p**e) on a Fraction.  After the
+    chain's root at a level e = pre + nk (n >= 1), the certificate asks for
+    the chain's digit prefix of nk levels, (ceil(t*p^e) mod p^(nk), nk)."""
     from cartierlab import testmod
 
     x = RingSpec(p, ("x",)).var("x")
     real = testmod.frobenius_root_of_power
     levels = set()
     for t in ceil_fractions(p):
+        pre, k = ceil_pattern_period(p, t)
         asked = []
 
         def recording(f, exponent, e):
@@ -152,7 +157,17 @@ def test_tau_bms_roots_at_ceil_of_t_times_p_to_the_e(p, monkeypatch):
             tau_bms(x, t, e_max=8)
         except NoStabilizationError:
             pass
-        assert asked == [(math.ceil(t * p ** e), e)
-                         for e in range(1, len(asked) + 1)], t
-        levels.update(e for _exponent, e in asked)
+        chain, certificate = [], []
+        calls = iter(asked)
+        for call in calls:
+            chain.append(call)
+            e = len(chain)
+            if e > pre and (e - pre) % k == 0:
+                certificate.append((e, next(calls, None)))
+        assert chain == [(math.ceil(t * p ** e), e)
+                         for e in range(1, len(chain) + 1)], t
+        assert certificate == [
+            (e, (math.ceil(t * p ** e) % p ** (e - pre), e - pre))
+            for e in range(pre + k, len(chain) + 1, k)], t
+        levels.update(e for _exponent, e in chain)
     assert levels == set(range(1, 9))
