@@ -586,8 +586,7 @@ def _graded_sum(cm, seed_gens, e_min):
                 if prev:
                     acc.extend(_apply_generator(cm, op, prev))
             piece = acc
-        piece_sub = cm.canon(piece)
-        pieces[e] = piece_sub.basis() if piece else []
+            pieces[e] = cm.canon(piece).basis() if piece else []
         if e < e_min:
             continue
         if all(total.contains(g) for g in piece):

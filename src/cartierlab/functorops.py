@@ -538,6 +538,11 @@ def coherent_model(cm, K=None):
     Operators must be denominator-free (the kappa (x) 1 form); K defaults to
     the uniform contraction bound of the generators.  The witness checks
     that chains started one and two gauge levels deeper re-enter the model.
+    Their seeds are c^(-(K+d)) * W for the carrier W (the whole module when
+    no carrier is set): the model is a coherent model of W_c, and a chain
+    seeded outside W may settle in a stable part of the module that W_c
+    does not reach, so it need not re-enter the model even when the model
+    is right.
     """
     c = cm.inverted
     if c is None:
@@ -568,15 +573,15 @@ def coherent_model(cm, K=None):
     else:
         core, steps = underline(plain)
     model = plain.with_carrier(core)
-    # contraction witness: a seed c^(-(K+d)) m chains back into the model.
+    # contraction witness: a seed c^(-(K+d)) m, m in the carrier, chains
+    # back into the model.
     # In the (K+d)-conjugated coordinates the model core is c^d * core.
     witness = {"underline_steps": steps, "re_entry": []}
     for depth in (1, 2):
         deeper = conjugated(K + depth)
         target = Submodule(cm.module,
                            core.scale_poly(c ** depth).gens)
-        chain = deeper.canon([cm.module.generator(i)
-                              for i in range(cm.module.rank)])
+        chain = deeper.canon(cm.carrier_sub().gens)
         entered = None
         for it in range(cm.ring.caps.chain_cap):
             chain = apply_cplus(deeper, chain)

@@ -30,11 +30,12 @@ library call's memo is dropped when its outermost scope exits; the tasks of
 one parsed ``Scene`` share the memo the scene holds.  A hit returns exactly
 what a fresh computation would, so answers never depend on what ran
 earlier.  Other layers keep their own tables in the same memo via
-``memo_table``, each opened by one function: Frobenius-root digit prefixes
-and small powers g^a (``idealkit``; the twisted graded walk of
-``cartiercore`` takes its powers from the same table); graded sums, stable
-cores, stable torsion and associated primes (``cartiercore``); and
-candidate pools and regularity verdicts (``testmod``).
+``memo_table``, each opened by one function: Frobenius-root digit steps
+(one automaton of ideals per f) and small powers g^a (``idealkit``; the
+twisted graded walk of ``cartiercore`` takes its powers from the same
+table); graded sums, stable cores, stable torsion and associated primes
+(``cartiercore``); and candidate pools and regularity verdicts
+(``testmod``).
 """
 
 import contextlib

@@ -220,57 +220,66 @@ def small_power(g, a):
 def frobenius_root_of_power(f, exponent, e):
     """root_e of the ideal (f^exponent) without expanding f^exponent.
 
-    Peels one base-p digit of the exponent per level via
-    root_1(g^[p] * J) = g * root_1(J) and root_e = root_(e-1) o root_1;
-    the leftover quotient power (at most exponent // p^e) is expanded at the
-    bottom, so intermediate degrees stay contracted.
+    Peels one base-p digit of the exponent per level, from the lowest, via
+    root_1(g^[p] * J) = g * root_1(J) and root_e = root_(e-1) o root_1; the
+    leftover quotient power (exponent // p^e) is expanded at the bottom, so
+    intermediate degrees stay contracted.
 
-    Digits are peeled from the lowest, so the basis after j levels depends
-    only on f, the ring's caps and exponent mod p^j.  The open memo scope
-    keeps one level table per (caps, f), looked up once per call, whose
-    entries are keyed on (p^j, exponent mod p^j); a jumping-number sweep
-    shares digit prefixes across its grid points and levels e.  A hit is
-    exact: the level's input list ``[f^d * g for g in previous level]``
-    (the previous level itself when d = 0), hence its ``buchberger`` basis,
-    is a function of the key.  The caps are in the key because degree
-    checks read them, so a hit never skips a ``ResourceCapError`` that a
-    fresh walk would raise.  The digit powers f^d and the tail power come
-    from ``small_power``, so a sweep builds each of them once.  The
-    fixed-point certificate of ``tau_bms`` asks for the chain's own digit
-    prefixes (exponent mod p^j, j levels), so it reads only levels the
-    chain has already built.
+    The levels walk a finite automaton of ideals.  A digit step takes the
+    ideal J of the previous level (the unit ideal at the start) to the
+    reduced basis of root_1(f^d * J), so it depends only on (f, the ring's
+    caps, d, J).  The open memo scope keeps one automaton per (caps, f),
+    looked up once per call: its states are reduced bases interned as small
+    integers (state 0 is the unit ideal) and its transitions map
+    (state, digit) to a state.  A chain of roots of powers of f meets only
+    finitely many ideals (Blickle-Mustata-Smith, Michigan Math. J. 2008),
+    and a jumping-number sweep reaches the same ideal through many digit
+    prefixes, so most steps are transitions already taken.  A hit is exact:
+    the step's input list ``[f^d * g for g in J]`` (J itself when d = 0),
+    hence its ``buchberger`` basis, is a function of (caps, f, d, J), and
+    reduced bases are unique and sorted, so equal ideals share one state.
+    The caps are in the key because degree checks read them, so a hit
+    never skips a ``ResourceCapError`` that a fresh walk would raise.  The
+    digit powers f^d and the tail power come from ``small_power``, so a
+    sweep builds each of them once.  The fixed-point certificate of
+    ``tau_bms`` asks for the chain's own digit prefixes (exponent mod p^j,
+    j levels), so it walks only transitions the chain has already taken.
 
-    When ``exponent < p^e`` the root is generated by the last level's
+    When ``exponent < p^e`` the root is generated by the last state's
     reduced basis, which the returned ideal carries as its own, so
     comparing it does not recompute it.
     """
     ring = f.ring
     p = ring.p
-    levels = memo_table("frobenius_root_of_power").setdefault(
-        (ring.caps, f), {})
-    current = (ring.one(),)
-    q = 1
+    automata = memo_table("frobenius_root_of_power")
+    automaton = automata.get((ring.caps, f))
+    if automaton is None:
+        unit = (ring.one(),)
+        automaton = automata[ring.caps, f] = ([unit], {unit: 0}, {})
+    states, ids, steps = automaton
+    state = 0
     for _ in range(e):
-        digit = exponent // q % p
-        q *= p
-        key = (q, exponent % q)
-        level = levels.get(key)
-        if level is None:
+        exponent, digit = divmod(exponent, p)
+        target = steps.get((state, digit))
+        if target is None:
+            gens = states[state]
             if digit:
                 fd = small_power(f, digit)
-                current = [fd * g for g in current]
-            gens = frobenius_root_gens(current, 1)
-            level = levels[key] = tuple(
-                v.component(0) for v in buchberger([_vec(g) for g in gens]))
-        if not level:
+                gens = [fd * g for g in gens]
+            basis = tuple(v.component(0) for v in buchberger(
+                [_vec(g) for g in frobenius_root_gens(gens, 1)]))
+            target = steps[state, digit] = ids.setdefault(basis, len(states))
+            if target == len(states):
+                states.append(basis)
+        state = target
+        if not states[state]:
             return Ideal(ring, [])
-        current = level
-    remaining = exponent // q
-    if remaining == 0:
+    current = states[state]
+    if exponent == 0:
         root = Ideal(ring, current)
         root._gb = current
         return root
-    tail = small_power(f, remaining)
+    tail = small_power(f, exponent)
     return Ideal(ring, [tail * g for g in current])
 
 

@@ -549,10 +549,11 @@ def tau_bms(f, t, e_max=None):
     root_pre(K_n) and the J chain ascends, so J is constant from level
     pre + nk on, and the level pre + (n+1)k where the equality is seen is
     returned.  With A = ceil(t*p^e) at e = pre + nk, K_n = f^m * L_n for
-    m = A // p^(nk) and L_n = root_(nk)(f^(A mod p^(nk))), the chain's own
-    digit prefix after nk levels; K_0 is (f^ceil(t*p^pre)).  K_(n+1) = K_n
-    is tested as equality of the pairs (m, L_n), so no power f^m * L_n is
-    built.
+    m = A // p^(nk) and L_n = root_(nk)(f^(A mod p^(nk))), the ideal the
+    chain's own root walk reached after the lowest nk digits of A, so
+    ``frobenius_root_of_power`` reads it off digit steps the chain has
+    already taken; K_0 is (f^ceil(t*p^pre)).  K_(n+1) = K_n is tested as
+    equality of the pairs (m, L_n), so no power f^m * L_n is built.
 
     Raises NoStabilizationError when level e_max passes without that
     equality.  The chain must ascend; equal ideals contain each other, so

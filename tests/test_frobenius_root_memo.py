@@ -1,12 +1,14 @@
-"""The digit-prefix memo of ``frobenius_root_of_power``.
+"""The transition table of ``frobenius_root_of_power``.
 
-Inside a ``memo_scope`` the basis after j digit levels is shared between
-calls whose exponents agree mod p^j; these tests pin down that a root built
-from shared prefixes equals the root of a fresh walk, in any call order,
-that a hit never hides a degree-cap error (neither a prefix hit nor a
-power that the twisted graded walk left in the shared small-power table),
-and that ``tau_bms`` roots at exactly ceil(t*p^e) and certifies its stop
-on the chain's own digit prefixes.
+Inside a ``memo_scope`` each f keeps a finite automaton whose states are
+reduced bases and whose transitions are digit steps J -> root_1(f^d * J).
+These tests pin down that a root walked on shared transitions equals the
+root of the expanded power and the root of a fresh walk, in any call order,
+that each transition is computed once, that a hit never hides a degree-cap
+error (neither a transition hit nor a power that the twisted graded walk
+left in the shared small-power table), and that ``tau_bms`` roots at
+exactly ceil(t*p^e) and certifies its stop on the chain's own digit
+prefixes.
 """
 
 import math
@@ -21,6 +23,7 @@ from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
 from cartierlab.errors import NoStabilizationError, ResourceCapError
 from cartierlab.fpmod import PresentedModule
 from cartierlab.fppoly import EngineCaps, Poly, RingSpec
+from cartierlab import idealkit
 from cartierlab.groebner import memo_scope, memo_table
 from cartierlab.idealkit import Ideal, frobenius_root, frobenius_root_of_power
 from cartierlab.testmod import tau_bms
@@ -57,10 +60,71 @@ def test_shared_prefixes_give_the_fresh_root_in_any_order(p):
     with memo_scope():
         for call in calls:
             assert frobenius_root_of_power(*call) == fresh[call]
-        shared = sum(len(levels) for levels
-                     in memo_table("frobenius_root_of_power").values())
-    # the calls did share prefixes, so the memo was read, not just filled
-    assert shared < sum(e for _f, _A, e in calls)
+        computed = transitions(memo_table("frobenius_root_of_power"))
+    # the calls did share transitions, so the table was read, not just filled
+    assert computed < sum(e for _f, _A, e in calls)
+
+
+def transitions(automata):
+    """Number of (state, digit) transitions in a table of automata."""
+    return sum(len(steps) for _states, _ids, steps in automata.values())
+
+
+# singular curves, whose root chains pass through several proper ideals
+CUSPS = ("x^3 + y^2", "x^2*y + y^3", "x^4 + y^3", "x^3*y + y^4")
+
+
+def sweep_calls(p, seed):
+    """Seeded (f, A, e) calls on two cusps and one random draw, in shuffled
+    order, with A < 64 so that f^A stays small enough to expand; levels
+    e = 1..5 at p = 2 and 1..3 above."""
+    rng = random.Random(seed)
+    ring = RingSpec(p, ("x", "y"))
+    calls = []
+    for f in [ring.parse(c) for c in rng.sample(CUSPS, 2)] + \
+            [random_nonunit(ring, rng)]:
+        for e in range(1, 6 if p == 2 else 4):
+            exponents = range(min(2 * p ** e, 64))
+            calls += [(f, A, e)
+                      for A in rng.sample(exponents, min(12, len(exponents)))]
+    rng.shuffle(calls)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_automaton_walk_gives_the_root_of_the_expanded_power(p):
+    calls = sweep_calls(p, 7300 + p)
+    with memo_scope():
+        for f, A, e in calls:
+            assert frobenius_root_of_power(f, A, e) == \
+                frobenius_root(Ideal(f.ring, [f ** A]), e), (f, A, e)
+        automata = memo_table("frobenius_root_of_power")
+    # some proper ideal was reached through two different digit prefixes,
+    # so the walks crossed on a state and did not only share prefixes
+    assert any(
+        len({source_digit for source_digit, target in steps.items()
+             if target == state}) > 1
+        for _states, _ids, steps in automata.values()
+        for state in set(steps.values()) if state != 0), p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_each_transition_takes_one_root(p, monkeypatch):
+    real = idealkit.frobenius_root_gens
+    roots = []
+
+    def counting(gens, e):
+        roots.append(e)
+        return real(gens, e)
+
+    monkeypatch.setattr(idealkit, "frobenius_root_gens", counting)
+    calls = sweep_calls(p, 7400 + p)
+    with memo_scope():
+        for call in calls + calls:
+            frobenius_root_of_power(*call)
+        computed = transitions(memo_table("frobenius_root_of_power"))
+    assert roots == [1] * computed
+    assert computed < sum(e for _f, _A, e in calls)
 
 
 def test_tau_bms_over_a_sweep_equals_each_point_alone():

@@ -11,6 +11,10 @@ statements are checked on every draw, with no draw dropped or redrawn:
   (``shriek_finite``) commutes with tau, and the associated primes upstairs
   are the fiber primes of those below, on untwisted draws.
 
+A third test runs ``quasi_finite_check`` (tau o f_* inside f_* o tau) on the
+p = 2 draws whose tau upstairs is smaller than the module, where the
+coherent model of tau must certify its re-entry witness.
+
 The p = 5 covers have five dual slots, so a rank-2 draw there is a rank-10
 module upstairs; every family runs ten draws.
 """
@@ -21,7 +25,8 @@ import random
 import pytest
 
 from cartierlab.cartiercore import ass_cartier, validate_structure
-from cartierlab.functorops import (RingMap, fiber_primes, shriek_affine_line,
+from cartierlab.functorops import (RingMap, fiber_primes,
+                                   quasi_finite_check, shriek_affine_line,
                                    shriek_finite)
 from cartierlab.idealkit import Ideal
 from cartierlab.testmod import tau
@@ -62,6 +67,19 @@ def test_artin_schreier_cover_commutes(p, draws):
             fibers |= {tuple(q.ideal.serialize())
                        for q in fiber_primes(rmap, pr)}
         assert primes(up.cm) == fibers, (p, seed)
+
+
+def test_quasi_finite_check_when_tau_upstairs_is_proper():
+    # draws 2, 3 and 5 of the p = 2 family with z inverted upstairs: tau is
+    # smaller than the module there, and the re-entry witness of its
+    # coherent model starts from tau, not from the whole module
+    for seed in (2, 3, 5):
+        rng = random.Random(2000 * 2 + seed)
+        cm = random_cartier_module(rng, 2, 1)
+        rmap = RingMap.finite(cm.ring, "z", "z^2 - z + x")
+        up = shriek_finite(cm, rmap)
+        report = quasi_finite_check(up.cm, rmap.target.parse("z"), rmap)
+        assert report["included"], seed
 
 
 def test_the_cheapest_isolating_element_verifies_the_cover_prime():
