@@ -426,6 +426,13 @@ def graded_piece_gens(cm, e, seed_gens):
     digit by digit: kappa(g^[q] h m) = g kappa(h m) turns a pending a^A into
     a^((A-|gamma|)/q) after each letter, so huge ideal powers never get
     expanded; only the final small leftover does.
+
+    The per-level states are kept as ``_piece_basis``, unsaturated.  Every
+    letter phi has phi(N^sat) <= phi(N)^sat (the argument in
+    ``_graded_sum``), and so does multiplication by a digit's small power,
+    so each state spans a submodule S' with S' <= S <= S'^sat for the
+    saturated state S, and the returned generators span the saturated
+    walk's piece up to saturation.
     """
     algebra = cm.algebra
     ring = cm.ring
@@ -438,7 +445,7 @@ def graded_piece_gens(cm, e, seed_gens):
             continue
         # keep state generator sets small: span is all that matters
         for pending in list(level):
-            level[pending] = cm.canon(level[pending]).basis()
+            level[pending] = _piece_basis(cm, level[pending])
         for op in algebra.generators:
             nxt = consumed + op.e
             if nxt > e:
@@ -464,6 +471,12 @@ def graded_piece_gens(cm, e, seed_gens):
                                       ring.caps.twist_expand_cap):
             out.extend(v.mul_poly(f) for v in gens)
     return out
+
+
+def _piece_basis(cm, gens):
+    """Reduced basis of the span of ``gens``, left unsaturated: the form of
+    a graded walk's intermediate pieces (see ``_graded_sum``)."""
+    return Submodule(cm.module, gens).basis()
 
 
 def ceil_pattern_period(p, t):
@@ -550,6 +563,17 @@ def _graded_sum(cm, seed_gens, e_min):
     ``chain_cap`` (else the scan runs on and raises as before).  With
     e_min > 0 the seed is not in the sum, so it is checked to lie in the
     carrier first.
+
+    The seed, every running total and the returned sum are canonical
+    (c-saturated); the intermediate pieces (``pieces[e]`` here and the
+    per-level states of ``graded_piece_gens``) are only reduced, by
+    ``_piece_basis``.  That changes nothing: if c^k x lies in N, then
+    c^m phi(x) = phi(c^(m p^e) x) lies in phi(N) once m p^e >= k (the
+    projection formula), so phi(N^sat) <= phi(N)^sat for every letter phi.
+    By induction an unsaturated piece P' and the saturated piece P have
+    P' <= P <= P'^sat, so a saturated total contains P exactly when it
+    contains P', and adding either gives the same canonical sum: every
+    quiet/growth decision, every total and every info dict is unchanged.
     """
     e_cap = cm.ring.caps.chain_cap
     pieces = {0: seed_gens}
@@ -586,7 +610,7 @@ def _graded_sum(cm, seed_gens, e_min):
                 if prev:
                     acc.extend(_apply_generator(cm, op, prev))
             piece = acc
-            pieces[e] = cm.canon(piece).basis() if piece else []
+            pieces[e] = _piece_basis(cm, piece) if piece else []
         if e < e_min:
             continue
         if all(total.contains(g) for g in piece):

@@ -41,7 +41,7 @@ from .cartiercore import (CartierAlgebraSpec, CartierModule, CartierOp,
 from .errors import GaugeBoundError, UnsupportedShapeError
 from .fppoly import Poly, RingSpec, gauge_of
 from .fpmod import PresentedModule, Submodule
-from .groebner import VecPoly
+from .groebner import VecPoly, memo_scope, memo_table
 from .idealkit import Ideal, PrimeIdeal, _coeffs_in_var, minimal_primes
 
 
@@ -725,6 +725,7 @@ def pushforward_point(cm):
 # the commutation test suite
 
 
+@memo_scope()
 def commutation_suite(cm, rmap, seed=0):
     """Evaluate both sides of every statement applicable to the map kind.
 
@@ -733,7 +734,23 @@ def commutation_suite(cm, rmap, seed=0):
     associated primes are transported in the direction the map allows.  A
     statement that does not apply is None: the shriek half on a module given
     upstairs, and the pushforward half on a twisted module pulled back.
+
+    Reports are memoised in the ``commutation_suite`` table of the open
+    memo scope on the module's structure key, its carrier's basis, the map
+    (its serialized kind and data, source and target ring) and the seed, so a
+    scene's ``pushforward`` task reads back the report its ``pullback`` twin
+    built; no argument bypasses the table.  Each call gets its own copy of
+    the report dict.
     """
+    memo = memo_table("commutation_suite")
+    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()),
+           tuple(rmap.serialize().items()), rmap.source, rmap.target, seed)
+    if key not in memo:
+        memo[key] = _commutation_suite(cm, rmap, seed)
+    return dict(memo[key])
+
+
+def _commutation_suite(cm, rmap, seed):
     from .testmod import tau
 
     report = {"kind": rmap.kind}
@@ -799,6 +816,7 @@ def commutation_suite(cm, rmap, seed=0):
     raise UnsupportedShapeError(f"no suite for map kind {rmap.kind!r}")
 
 
+@memo_scope()
 def quasi_finite_check(cm_upstairs, invert, rmap, seed=0):
     """tau o f_* inside f_* o tau for f = (finite g) o (open immersion j).
 
@@ -834,6 +852,7 @@ def _reinstantiate_map(rmap, ring):
     return RingMap.affine_line(ring, desc["var"])
 
 
+@memo_scope()
 def composite_pullback_report(cm, rmaps, seed=0):
     """Chase tau up a left-to-right composite of pullbacks.
 

@@ -24,7 +24,7 @@ many reductions finds its leads once.  ``interreduce`` turns a Groebner
 basis into the reduced one in a single pass once redundant leads are gone.
 
 Inside a ``memo_scope`` (opened by the top-level calls of the
-``cartiercore``, test-module and filtration layers), ``buchberger``
+``cartiercore``, test-module, filtration and functor layers), ``buchberger``
 remembers each reduced basis it computed, keyed on its exact input.  A
 library call's memo is dropped when its outermost scope exits; the tasks of
 one parsed ``Scene`` share the memo the scene holds.  A hit returns exactly
@@ -34,8 +34,9 @@ earlier.  Other layers keep their own tables in the same memo via
 (one automaton of ideals per f) and small powers g^a (``idealkit``; the
 twisted graded walk of ``cartiercore`` takes its powers from the same
 table); graded sums, stable cores, stable torsion and associated primes
-(``cartiercore``); and candidate pools and regularity verdicts
-(``testmod``).
+(``cartiercore``); candidate pools, regularity verdicts, and ``tau`` and
+``tau_prime`` results (``testmod``); and ``commutation_suite`` reports
+(``functorops``).
 """
 
 import contextlib

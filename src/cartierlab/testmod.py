@@ -497,9 +497,38 @@ def _tau_engine(cmc, stab, primes, test_elements, e0, holds_at):
     return TauResult(total, cert)
 
 
+def _memoised(memo, compute, cm, test_elements, candidates, e0, seed):
+    """``compute(cm, test_elements, candidates, e0, seed)``, read from the
+    memo table ``memo`` when nothing is supplied.
+
+    The table is keyed on the structure key, the carrier's basis, ``e0``
+    and the seed: a search from those alone picks the test elements and
+    candidate primes, so the answer and its certificate depend on nothing
+    else.  Supplied ``test_elements`` or ``candidates`` bypass the table.
+    Each call gets its own copy of the certificate dict.
+    """
+    if test_elements is not None or candidates is not None:
+        return compute(cm, test_elements, candidates, e0, seed)
+    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()), e0, seed)
+    if key not in memo:
+        memo[key] = compute(cm, None, None, e0, seed)
+    result = memo[key]
+    return TauResult(result.submodule, dict(result.certificate))
+
+
 @memo_scope()
 def tau(cm, test_elements=None, candidates=None, e0=0, seed=0):
-    """Test module via the per-prime closure formula, with verification."""
+    """Test module via the per-prime closure formula, with verification.
+
+    Memoised in the ``tau`` table of the open memo scope on the structure
+    key, the carrier's basis, ``e0`` and the seed; a call that supplies
+    ``test_elements`` or ``candidates`` bypasses the table.
+    """
+    return _memoised(memo_table("tau"), _tau, cm, test_elements, candidates,
+                     e0, seed)
+
+
+def _tau(cm, test_elements, candidates, e0, seed):
     core, stab = underline(cm)
     cmc = cm.with_carrier(core)
     if core.is_trivial():
@@ -517,8 +546,14 @@ def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0):
 
     The per-prime elements must isolate their prime (lie in every associated
     prime strictly above it): without isolation the closure picks up embedded
-    components and overshoots the minimal qualifying submodule.
+    components and overshoots the minimal qualifying submodule.  Memoised
+    like ``tau``, in its own ``tau_prime`` table.
     """
+    return _memoised(memo_table("tau_prime"), _tau_prime, cm, test_elements,
+                     candidates, e0, seed)
+
+
+def _tau_prime(cm, test_elements, candidates, e0, seed):
     core, stab = underline(cm)
     if core.is_trivial():
         return TauResult(core, {"note": "stable core is zero"})

@@ -1,10 +1,11 @@
-"""Differential test: a graded sum that fills its carrier stops early.
+"""Differential tests of the graded-sum scan against a windowed oracle.
 
 ``graded_sum`` returns as soon as the running sum equals the module's
 algebra-stable carrier (with the seed inside it), reporting the degree the
-windowed scan would have stopped at.  The oracle below is that windowed scan,
-which walks every quiet degree; both must give the same submodule and the
-same info dict.
+windowed scan would have stopped at; and it keeps its intermediate pieces
+unsaturated.  The oracle below is the windowed scan with every piece
+saturated, which walks every quiet degree; both must give the same
+submodule and the same info dict.
 """
 
 import random
@@ -14,20 +15,52 @@ import pytest
 
 from cartierlab import cartiercore
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
-                                    _apply_generator, _max_degree,
-                                    _twist_window, graded_piece_gens,
+                                    _apply_generator, _expand_twist_powers,
+                                    _max_degree, _twist_moves, _twist_window,
                                     graded_sum, underline, validate_structure)
 from cartierlab.errors import InvalidStructureError, ResourceCapError
 from cartierlab.fppoly import EngineCaps, RingSpec
 from cartierlab.groebner import VecPoly, memo_scope
 from cartierlab.fpmod import PresentedModule
 from cartierlab.idealkit import Ideal
+from cartierlab.testmod import candidate_elements
 
 from instancegen import friendly_factor, random_cartier_module
 
 
+def saturated_piece_gens(cm, e, seed_gens):
+    """``graded_piece_gens`` with every per-level state saturated."""
+    ring = cm.ring
+    twists = cm.algebra.twists
+    states = {0: {cm.algebra.twist_exponents(e): list(seed_gens)}}
+    for consumed in range(e):
+        level = states.get(consumed)
+        if not level:
+            continue
+        for pending in list(level):
+            level[pending] = cm.canon(level[pending]).basis()
+        for op in cm.algebra.generators:
+            if consumed + op.e > e:
+                continue
+            target = states.setdefault(consumed + op.e, {})
+            for pending, gens in level.items():
+                for mult, new_pending in _twist_moves(ring, twists, op.e,
+                                                      pending):
+                    scaled = [v.mul_poly(mult) for v in gens]
+                    images = _apply_generator(cm, op, scaled)
+                    if images:
+                        target.setdefault(new_pending, []).extend(images)
+    out = []
+    for pending, gens in sorted(states.get(e, {}).items()):
+        for f in _expand_twist_powers(twists, pending,
+                                      ring.caps.twist_expand_cap):
+            out.extend(v.mul_poly(f) for v in gens)
+    return out
+
+
 def windowed_sum(cm, seed_gens, e_min):
-    """The scan without the carrier stop: ``w`` quiet degrees end the sum."""
+    """The scan without the carrier stop, every piece saturated: ``w``
+    quiet degrees end the sum."""
     e_cap = cm.ring.caps.chain_cap
     pieces = {0: seed_gens}
     max_gen_e = max(op.e for op in cm.algebra.generators)
@@ -37,7 +70,7 @@ def windowed_sum(cm, seed_gens, e_min):
     quiet = 0
     for e in range(1, e_cap + 1):
         if twisted:
-            piece = graded_piece_gens(cm, e, seed_gens)
+            piece = saturated_piece_gens(cm, e, seed_gens)
         else:
             piece = []
             for op in cm.algebra.generators:
@@ -115,6 +148,38 @@ def test_early_stop_matches_windowed_scan(p, rank, twisted):
             filled += got[0] == cmc.carrier
     # the carrier seed always fills the carrier (e_min=0), so the stop runs
     assert filled >= 1
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_unsaturated_pieces_match_the_saturated_scan(twisted, monkeypatch):
+    # over M_c the walk keeps its intermediate pieces unsaturated; some of
+    # them must differ from their saturation, or nothing is tested
+    unsaturated = 0
+    real = cartiercore._piece_basis
+
+    def recording(cm, gens):
+        nonlocal unsaturated
+        basis = real(cm, gens)
+        unsaturated += basis != cm.canon(gens).basis()
+        return basis
+
+    monkeypatch.setattr(cartiercore, "_piece_basis", recording)
+    for p in (2, 3, 5):
+        for rank in (1, 2):
+            cm = draw(p, rank, twisted, seed=2000 * p + 10 * rank + twisted)
+            pool = [c for c in candidate_elements(cm) if not c.is_constant()]
+            for c in pool[:5]:
+                loc = cm.localize(c)
+                cmc = loc.with_carrier(underline(loc)[0])
+                for seed in seeds(cmc):
+                    for e_min in (0, 1):
+                        with memo_scope():
+                            got = graded_sum(cmc, seed, e_min=e_min)
+                        want = windowed_sum(cmc, seed.basis(), e_min)
+                        assert got[0].basis() == want[0].basis(), (p, rank, c)
+                        assert (list(got[1].items())
+                                == list(want[1].items())), (p, rank, c)
+    assert unsaturated > 0
 
 
 def test_cap_below_the_stop_still_raises(monkeypatch):
