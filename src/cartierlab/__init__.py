@@ -35,9 +35,9 @@ from .fpmod import (ModuleMap, PresentedModule, Submodule, support_vanishes,
 from .fppoly import (EngineCaps, Gauge, Poly, RingSpec, cartier_trace,
                      gauge_of, pe_decompose)
 from .functorops import (RingMap, coherent_model, coherent_models_agree,
-                         fiber_primes, gauge_growth_probe, pullback_algebra,
-                         pushforward_finite, pushforward_point, shriek_affine_line,
-                         shriek_finite, shriek_localize)
+                         fiber_primes, gauge_growth_probe, pushforward_finite,
+                         pushforward_point, shriek_affine_line, shriek_finite,
+                         shriek_localize)
 from .idealkit import (Ideal, PrimeIdeal, frobenius_root,
                        frobenius_root_of_power, minimal_primes)
 from .testmod import (TauResult, TestElementSequence, find_test_elements,

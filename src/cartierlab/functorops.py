@@ -39,7 +39,7 @@ from .cartiercore import (CartierAlgebraSpec, CartierModule, CartierOp,
                           apply_cplus, ass_cartier, operator_from_action,
                           underline, validate_structure)
 from .errors import GaugeBoundError, UnsupportedShapeError
-from .fppoly import Poly, RingSpec, gauge_of
+from .fppoly import Poly, gauge_of
 from .fpmod import PresentedModule, Submodule
 from .groebner import VecPoly, memo_scope, memo_table
 from .idealkit import Ideal, PrimeIdeal, _coeffs_in_var, minimal_primes
@@ -156,22 +156,6 @@ class FiniteMapData:
                     out[u] = out[u] + mono * coeff
         return out
 
-    def multiplication_trace(self, s):
-        """Trace of multiplication by s on the basis 1..z^(k-1)."""
-        source = self.rmap.source
-        srows = self.reduce_scalar(s)
-        total = source.zero()
-        for l in range(self.k):
-            # s * z^l = sum_u srows[u] z^(u+l); take the coefficient at z^l
-            acc = source.zero()
-            for u, h in enumerate(srows):
-                if h.is_zero():
-                    continue
-                zrow = self.zpow(u + l)
-                acc = acc + h * zrow[l]
-            total = total + acc
-        return total
-
     def monomial(self, a, l):
         """The S-exponent of x^a z^l for an R-exponent a."""
         return tuple(a) + (l,)
@@ -207,75 +191,6 @@ class FiniteMapData:
             for j in range(vec.rank)
             for l, h in enumerate(self.reduce_scalar(vec.component(j)))
             for m, c in h.terms.items()))
-
-
-# ---------------------------------------------------------------------------
-# pullback algebras
-
-
-@dataclass(frozen=True)
-class PulledBackElement:
-    op: CartierOp
-    scalar: object  # Poly over the target ring
-
-    @property
-    def e(self):
-        return self.op.e
-
-    def multiply(self, other):
-        """(kappa (x) s)(kappa' (x) t) = kappa kappa' (x) s^(p^e') t."""
-        s_pow = self.scalar.frobenius(other.e)
-        return PulledBackElement(self.op.compose(other.op),
-                                 s_pow * other.scalar)
-
-    def left_scalar(self, r):
-        """r . (kappa (x) t) = kappa (x) r^(p^e) t."""
-        return PulledBackElement(self.op, r.frobenius(self.e) * self.scalar)
-
-
-@dataclass
-class PulledBackAlgebra:
-    base: CartierAlgebraSpec
-    target_ring: RingSpec
-
-    def canonical_generators(self):
-        one = self.target_ring.one()
-        return [PulledBackElement(op, one) for op in self.base.generators]
-
-
-def pullback_algebra(algebra, rmap):
-    return PulledBackAlgebra(algebra, rmap.target)
-
-
-def check_pullback_laws(pb, samples):
-    """Associativity, the bimodule law, and multiplicativity of k -> k(x)1.
-
-    ``samples`` is a list of (scalar, scalar, scalar) over the target ring.
-    """
-    gens = pb.canonical_generators()
-    ok = True
-    for s, t, u in samples:
-        for a in gens:
-            for b in gens:
-                x = PulledBackElement(a.op, s)
-                y = PulledBackElement(b.op, t)
-                for c in gens:
-                    z = PulledBackElement(c.op, u)
-                    left = x.multiply(y).multiply(z)
-                    right = x.multiply(y.multiply(z))
-                    ok &= (left.op == right.op
-                           and left.scalar == right.scalar)
-                # bimodule: (r . x) * y == r . (x * y) needs r^(p^(e_x+e_y))
-                r = u
-                lhs = x.left_scalar(r).multiply(y)
-                rhs = x.multiply(y).left_scalar(r)
-                ok &= (lhs.op == rhs.op and lhs.scalar == rhs.scalar)
-        # canonical map is multiplicative
-        for a in gens:
-            for b in gens:
-                prod = a.multiply(b)
-                ok &= prod.scalar.is_one()
-    return ok
 
 
 # ---------------------------------------------------------------------------

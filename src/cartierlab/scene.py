@@ -16,7 +16,8 @@ Grammar (line-based; ``#`` starts a comment; values with spaces are quoted):
 Vectors separate components with ``|``; lists of vectors with ``;``; matrix
 rows with ``/`` and entries with ``,``.  Polynomials use the engine's text
 grammar.  Every pair is validated before any task runs.  Rationals are
-always N/D in lowest terms.
+always N/D in lowest terms.  A task line takes only the fields its op reads
+(``_TASK_FIELDS``); any other field is a parse error.
 """
 
 import contextlib
@@ -72,6 +73,13 @@ class _Fields:
 
     def __contains__(self, key):
         return key in self.kv
+
+    def only(self, allowed, what):
+        """Reject a field outside ``allowed``: a misspelt key would
+        otherwise drop the check or setting it names without a word."""
+        unknown = sorted(set(self.kv) - set(allowed))
+        if unknown:
+            raise self.error(f"unknown {what} field {unknown[0]}=")
 
     def error(self, message):
         return ParseError(message, line=self.line)
@@ -137,10 +145,11 @@ def _kv(parts):
 
 
 def _parse_fraction(text):
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, slash, den = text.partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational N or N/D: {text!r}") from None
 
 
 def _fraction_text(t):
@@ -199,9 +208,7 @@ def _parse_line(scene, line, line_no, default_name):
         return
     if head == "ring":
         f = _Fields(scene, _kv(rest), line_no)
-        unknown = sorted(set(f.kv) - {"p", "vars", "maxdeg"})
-        if unknown:
-            raise f.error(f"unknown ring field {unknown[0]}=")
+        f.only({"p", "vars", "maxdeg"}, "ring")
         caps = EngineCaps(max_total_degree=f.integer("maxdeg")) \
             if "maxdeg" in f else EngineCaps()
         variables = [v for v in f.kv.get("vars", "").split(",") if v]
@@ -244,6 +251,13 @@ def _parse_line(scene, line, line_no, default_name):
         scene.pairs[name_] = validate_structure(
             module, algebra, carrier=carrier, inverted=inverted)
     else:
+        # an unknown op is left to run_task, which reports it as the task's
+        # error
+        if name_ in _TASK_FIELDS:
+            f.only(_TASK_FIELDS[name_], name_)
+        if "check" in f and f.kv["check"] not in _PULLBACK_CHECKS:
+            raise f.error(f"check must be one of {', '.join(_PULLBACK_CHECKS)}"
+                          f", got {f.kv['check']!r}")
         scene.tasks.append({**f.kv, "op": name_, "line": line_no})
 
 
@@ -525,13 +539,34 @@ _TASK_OPS = {"tau": _run_tau, "tauprime": _run_tau, "taubms": _run_taubms,
              "quasifinite": _run_quasifinite, "model": _run_model,
              "point-pushforward": _run_point_pushforward}
 
+# the fields each op's handler reads; _parse_line rejects any other
+_TAU_FIELDS = {"pair", "t", "ideal", "test-elements", "e0", "expect"}
+_TASK_FIELDS = {
+    "tau": _TAU_FIELDS, "tauprime": _TAU_FIELDS,
+    "taubms": {"f", "t", "expect"},
+    "stabilize": {"pair", "expect-exponent", "expect"},
+    "nilpotent": {"pair", "sub", "at", "expect"},
+    "ass": {"pair", "expect"}, "fregular": {"pair", "expect"},
+    "testelements": {"pair", "expect"},
+    "jumps": {"pair", "ideal", "max-t", "denom-caps", "exact-policy",
+              "expect-jumps"},
+    "gr": {"pair", "ideal", "t", "expect-nonzero", "expect-nilpotent"},
+    "skoda": {"pair", "ideal", "t"},
+    "pullback": {"pair", "map", "check"},
+    "pushforward": {"pair", "map"},
+    "quasifinite": {"pair", "map", "invert", "expect-strict"},
+    "model": {"pair", "expect-core", "expect-tau", "expect-strict"},
+    "point-pushforward": {"pair", "expect-negative"}}
+# a finite pullback's check: tau equal up and down, or only included
+_PULLBACK_CHECKS = ("tau-commutes", "tau-included")
+
 
 def run_task(scene, task, flags):
     f = _Fields(scene, task, task.get("line"))
     handler = _TASK_OPS.get(task["op"])
     if handler is None:
         raise f.error(f"unknown task op {task['op']!r}")
-    seed = f.make(int, flags.get("seed", task.get("seed", 0)))
+    seed = flags.get("seed", 0)
     with _at_line(f.line), memo_scope(scene.memo):
         return handler(f, flags, seed)
 

@@ -1,5 +1,8 @@
 """Functor calculus: pullbacks, pushforwards, coherent models, the suite."""
 
+from itertools import product
+import random
+
 import pytest
 
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
@@ -10,19 +13,19 @@ from cartierlab.errors import (GaugeBoundError, ResourceCapError,
                                UnsupportedShapeError)
 from cartierlab.fppoly import EngineCaps, RingSpec, cartier_trace
 from cartierlab.fpmod import ModuleMap, PresentedModule, present_submodule
-from cartierlab.functorops import (FiniteMapData, PulledBackElement, RingMap,
-                                   coherent_model, coherent_models_agree,
-                                   commutation_suite,
+from cartierlab.functorops import (FiniteMapData, RingMap, coherent_model,
+                                   coherent_models_agree, commutation_suite,
                                    contract_prime, fiber_primes,
                                    gauge_growth_probe, pullback,
-                                   pullback_algebra,
-                                   check_pullback_laws, pushforward_finite,
+                                   pushforward_finite,
                                    pushforward_point, shriek_affine_line,
                                    shriek_finite, shriek_localize,
                                    _vec_map_ring)
 from cartierlab.groebner import LiftContext, VecPoly
 from cartierlab.idealkit import Ideal
 from cartierlab.testmod import is_f_regular, tau
+
+from instancegen import random_cartier_module
 
 
 def plain_line(p=3):
@@ -40,40 +43,36 @@ def twisted_line(p=2):
         [CartierOp(1, [[x ** (p - 1)]])]))
 
 
-class TestPullbackAlgebra:
-    def test_identity_form(self):
-        cm = plain_line()
-        rmap = RingMap.affine_line(cm.ring, "u")
-        pb = pullback_algebra(cm.algebra, rmap)
-        assert all(el.scalar.is_one() for el in pb.canonical_generators())
+@pytest.mark.parametrize("p", [2, 3])
+def test_pullback_preserves_composition(p):
+    """f^! of the algebra product U.V is the product of f^!U and f^!V.
 
-    def test_multiplication_law_p2(self):
-        cm = twisted_line(2)
-        rmap = RingMap.affine_line(cm.ring, "u")
-        pb = pullback_algebra(cm.algebra, rmap)
-        S = rmap.target
-        s, t = S.parse("u"), S.parse("x*u")
-        a = PulledBackElement(cm.algebra.generators[0], s)
-        b = PulledBackElement(cm.algebra.generators[0], t)
-        prod = a.multiply(b)
-        assert prod.scalar == s.frobenius(1) * t  # s^(p^e') t with e'=1
-
-    def test_left_module_law_p3(self):
-        cm = plain_line(3)
-        rmap = RingMap.affine_line(cm.ring, "u")
-        S = rmap.target
-        r, t = S.parse("u + x"), S.parse("u")
-        el = PulledBackElement(cm.algebra.generators[0], t)
-        assert el.left_scalar(r).scalar == r ** 3 * t
-
-    def test_laws_on_samples(self):
-        cm = twisted_line(2)
-        rmap = RingMap.finite(cm.ring, "z", "z^2 + z + x")
-        pb = pullback_algebra(cm.algebra, rmap)
-        S = rmap.target
-        samples = [(S.parse("z"), S.parse("x"), S.parse("z + x")),
-                   (S.one(), S.parse("x*z"), S.parse("z"))]
-        assert check_pullback_laws(pb, samples)
+    The algebra downstairs is generated by U, V and U.V, so ``pullback``
+    builds the operator of U.V on its own.  Upstairs, the composite of the
+    pulled-back U and V must agree with it on every basis element x^a e_j
+    of the free cover at level e_U + e_V, modulo the relations, along an
+    etale, a ramified and an affine-line map.
+    """
+    for s in range(6):
+        drawn = random_cartier_module(random.Random(9000 + 10 * p + s), p, 1,
+                                      extra_generator=True)
+        U, V = drawn.algebra.generators
+        cm = validate_structure(drawn.module,
+                                CartierAlgebraSpec([U, V, U.compose(V)]))
+        R = cm.ring
+        for rmap in (RingMap.finite(R, "z", f"z^{p} - z + x"),
+                     RingMap.finite(R, "z", "z^2 - x"),
+                     RingMap.affine_line(R, "u")):
+            up = pullback(cm, rmap).cm
+            U_up, V_up, UV_up = up.algebra.generators
+            composite = U_up.compose(V_up)
+            M = up.module
+            q = p ** composite.e
+            for a in product(range(q), repeat=up.ring.nvars):
+                for j in range(M.rank):
+                    v = VecPoly(up.ring, M.rank, {(j, a): 1})
+                    assert M.reduce(composite.apply_vec(v)) == \
+                        M.reduce(UV_up.apply_vec(v)), (s, rmap, a, j)
 
 
 class TestShriekFinite:
@@ -437,18 +436,6 @@ class TestAdjunctions:
         phi = ModuleMap.identity(cm.module)
         loc = shriek_localize(cm, cm.ring.var("x")).cm
         assert check_equivariant(phi, cm, loc)
-
-
-class TestTrace:
-    def test_frobenius_compatibility(self):
-        R = RingSpec(2, ("x",))
-        rmap = RingMap.finite(R, "z", "z^2 + z + x")  # etale double cover
-        data = FiniteMapData(rmap)
-        S = rmap.target
-        for text in ("z", "x*z + 1", "z + x", "x^2*z"):
-            s = S.parse(text)
-            assert data.multiplication_trace(s * s) == \
-                data.multiplication_trace(s) ** 2
 
 
 class TestCoherentModel:

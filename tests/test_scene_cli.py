@@ -10,7 +10,8 @@ import pytest
 
 from cartierlab import groebner
 from cartierlab.cache import ResultCache, canonical_json
-from cartierlab.cli import corpus_scene_names, main, run_corpus
+from cartierlab.cli import (_build_parser, _flags, corpus_scene_names, main,
+                            run_corpus)
 from cartierlab.errors import ParseError
 from cartierlab.scene import parse_scene, run_scene, run_task
 
@@ -330,6 +331,55 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         assert main(["check", "--scene", str(scene), "--json"]) == 5
         captured = capsys.readouterr()
         assert f"(line {line})" in captured.out + captured.err
+
+    # (scene text, line, the rejected field or value the message names)
+    TYPOS = {
+        "misspelt-expect": (FLOOR + 'task tau pair=P expct="y"\n', 8,
+                            "expct="),
+        "misspelt-pullback-check": (
+            FLOOR + 'map F kind=finite adjoin=z relation="z^2+y"\n'
+            "task pullback pair=P map=F check=tau-comutes\n", 9,
+            "'tau-comutes'"),
+        "task-level-seed": (FLOOR + "task fregular pair=P seed=3\n", 8,
+                            "seed="),
+    }
+
+    @pytest.mark.parametrize("text, line, named", TYPOS.values(),
+                             ids=TYPOS.keys())
+    def test_unknown_task_field_exits_5_with_line(self, tmp_path, capsys,
+                                                  text, line, named):
+        """A typo must not turn a check off: before, both typos reported OK
+        (the expectation skipped, the pullback checked for inclusion)."""
+        scene = tmp_path / "typo.scene"
+        scene.write_text(text)
+        assert main(["check", "--scene", str(scene), "--json"]) == 5
+        err = capsys.readouterr().err
+        assert f"(line {line})" in err and named in err
+
+    @pytest.mark.parametrize("line, rejected", [
+        ("task tau pair=P ideal=(y) t=1/0", "1/0"),
+        ('algebra B gens="1:1" twist="(y)^1/0"', "1/0"),
+        ("task tau pair=P ideal=(y) t=1/2/3", "1/2/3"),
+    ], ids=["task-t-zero-denominator", "twist-zero-denominator",
+            "task-t-two-slashes"])
+    def test_bad_rational_is_named(self, tmp_path, capsys, line, rejected):
+        scene = tmp_path / "rational.scene"
+        scene.write_text(FLOOR + line + "\n")
+        assert main(["check", "--scene", str(scene), "--json"]) == 5
+        captured = capsys.readouterr()
+        assert f"not a rational N or N/D: {rejected!r} (line 8)" in \
+            captured.out + captured.err
+
+    def test_scene_report_is_the_same_with_and_without_cli_flags(self):
+        """The task list has no seed of its own, so ``run_scene`` without
+        flags and ``cartierlab check`` (whose flags always hold --seed)
+        agree."""
+        text = FLOOR + "task fregular pair=P\ntask testelements pair=P\n"
+        flags = _flags(_build_parser().parse_args(["check", "--scene", "-"]))
+        plain, plain_code = run_scene(parse_scene(text))
+        cli, cli_code = run_scene(parse_scene(text), flags)
+        assert plain_code == cli_code == 0
+        assert canonical_json(plain) == canonical_json(cli)
 
     def test_denom_caps_option_without_grid_exits_5_with_line(
             self, tmp_path, capsys):
