@@ -29,7 +29,7 @@ from .errors import (CartierLabError, GaugeBoundError, InvalidStructureError,
                      ResourceCapError, SearchBudgetError,
                      UnsupportedShapeError)
 from .filtration import (JumpSpectrum, gr, inequality_checks, jumping_numbers,
-                         skoda_report, twist_algebra)
+                         skoda_report)
 from .fpmod import (ModuleMap, PresentedModule, Submodule, support_vanishes,
                     torsion)
 from .fppoly import (EngineCaps, Gauge, Poly, RingSpec, cartier_trace,

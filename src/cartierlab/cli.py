@@ -1,15 +1,29 @@
-"""Command-line interface.
+"""Command-line interface: a thin front for the scene runner.
 
-    cartierlab tau|tauprime|jumps|gr|stabilize|nilpotent|ass|pullback|
-               pushforward|check|corpus
-               [--scene FILE] [--pair NAME] [--e-max N] [--seed N]
-               [--cache-dir DIR] [--denom-caps A,B] [--json] ...
+    cartierlab tau|tauprime --scene FILE [--pair NAME] [--t T] [--ideal I]
+               [--e0 N] [--test-elements LIST]
+    cartierlab stabilize|nilpotent|ass|fregular|testelements --scene FILE
+               [--pair NAME]
+    cartierlab jumps --scene FILE [--pair NAME] --ideal I --max-t T
+               [--denom-caps A,B] [--exact-policy P] [--e-max N]
+               [--cache-dir DIR]
+    cartierlab gr --scene FILE [--pair NAME] --ideal I --t T
+    cartierlab pullback --scene FILE [--pair NAME] --map NAME [--check C]
+    cartierlab pushforward --scene FILE [--pair NAME] --map NAME
+    cartierlab check --scene FILE [--expect-negative] [--e-max N]
+               [--cache-dir DIR]
+    cartierlab corpus [--e-max N] [--cache-dir DIR]
 
-Single-operation subcommands run one task against a scene's objects;
-``check`` runs the scene's own task list (with ``--expect-negative`` the
-documented negative assertions map to exit code 4); ``corpus`` replays every
-bundled scene.  Exit codes: 0 success, 2 resource cap, 3 invalid structure,
-4 expected-negative matched, 5 expectation/property failure.
+Every subcommand also takes ``--seed N`` and ``--json``.  A
+single-operation subcommand's options, besides ``--scene``, are fields of
+its task: the task goes through the scene parser's ``add_task``, takes the
+checks of a task line, and runs against the scene's objects.  ``--seed``,
+``--json``, ``--e-max``, ``--cache-dir`` and ``--expect-negative`` are run
+flags, set only here.  ``check`` runs the scene's own task list (with
+``--expect-negative`` the documented negative assertions map to exit code
+4); ``corpus`` replays every bundled scene.  Exit codes: 0 success, 2
+resource cap, 3 invalid structure, 4 expected-negative matched, 5
+expectation/property failure.
 """
 
 import argparse
@@ -19,7 +33,23 @@ from importlib import resources
 from .cache import ENGINE_VERSION, ResultCache, canonical_json
 from .errors import (CartierLabError, InvalidStructureError, ParseError,
                      ResourceCapError)
-from .scene import load_scene, parse_scene, run_scene
+from .scene import add_task, load_scene, parse_scene, run_scene
+
+
+# the task fields that each single-operation subcommand takes as options,
+# besides --pair; all of them are fields of its op in scene._TASK_FIELDS
+_TAU_OPTIONS = ("t", "ideal", "e0", "test-elements")
+_TASK_OPTIONS = {
+    "tau": _TAU_OPTIONS, "tauprime": _TAU_OPTIONS, "stabilize": (),
+    "nilpotent": (), "ass": (), "fregular": (), "testelements": (),
+    "jumps": ("ideal", "max-t", "denom-caps", "exact-policy"),
+    "gr": ("ideal", "t"), "pullback": ("map", "check"),
+    "pushforward": ("map",)}
+_OPTION_HELP = {
+    "pair": "name of the (module, algebra) pair",
+    "test-elements": 'override: "(prime):element ; ..."',
+    "denom-caps": "A,B for the grid denominator p^A(p^B-1)",
+    "exact-policy": "strict or lower-bound"}
 
 
 def _build_parser():
@@ -28,58 +58,35 @@ def _build_parser():
         description="Exact engine for Frobenius-trace module structures.")
     parser.add_argument("--version", action="version", version=ENGINE_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, scene_required=True):
-        sp.add_argument("--scene", required=scene_required,
-                        help="scene file describing the objects")
-        sp.add_argument("--pair", help="name of the (module, algebra) pair")
-        sp.add_argument("--e-max", type=int, default=None)
+    for name in (*_TASK_OPTIONS, "check", "corpus"):
+        sp = sub.add_parser(name)
+        if name != "corpus":
+            sp.add_argument("--scene", required=True,
+                            help="scene file describing the objects")
+        if name in _TASK_OPTIONS:
+            for field in ("pair", *_TASK_OPTIONS[name]):
+                sp.add_argument(f"--{field}", help=_OPTION_HELP.get(field))
+        if name == "check":
+            sp.add_argument("--expect-negative", action="store_true")
+        # run flags, on the commands with a task that reads them
+        if name in ("jumps", "check", "corpus"):
+            sp.add_argument("--e-max", type=int, default=None)
+            sp.add_argument("--cache-dir", default=None)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--denom-caps", default=None,
-                        help="A,B for the grid denominator p^A(p^B-1)")
-        sp.add_argument("--exact-policy", choices=["strict", "lower-bound"],
-                        default=None)
         sp.add_argument("--json", action="store_true",
                         help="print the canonical JSON report")
-        return sp
-
-    for name in ("tau", "tauprime", "stabilize", "nilpotent", "ass",
-                 "fregular", "testelements"):
-        sp = common(sub.add_parser(name))
-        if name in ("tau", "tauprime"):
-            sp.add_argument("--t", default=None)
-            sp.add_argument("--ideal", default=None)
-            sp.add_argument("--e0", default=None)
-            sp.add_argument("--test-elements", default=None,
-                            help='override: "(prime):element ; ..."')
-    sp = common(sub.add_parser("jumps"))
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--max-t", required=True)
-    sp = common(sub.add_parser("gr"))
-    sp.add_argument("--ideal", required=True)
-    sp.add_argument("--t", required=True)
-    sp = common(sub.add_parser("pullback"))
-    sp.add_argument("--map", required=True)
-    sp.add_argument("--check", default="tau-commutes")
-    sp = common(sub.add_parser("pushforward"))
-    sp.add_argument("--map", required=True)
-    sp = common(sub.add_parser("check"))
-    sp.add_argument("--expect-negative", action="store_true")
-    sp = common(sub.add_parser("corpus"), scene_required=False)
     return parser
 
 
 def _flags(args):
+    """The run flags: the settings that are not task fields."""
     flags = {"seed": args.seed}
-    if args.e_max is not None:
+    if getattr(args, "e_max", None) is not None:
         flags["e_max"] = args.e_max
-    if args.denom_caps:
-        flags["denom_caps"] = args.denom_caps
-    if getattr(args, "exact_policy", None):
-        flags["exact_policy"] = args.exact_policy
-    if args.cache_dir:
+    if getattr(args, "cache_dir", None):
         flags["cache"] = ResultCache(args.cache_dir)
+    if getattr(args, "expect_negative", False):
+        flags["expect_negative"] = True
     return flags
 
 
@@ -97,22 +104,20 @@ def _emit(report, as_json):
         f"{k}={v}" for k, v in sorted(summary.items())) + "\n")
 
 
-def _single_task(args, op):
-    """Run the scene's objects through one task built from the options."""
+def _single_task(args):
+    """Run one task, built from the options, on the objects of a scene.
+
+    The task goes through the scene parser's ``add_task``, so it takes the
+    checks of a task line; its pair defaults to the scene's first.
+    """
     scene = load_scene(args.scene)
-    task = {"op": op}
-    pair = args.pair or next(iter(scene.pairs), None)
-    if pair is not None:
-        task["pair"] = pair
-    for key in ("t", "ideal", "e0", "map", "check", "max-t", "denom-caps",
-                "test-elements"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            task[key] = value
-    scene.tasks = [task]
-    report, code = run_scene(scene, _flags(args))
-    _emit(report, args.json)
-    return code
+    values = {"pair": args.pair or next(iter(scene.pairs), None)}
+    for field in _TASK_OPTIONS[args.command]:
+        values[field] = getattr(args, field.replace("-", "_"))
+    scene.tasks = []
+    add_task(scene, args.command,
+             {k: v for k, v in values.items() if v is not None})
+    return run_scene(scene, _flags(args))
 
 
 def corpus_scene_names():
@@ -147,26 +152,15 @@ def run_corpus(flags):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            scene = load_scene(args.scene)
-            flags = _flags(args)
-            flags["expect_negative"] = args.expect_negative
-            report, code = run_scene(scene, flags)
-            report["engine_version"] = ENGINE_VERSION
-            _emit(report, args.json)
-            return code
         if args.command == "corpus":
-            flags = _flags(args)
-            if args.scene:
-                scene = load_scene(args.scene)
-                report, code = run_scene(scene, flags)
-                _emit(report, args.json)
-                return code
-            combined, code = run_corpus(flags)
-            _emit({"tasks": [], "summary": combined["summary"],
-                   **combined} if not args.json else combined, args.json)
-            return code
-        return _single_task(args, args.command)
+            report, code = run_corpus(_flags(args))
+        elif args.command == "check":
+            report, code = run_scene(load_scene(args.scene), _flags(args))
+            report["engine_version"] = ENGINE_VERSION
+        else:
+            report, code = _single_task(args)
+        _emit(report, args.json)
+        return code
     except ResourceCapError as ex:
         sys.stderr.write(f"resource cap: {ex}\n")
         return 2

@@ -28,14 +28,6 @@ from .idealkit import Ideal
 from .testmod import tau, tau_bms
 
 
-def twist_algebra(algebra, ideal, t):
-    """Attach the twist a^t to the algebra (t >= 0, exact rational)."""
-    t = Fraction(t)
-    if t < 0:
-        raise ValueError("twist exponent must be >= 0")
-    return algebra.with_twist(ideal, t)
-
-
 def grid_denominator(p, caps):
     """The grid denominator p^A (p^B - 1) for ``caps`` = (A, B)."""
     A, B = caps
@@ -53,14 +45,15 @@ def _is_fast_path(cm, ideal):
 
 
 class _TauSampler:
-    """tau(M, a^t) as a canonical submodule, memoized per t.
+    """tau(M, a^t) as a canonical submodule.
 
-    With a cache, the sampler's answers live in one cache entry, a table
-    ``{t: generators}`` keyed on everything but t (operation, ring, module,
-    ideal, fast path).  The table is read once, here; each t found in it
-    counts one hit in ``hits``.  Every computed t joins the table, and
-    ``flush`` writes it back once.  A table written by another sweep of the
-    same key is reused and extended, whatever its grid.
+    A repeated t is answered by the memo scope that the public calls of
+    this module open.  With a cache, the sampler's answers live in one
+    cache entry, a table ``{t: generators}`` keyed on everything but t
+    (operation, ring, module, ideal, fast path).  The table is read once,
+    here; each t found in it counts one hit in ``hits``.  Every computed t
+    joins the table, and ``flush`` writes it back once.  A table written by
+    another sweep of the same key is reused and extended, whatever its grid.
     """
 
     def __init__(self, cm, ideal, e_max=None, seed=0, cache=None):
@@ -71,7 +64,6 @@ class _TauSampler:
         self.fast = _is_fast_path(cm, ideal)
         self.cache = cache
         self.hits = 0
-        self._memo = {}
         self._table = {}
         self._grown = False
         if cache is not None:
@@ -88,17 +80,13 @@ class _TauSampler:
 
     def at(self, t):
         t = Fraction(t)
-        if t in self._memo:
-            return self._memo[t]
         text = f"{t.numerator}/{t.denominator}"
         stored = self._table.get(text)
         if stored is not None:
             self.hits += 1
             sub = self.cm.module.submodule(
                 [[self.cm.ring.parse(s) for s in row] for row in stored])
-            sub = self.cm.canon(sub.gens)
-            self._memo[t] = sub
-            return sub
+            return self.cm.canon(sub.gens)
         if self.fast:
             if t == 0:
                 J = Ideal(self.cm.ring, [self.cm.ring.one()])
@@ -108,10 +96,8 @@ class _TauSampler:
             sub = self.cm.canon(sub.gens)
         else:
             twisted = self.cm.with_algebra(
-                twist_algebra(self.cm.algebra, self.ideal, t))
-            result = tau(twisted, seed=self.seed)
-            sub = result.submodule
-        self._memo[t] = sub
+                self.cm.algebra.with_twist(self.ideal, t))
+            sub = tau(twisted, seed=self.seed).submodule
         if self.cache is not None:
             self._table[text] = sub.serialize()["generators"]
             self._grown = True
@@ -246,6 +232,7 @@ def _principal_generator(cm):
     return alg.generators[0]
 
 
+@memo_scope()
 def gr(cm, ideal, t, caps=(2, 2), e_max=None, seed=0):
     """The graded piece  tau(a^(t-eps)) / tau(a^t)  as a validated module.
 
@@ -308,6 +295,7 @@ def gr(cm, ideal, t, caps=(2, 2), e_max=None, seed=0):
 # inclusion/equality checks
 
 
+@memo_scope()
 def skoda_report(cm, ideal, t, e_max=None, seed=0):
     """One Skoda/containment check at exponent t:
     a * tau(a^(t-1)) <= tau(a^t), equality expected when t >= #gens(a)."""
@@ -342,6 +330,7 @@ def _tau_mixed(cm, pairs, seed):
     return tau(cm.with_algebra(alg), seed=seed).submodule
 
 
+@memo_scope()
 def mixed_skoda_report(cm, pairs, index, seed=0):
     """Mixed variant: a_i * tau(prod a_j^(t_j - [j==i])) <= tau(prod a_j^t_j)."""
     pairs = [(ideal, Fraction(t)) for ideal, t in pairs]
@@ -355,6 +344,7 @@ def mixed_skoda_report(cm, pairs, index, seed=0):
                              _tau_mixed(cm, pairs, seed))}
 
 
+@memo_scope()
 def mixed_right_continuity(cm, pairs, epsilons, seed=0):
     """tau(prod a_i^(t_i)) == tau(prod a_i^(t_i + eps_i)) for sampled eps."""
     base = _tau_mixed(cm, pairs, seed)
@@ -366,6 +356,7 @@ def mixed_right_continuity(cm, pairs, epsilons, seed=0):
     return results
 
 
+@memo_scope()
 def inequality_checks(cm, ideal=None, ts=(), mixed=None, e_max=None, seed=0):
     """Bundle of containment reports; see the per-check helpers."""
     report = {"skoda": [], "mixed": []}

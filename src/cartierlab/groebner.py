@@ -309,30 +309,31 @@ def memo_table(name):
     return {} if memo is None else memo.setdefault(name, {})
 
 
-def buchberger(gens, pair_cap=None):
+def buchberger(gens):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
-    The basis depends on the generator order and the pair cap, so both are
-    part of the memo key; a ``ResourceCapError`` is raised afresh each time.
+    The basis depends on the generator order and on the ring's caps (its
+    ``pair_cap``), so both are part of the memo key; a ``ResourceCapError``
+    is raised afresh each time.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     ring = gens[0].ring
-    cap = pair_cap if pair_cap is not None else ring.caps.pair_cap
     if _MEMO.get() is None:
-        return _buchberger(gens, ring, cap)
+        return _buchberger(gens, ring)
     memo = memo_table("buchberger")
     # equal rings may differ in caps, and the basis carries its ring
-    key = (ring, ring.caps, gens[0].rank, cap,
+    key = (ring, ring.caps, gens[0].rank,
            tuple(frozenset(g.terms.items()) for g in gens))
     basis = memo.get(key)
     if basis is None:
-        basis = memo[key] = tuple(_buchberger(gens, ring, cap))
+        basis = memo[key] = tuple(_buchberger(gens, ring))
     return list(basis)
 
 
-def _buchberger(gens, ring, cap):
+def _buchberger(gens, ring):
+    cap = ring.caps.pair_cap
     basis = []
     for g in sorted(gens, key=lambda v: VecPoly.key(v.lead()[0]),
                     reverse=True):

@@ -17,7 +17,8 @@ Vectors separate components with ``|``; lists of vectors with ``;``; matrix
 rows with ``/`` and entries with ``,``.  Polynomials use the engine's text
 grammar.  Every pair is validated before any task runs.  Rationals are
 always N/D in lowest terms.  A task line takes only the fields its op reads
-(``_TASK_FIELDS``); any other field is a parse error.
+(``_TASK_FIELDS``); any other field, or a field given twice on one line, is
+a parse error.
 """
 
 import contextlib
@@ -140,6 +141,8 @@ def _kv(parts):
         if "=" not in part:
             raise ParseError(f"expected key=value, got {part!r}")
         k, v = part.split("=", 1)
+        if k in out:
+            raise ParseError(f"repeated field {k}=")
         out[k] = v
     return out
 
@@ -251,14 +254,24 @@ def _parse_line(scene, line, line_no, default_name):
         scene.pairs[name_] = validate_structure(
             module, algebra, carrier=carrier, inverted=inverted)
     else:
-        # an unknown op is left to run_task, which reports it as the task's
-        # error
-        if name_ in _TASK_FIELDS:
-            f.only(_TASK_FIELDS[name_], name_)
-        if "check" in f and f.kv["check"] not in _PULLBACK_CHECKS:
-            raise f.error(f"check must be one of {', '.join(_PULLBACK_CHECKS)}"
-                          f", got {f.kv['check']!r}")
-        scene.tasks.append({**f.kv, "op": name_, "line": line_no})
+        add_task(scene, name_, f.kv, line_no)
+
+
+def add_task(scene, op, fields, line=None):
+    """Check a task's ``fields`` and append it to the scene's task list.
+
+    A task line and a command-line task both come here, so both take only
+    the fields their op reads and a ``pullback`` ``check=`` only one of
+    ``_PULLBACK_CHECKS``.  An unknown op is left to ``run_task``, which
+    reports it as the task's error.
+    """
+    f = _Fields(scene, fields, line)
+    if op in _TASK_FIELDS:
+        f.only(_TASK_FIELDS[op], op)
+    if "check" in f and f.kv["check"] not in _PULLBACK_CHECKS:
+        raise f.error(f"check must be one of {', '.join(_PULLBACK_CHECKS)}"
+                      f", got {f.kv['check']!r}")
+    scene.tasks.append({**fields, "op": op, "line": line})
 
 
 def _parse_map(f):
@@ -423,12 +436,11 @@ def _denom_caps(p, text):
 def _run_jumps(f, flags, seed):
     cm = f.pair()
     ideal = f.ideal("ideal")
-    caps = f.make(_denom_caps, f.scene.ring.p,
-                  flags.get("denom_caps") or f.kv.get("denom-caps", "2,2"))
+    caps = f.make(_denom_caps, f.scene.ring.p, f.kv.get("denom-caps", "2,2"))
     top = f.fraction("max-t")
     if top <= 0:
         raise f.error("jumps needs max-t > 0")
-    policy = flags.get("exact_policy") or f.kv.get("exact-policy", "strict")
+    policy = f.kv.get("exact-policy", "strict")
     if policy not in ("strict", "lower-bound"):
         raise f.error(f"exact-policy must be strict or lower-bound, "
                       f"got {policy!r}")
@@ -539,7 +551,7 @@ _TASK_OPS = {"tau": _run_tau, "tauprime": _run_tau, "taubms": _run_taubms,
              "quasifinite": _run_quasifinite, "model": _run_model,
              "point-pushforward": _run_point_pushforward}
 
-# the fields each op's handler reads; _parse_line rejects any other
+# the fields each op's handler reads; add_task rejects any other
 _TAU_FIELDS = {"pair", "t", "ideal", "test-elements", "e0", "expect"}
 _TASK_FIELDS = {
     "tau": _TAU_FIELDS, "tauprime": _TAU_FIELDS,

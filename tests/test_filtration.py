@@ -8,7 +8,7 @@ from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     nilpotence, validate_structure)
 from cartierlab.filtration import (gr, inequality_checks, jumping_numbers,
                                    mixed_right_continuity, mixed_skoda_report,
-                                   skoda_report, twist_algebra)
+                                   skoda_report)
 from cartierlab.fppoly import RingSpec
 from cartierlab.fpmod import PresentedModule
 from cartierlab.idealkit import Ideal
@@ -25,22 +25,21 @@ def plain_line(p):
 class TestTwistAlgebra:
     def test_zero_twist_is_untwisted(self):
         cm, y = plain_line(2)
-        alg = twist_algebra(cm.algebra, Ideal(cm.ring, [y]), 0)
+        alg = cm.algebra.with_twist(Ideal(cm.ring, [y]), 0)
         assert not alg.is_twisted()
 
     def test_exponent_examples(self):
         cm, y = plain_line(2)
-        alg = twist_algebra(cm.algebra, Ideal(cm.ring, [y]), 1)
+        alg = cm.algebra.with_twist(Ideal(cm.ring, [y]), 1)
         assert alg.twist_exponents(1) == (2,)  # ceil(1*2)
         cm5, y5 = plain_line(5)
-        alg5 = twist_algebra(cm5.algebra, Ideal(cm5.ring, [y5]),
-                             Fraction(5, 6))
+        alg5 = cm5.algebra.with_twist(Ideal(cm5.ring, [y5]), Fraction(5, 6))
         assert alg5.twist_exponents(2) == (21,)  # ceil(125/6)
 
     def test_negative_rejected(self):
         cm, y = plain_line(2)
         with pytest.raises(ValueError):
-            twist_algebra(cm.algebra, Ideal(cm.ring, [y]), Fraction(-1, 2))
+            cm.algebra.with_twist(Ideal(cm.ring, [y]), Fraction(-1, 2))
 
 
 class TestJumpingNumbers:
@@ -115,7 +114,7 @@ class TestGr:
         first = N.submodule([[R.one(), z]])
         zero = N.zero_submodule()
         for t in (Fraction(0), Fraction(11, 12), Fraction(1)):
-            alg = twist_algebra(cm.algebra, Ideal(R, [y]), t) if t else \
+            alg = cm.algebra.with_twist(Ideal(R, [y]), t) if t else \
                 cm.algebra
             cm_t = validate_structure(N, alg)
             sub = tau_prime(cm_t).submodule
@@ -125,10 +124,10 @@ class TestGr:
         lcm = validate_structure(line, CartierAlgebraSpec(
             [CartierOp(1, [[x]])]))
         t1 = tau_prime(validate_structure(
-            line, twist_algebra(lcm.algebra, Ideal(R, [y]), 1))).submodule
+            line, lcm.algebra.with_twist(Ideal(R, [y]), 1))).submodule
         tb = tau_prime(validate_structure(
-            line, twist_algebra(lcm.algebra, Ideal(R, [y]),
-                                Fraction(11, 12)))).submodule
+            line, lcm.algebra.with_twist(Ideal(R, [y]),
+                                         Fraction(11, 12)))).submodule
         assert tb != t1
 
     def test_structure_validates(self):

@@ -19,7 +19,8 @@ from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     underline, validate_structure)
 from cartierlab.errors import ResourceCapError
 from cartierlab.fpmod import PresentedModule
-from cartierlab.fppoly import Poly, RingSpec
+from cartierlab.filtration import gr, skoda_report
+from cartierlab.fppoly import EngineCaps, Poly, RingSpec
 from cartierlab.groebner import VecPoly, buchberger, memo_scope
 from cartierlab.idealkit import Ideal, PrimeIdeal
 from cartierlab.testmod import candidate_elements, tau_bms
@@ -136,10 +137,14 @@ def test_the_memo_is_dropped_when_the_outermost_scope_exits():
 
 
 @pytest.mark.parametrize(
-    "call", ["tau_bms", "underline", "stable_torsion", "ass_cartier"])
+    "call", ["tau_bms", "underline", "stable_torsion", "ass_cartier", "gr",
+             "skoda_report"])
 def test_top_level_calls_memoise_and_leave_no_memo(call, monkeypatch):
     R = RingSpec(2, ("x", "y"))
     cm = cusp_module("1/2")
+    cusp = Ideal(R, [R.parse("x^3 + y^2")])
+    plain = validate_structure(PresentedModule.free(R, 1),
+                               CartierAlgebraSpec([CartierOp(1, [[R.one()]])]))
     seen = []
     real = groebner._buchberger
 
@@ -150,20 +155,34 @@ def test_top_level_calls_memoise_and_leave_no_memo(call, monkeypatch):
     monkeypatch.setattr(groebner, "_buchberger", recording)
     if call == "tau_bms":
         tau_bms(R.parse("x^3 + y^2"), "5/6")
+    elif call == "gr":
+        gr(plain, cusp, Fraction(3, 4), caps=(1, 1))
+    elif call == "skoda_report":
+        skoda_report(plain, cusp, 1)
     else:
         INVARIANTS[call][0](cm)
     assert seen and all(seen)
     assert groebner._MEMO.get() is None
 
 
+class _NoPairs(EngineCaps):
+    """Caps under which any S-pair exceeds the pair cap."""
+
+    pair_cap = 0
+
+
 def test_a_capped_call_still_raises_on_a_repeated_input():
+    """The ring's caps are part of the memo key: an equal ring with a
+    smaller pair cap does not read the basis of the uncapped one."""
     R = RingSpec(3, ("x", "y"))
-    gens = _vecs([R.parse("x^2 - y"), R.parse("x*y - 1")])
+    capped = RingSpec(3, ("x", "y"), _NoPairs())
+    assert capped == R
+    text = ["x^2 - y", "x*y - 1"]
     with memo_scope():
-        buchberger(gens)
+        buchberger(_vecs([R.parse(f) for f in text]))
         for _ in range(2):
             with pytest.raises(ResourceCapError):
-                buchberger(gens, pair_cap=0)
+                buchberger(_vecs([capped.parse(f) for f in text]))
 
 
 def test_a_graded_sum_hit_equals_a_fresh_sum(monkeypatch):

@@ -1,5 +1,6 @@
 """Scene parsing, task execution, caching, CLI exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from cartierlab.cache import ResultCache, canonical_json
 from cartierlab.cli import (_build_parser, _flags, corpus_scene_names, main,
                             run_corpus)
 from cartierlab.errors import ParseError
-from cartierlab.scene import parse_scene, run_scene, run_task
+from cartierlab.scene import _TASK_FIELDS, parse_scene, run_scene, run_task
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,6 +57,10 @@ class TestSceneParsing:
         scene = parse_scene("scene empty\nring p=2 vars=x\n")
         report, code = run_scene(scene)
         assert code == 0 and report["tasks"] == []
+
+    def test_a_repeated_field_is_named_with_its_line(self):
+        with pytest.raises(ParseError, match=r"repeated field t= \(line 7\)"):
+            parse_scene(FLOOR.replace("t=3/2", "t=3/2 t=0"))
 
     def test_parse_error_names_only_what_is_known(self):
         assert str(ParseError("bad", line=3)) == "bad (line 3)"
@@ -320,6 +325,11 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         "composite-adjoins-a-line-variable-twice": (
             FLOOR + "map F kind=affine-line var=u\n"
             "map G compose=F,F\n", 9),
+        "repeated-task-field": (
+            FLOOR + 'task tau pair=P ideal=(y) t=3/2 t=0 expect="y"\n', 8),
+        "repeated-expect": (
+            FLOOR + 'task tau pair=P ideal=(y) t=3/2 expect="y^5" '
+            'expect="y"\n', 8),
     }
 
     @pytest.mark.parametrize("text, line", MALFORMED.values(),
@@ -381,13 +391,52 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         assert plain_code == cli_code == 0
         assert canonical_json(plain) == canonical_json(cli)
 
-    def test_denom_caps_option_without_grid_exits_5_with_line(
-            self, tmp_path, capsys):
+    # the options that are no task field; check's --expect-negative (exit 4
+    # on a matched negative) is not point-pushforward's expect-negative=
+    RUN_FLAGS = {"help", "scene", "seed", "json", "e-max", "cache-dir",
+                 "expect-negative"}
+
+    def test_options_are_task_fields_or_run_flags(self):
+        """A single-op subcommand's options are fields of its task, so a
+        setting has one source; ``check`` and ``corpus`` take none."""
+        action, = [a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        for name, sub in action.choices.items():
+            options = {o[2:] for a in sub._actions for o in a.option_strings
+                       if o.startswith("--")}
+            fields = set() if name in ("check", "corpus") \
+                else _TASK_FIELDS[name]
+            assert options - self.RUN_FLAGS <= fields, name
+
+    def test_cli_task_takes_the_checks_of_a_task_line(self, tmp_path,
+                                                      capsys):
+        scene = tmp_path / "pullback.scene"
+        scene.write_text(
+            FLOOR + 'map F kind=finite adjoin=z relation="z^2+y"\n')
+        assert main(["pullback", "--scene", str(scene), "--map", "F",
+                     "--check", "tau-comutes"]) == 5
+        assert "check must be one of" in capsys.readouterr().err
+
+    def test_jumps_zero_grid_denominator_option_exits_5(self, tmp_path,
+                                                        capsys):
         scene = tmp_path / "jumps.scene"
-        scene.write_text(FLOOR + "task jumps pair=P ideal=(y) max-t=1\n")
-        assert main(["check", "--scene", str(scene), "--denom-caps", "1,0",
-                     "--json"]) == 5
-        assert "(line 8)" in capsys.readouterr().out
+        scene.write_text(FLOOR)
+        assert main(["jumps", "--scene", str(scene), "--ideal", "(y)",
+                     "--max-t", "1", "--denom-caps", "1,0", "--json"]) == 5
+        task, = json.loads(capsys.readouterr().out)["tasks"]
+        assert task["status"] == "error"
+        assert "denom-caps need A >= 0 and B >= 1" in task["result"]["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--scene", "x.scene", "--denom-caps", "1,1"],
+        ["ass", "--scene", "x.scene", "--denom-caps", "9,9"],
+        ["corpus", "--scene", "x.scene"],
+    ], ids=["check-denom-caps", "ass-denom-caps", "corpus-scene"])
+    def test_an_option_of_no_task_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_single_op_and_json(self, tmp_path):
         scene = tmp_path / "ok.scene"
