@@ -28,8 +28,7 @@ from .errors import (CartierLabError, GaugeBoundError, InvalidStructureError,
                      NoStabilizationError, NotEquivariantError, ParseError,
                      ResourceCapError, SearchBudgetError,
                      UnsupportedShapeError)
-from .filtration import (JumpSpectrum, gr, inequality_checks, jumping_numbers,
-                         skoda_report)
+from .filtration import JumpSpectrum, gr, jumping_numbers, skoda_report
 from .fpmod import (ModuleMap, PresentedModule, Submodule, support_vanishes,
                     torsion)
 from .fppoly import (EngineCaps, Gauge, Poly, RingSpec, cartier_trace,

@@ -5,25 +5,22 @@
     cartierlab stabilize|nilpotent|ass|fregular|testelements --scene FILE
                [--pair NAME]
     cartierlab jumps --scene FILE [--pair NAME] --ideal I --max-t T
-               [--denom-caps A,B] [--exact-policy P] [--e-max N]
-               [--cache-dir DIR]
+               [--denom-caps A,B] [--exact-policy P] [--cache-dir DIR]
     cartierlab gr --scene FILE [--pair NAME] --ideal I --t T
     cartierlab pullback --scene FILE [--pair NAME] --map NAME [--check C]
     cartierlab pushforward --scene FILE [--pair NAME] --map NAME
-    cartierlab check --scene FILE [--expect-negative] [--e-max N]
-               [--cache-dir DIR]
-    cartierlab corpus [--e-max N] [--cache-dir DIR]
+    cartierlab check --scene FILE [--expect-negative] [--cache-dir DIR]
+    cartierlab corpus [--cache-dir DIR]
 
-Every subcommand also takes ``--seed N`` and ``--json``.  A
-single-operation subcommand's options, besides ``--scene``, are fields of
-its task: the task goes through the scene parser's ``add_task``, takes the
-checks of a task line, and runs against the scene's objects.  ``--seed``,
-``--json``, ``--e-max``, ``--cache-dir`` and ``--expect-negative`` are run
-flags, set only here.  ``check`` runs the scene's own task list (with
-``--expect-negative`` the documented negative assertions map to exit code
-4); ``corpus`` replays every bundled scene.  Exit codes: 0 success, 2
-resource cap, 3 invalid structure, 4 expected-negative matched, 5
-expectation/property failure.
+Every subcommand also takes ``--json``.  A single-operation subcommand's
+options, besides ``--scene``, are fields of its task: the task goes through
+the scene parser's ``add_task``, takes the checks of a task line, and runs
+against the scene's objects.  ``--json``, ``--cache-dir`` and
+``--expect-negative`` are run flags, set only here.  ``check`` runs the
+scene's own task list (with ``--expect-negative`` the documented negative
+assertions map to exit code 4); ``corpus`` replays every bundled scene.
+Exit codes: 0 success, 2 resource cap, 3 invalid structure, 4
+expected-negative matched, 5 expectation/property failure.
 """
 
 import argparse
@@ -70,9 +67,7 @@ def _build_parser():
             sp.add_argument("--expect-negative", action="store_true")
         # run flags, on the commands with a task that reads them
         if name in ("jumps", "check", "corpus"):
-            sp.add_argument("--e-max", type=int, default=None)
             sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--json", action="store_true",
                         help="print the canonical JSON report")
     return parser
@@ -80,9 +75,7 @@ def _build_parser():
 
 def _flags(args):
     """The run flags: the settings that are not task fields."""
-    flags = {"seed": args.seed}
-    if getattr(args, "e_max", None) is not None:
-        flags["e_max"] = args.e_max
+    flags = {}
     if getattr(args, "cache_dir", None):
         flags["cache"] = ResultCache(args.cache_dir)
     if getattr(args, "expect_negative", False):

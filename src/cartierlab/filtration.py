@@ -56,11 +56,9 @@ class _TauSampler:
     another sweep of the same key is reused and extended, whatever its grid.
     """
 
-    def __init__(self, cm, ideal, e_max=None, seed=0, cache=None):
+    def __init__(self, cm, ideal, cache=None):
         self.cm = cm
         self.ideal = ideal
-        self.e_max = e_max
-        self.seed = seed
         self.fast = _is_fast_path(cm, ideal)
         self.cache = cache
         self.hits = 0
@@ -91,13 +89,13 @@ class _TauSampler:
             if t == 0:
                 J = Ideal(self.cm.ring, [self.cm.ring.one()])
             else:
-                J = tau_bms(self.ideal.gens[0], t, e_max=self.e_max)
+                J = tau_bms(self.ideal.gens[0], t)
             sub = self.cm.module.submodule([[g] for g in J.groebner()])
             sub = self.cm.canon(sub.gens)
         else:
             twisted = self.cm.with_algebra(
                 self.cm.algebra.with_twist(self.ideal, t))
-            sub = tau(twisted, seed=self.seed).submodule
+            sub = tau(twisted).submodule
         if self.cache is not None:
             self._table[text] = sub.serialize()["generators"]
             self._grown = True
@@ -148,7 +146,7 @@ class JumpSpectrum:
 
 @memo_scope()
 def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
-                    e_max=None, seed=0, cache=None):
+                    cache=None):
     """Scan tau(M, a^t) over the grid and certify the strict drops.
 
     ``caps`` = (A, B) fixes the candidate denominator p^A (p^B - 1).
@@ -166,7 +164,7 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
     if top <= 0:
         raise ValueError("need top > 0")
     D = grid_denominator(ring.p, caps)
-    sampler = _TauSampler(cm, ideal, e_max=e_max, seed=seed, cache=cache)
+    sampler = _TauSampler(cm, ideal, cache=cache)
     try:
         jumps = _scan(sampler, ideal, top, D)
     finally:
@@ -233,7 +231,7 @@ def _principal_generator(cm):
 
 
 @memo_scope()
-def gr(cm, ideal, t, caps=(2, 2), e_max=None, seed=0):
+def gr(cm, ideal, t, caps=(2, 2)):
     """The graded piece  tau(a^(t-eps)) / tau(a^t)  as a validated module.
 
     Epsilon is resolved concretely: the next-lower grid point, halved once
@@ -247,7 +245,7 @@ def gr(cm, ideal, t, caps=(2, 2), e_max=None, seed=0):
     ring = cm.ring
     t = Fraction(t)
     D = grid_denominator(ring.p, caps)
-    sampler = _TauSampler(cm, ideal, e_max=e_max, seed=seed)
+    sampler = _TauSampler(cm, ideal)
     at_t = sampler.at(t)
     delta = Fraction(1, D)
     for _ in range(ring.caps.chain_cap):
@@ -296,13 +294,13 @@ def gr(cm, ideal, t, caps=(2, 2), e_max=None, seed=0):
 
 
 @memo_scope()
-def skoda_report(cm, ideal, t, e_max=None, seed=0):
+def skoda_report(cm, ideal, t):
     """One Skoda/containment check at exponent t:
     a * tau(a^(t-1)) <= tau(a^t), equality expected when t >= #gens(a)."""
     t = Fraction(t)
     if t < 1:
         raise ValueError("need t >= 1")
-    sampler = _TauSampler(cm, ideal, e_max=e_max, seed=seed)
+    sampler = _TauSampler(cm, ideal)
     return {"t": f"{t.numerator}/{t.denominator}",
             **_skoda_verdict(cm, ideal, t, sampler.at(t - 1), sampler.at(t))}
 
@@ -321,17 +319,17 @@ def _skoda_verdict(cm, ideal, t, low, high):
             "ok": inclusion and (equality or t < mu)}
 
 
-def _tau_mixed(cm, pairs, seed):
+def _tau_mixed(cm, pairs):
     """tau(M, prod a_i^(t_i)) over the twists with t_i > 0."""
     alg = cm.algebra
     for ideal, t in pairs:
         if t > 0:
             alg = alg.with_twist(ideal, Fraction(t))
-    return tau(cm.with_algebra(alg), seed=seed).submodule
+    return tau(cm.with_algebra(alg)).submodule
 
 
 @memo_scope()
-def mixed_skoda_report(cm, pairs, index, seed=0):
+def mixed_skoda_report(cm, pairs, index):
     """Mixed variant: a_i * tau(prod a_j^(t_j - [j==i])) <= tau(prod a_j^t_j)."""
     pairs = [(ideal, Fraction(t)) for ideal, t in pairs]
     ideal_i, t_i = pairs[index]
@@ -340,33 +338,18 @@ def mixed_skoda_report(cm, pairs, index, seed=0):
     lowered = [(ideal, t - 1 if k == index else t)
                for k, (ideal, t) in enumerate(pairs)]
     return {"index": index,
-            **_skoda_verdict(cm, ideal_i, t_i, _tau_mixed(cm, lowered, seed),
-                             _tau_mixed(cm, pairs, seed))}
+            **_skoda_verdict(cm, ideal_i, t_i, _tau_mixed(cm, lowered),
+                             _tau_mixed(cm, pairs))}
 
 
 @memo_scope()
-def mixed_right_continuity(cm, pairs, epsilons, seed=0):
+def mixed_right_continuity(cm, pairs, epsilons):
     """tau(prod a_i^(t_i)) == tau(prod a_i^(t_i + eps_i)) for sampled eps."""
-    base = _tau_mixed(cm, pairs, seed)
+    base = _tau_mixed(cm, pairs)
     results = []
     for eps in epsilons:
         bumped = [(ideal, Fraction(t) + Fraction(e))
                   for (ideal, t), e in zip(pairs, eps)]
-        results.append(_tau_mixed(cm, bumped, seed) == base)
+        results.append(_tau_mixed(cm, bumped) == base)
     return results
 
-
-@memo_scope()
-def inequality_checks(cm, ideal=None, ts=(), mixed=None, e_max=None, seed=0):
-    """Bundle of containment reports; see the per-check helpers."""
-    report = {"skoda": [], "mixed": []}
-    if ideal is not None:
-        for t in ts:
-            report["skoda"].append(skoda_report(cm, ideal, t,
-                                                e_max=e_max, seed=seed))
-    if mixed:
-        for pairs, index in mixed:
-            report["mixed"].append(mixed_skoda_report(cm, pairs, index,
-                                                      seed=seed))
-    report["ok"] = all(r["ok"] for r in report["skoda"] + report["mixed"])
-    return report

@@ -641,7 +641,7 @@ def pushforward_point(cm):
 
 
 @memo_scope()
-def commutation_suite(cm, rmap, seed=0):
+def commutation_suite(cm, rmap):
     """Evaluate both sides of every statement applicable to the map kind.
 
     Returns a report dict of named booleans; equality claims are exact
@@ -652,28 +652,28 @@ def commutation_suite(cm, rmap, seed=0):
 
     Reports are memoised in the ``commutation_suite`` table of the open
     memo scope on the module's structure key, its carrier's basis, the map
-    (its serialized kind and data, source and target ring) and the seed, so a
-    scene's ``pushforward`` task reads back the report its ``pullback`` twin
-    built; no argument bypasses the table.  Each call gets its own copy of
+    (its serialized kind and data, source and target ring), so a scene's
+    ``pushforward`` task reads back the report its ``pullback`` twin built;
+    no argument bypasses the table.  Each call gets its own copy of
     the report dict.
     """
     memo = memo_table("commutation_suite")
     key = (cm.structure_key(), tuple(cm.carrier_sub().basis()),
-           tuple(rmap.serialize().items()), rmap.source, rmap.target, seed)
+           tuple(rmap.serialize().items()), rmap.source, rmap.target)
     if key not in memo:
-        memo[key] = _commutation_suite(cm, rmap, seed)
+        memo[key] = _commutation_suite(cm, rmap)
     return dict(memo[key])
 
 
-def _commutation_suite(cm, rmap, seed):
+def _commutation_suite(cm, rmap):
     from .testmod import tau
 
     report = {"kind": rmap.kind}
     if rmap.kind in ("affine-line", "localize"):
         pb = pullback(cm, rmap)
         lift = pb.transport_submodule
-        report["tau_commutes"] = (tau(pb.cm, seed=seed).submodule
-                                  == lift(tau(cm, seed=seed).submodule))
+        report["tau_commutes"] = (tau(pb.cm).submodule
+                                  == lift(tau(cm).submodule))
         down = ass_cartier(cm)
         if rmap.kind == "localize":
             down = [p for p in down if not p.contains(rmap.data["at"])]
@@ -696,8 +696,8 @@ def _commutation_suite(cm, rmap, seed):
         else:
             F = shriek_finite(cm, rmap)
             upstairs = F.cm
-            tau_up = tau(F.cm, seed=seed).submodule
-            lifted = F.transport_submodule(tau(cm, seed=seed).submodule)
+            tau_up = tau(F.cm).submodule
+            lifted = F.transport_submodule(tau(cm).submodule)
             report["tau_included"] = lifted.contains_sub(tau_up)
             report["tau_equal"] = lifted == tau_up
             fibers = set()
@@ -715,10 +715,9 @@ def _commutation_suite(cm, rmap, seed):
             report["pushforward_ass_transport"] = None
         else:
             P = pushforward_finite(upstairs, rmap)
-            tau_up = tau(upstairs, seed=seed).submodule
+            tau_up = tau(upstairs).submodule
             report["pushforward_tau_commutes"] = (
-                P.transport_submodule(tau_up)
-                == tau(P.cm, seed=seed).submodule)
+                P.transport_submodule(tau_up) == tau(P.cm).submodule)
             images = {tuple(contract_prime(rmap, p).ideal.serialize())
                       for p in ass_cartier(upstairs)}
             report["pushforward_ass_transport"] = {
@@ -732,7 +731,7 @@ def _commutation_suite(cm, rmap, seed):
 
 
 @memo_scope()
-def quasi_finite_check(cm_upstairs, invert, rmap, seed=0):
+def quasi_finite_check(cm_upstairs, invert, rmap):
     """tau o f_* inside f_* o tau for f = (finite g) o (open immersion j).
 
     ``cm_upstairs`` lives over the extension ring; ``invert`` is the element
@@ -745,11 +744,11 @@ def quasi_finite_check(cm_upstairs, invert, rmap, seed=0):
     loc = cm_upstairs.localize(invert) if cm_upstairs.inverted is None \
         else cm_upstairs
     model = coherent_model(loc)
-    tau_up = tau(loc, seed=seed).submodule
+    tau_up = tau(loc).submodule
     model_tau = coherent_model(loc.with_carrier(tau_up))
     assert model.K == model_tau.K  # cut-off depends only on the algebra
     pushed = pushforward_finite(model.cm, rmap)
-    tau_fstar = tau(pushed.cm, seed=seed).submodule
+    tau_fstar = tau(pushed.cm).submodule
     fstar_tau = pushed.transport_submodule(model_tau.core())
     included = fstar_tau.contains_sub(tau_fstar)
     return {"included": included,
@@ -768,7 +767,7 @@ def _reinstantiate_map(rmap, ring):
 
 
 @memo_scope()
-def composite_pullback_report(cm, rmaps, seed=0):
+def composite_pullback_report(cm, rmaps):
     """Chase tau up a left-to-right composite of pullbacks.
 
     Affine-line and localization stages preserve equality; a finite stage
@@ -779,7 +778,7 @@ def composite_pullback_report(cm, rmaps, seed=0):
     from .testmod import tau
 
     current = cm
-    transported = tau(cm, seed=seed).submodule
+    transported = tau(cm).submodule
     claim = "equal"
     for step in rmaps:
         pb = pullback(current, _reinstantiate_map(step, current.ring))
@@ -787,7 +786,7 @@ def composite_pullback_report(cm, rmaps, seed=0):
         current = pb.cm
         if step.kind == "finite":
             claim = "included"
-    tau_top = tau(current, seed=seed).submodule
+    tau_top = tau(current).submodule
     included = transported.contains_sub(tau_top)
     equal = transported == tau_top
     ok = equal if claim == "equal" else included

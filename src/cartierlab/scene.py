@@ -353,7 +353,7 @@ def _finite_map(f):
     return rmap
 
 
-def _run_tau(f, flags, seed):
+def _run_tau(f, flags):
     cm = f.pair()
     if "t" in f and "ideal" in f:
         alg = f.make(cm.algebra.with_twist, f.ideal("ideal"),
@@ -368,23 +368,22 @@ def _run_tau(f, flags, seed):
             for prime, elem in f.prime_pairs("test-elements")])
     fn = tau if f.kv["op"] == "tau" else tau_prime
     res = fn(cm, test_elements=supplied,
-             e0=f.integer("e0") if "e0" in f else 0, seed=seed)
+             e0=f.integer("e0") if "e0" in f else 0)
     return _outcome(f, res.serialize(),
                     _expect_sub(f, "expect", res.submodule))
 
 
-def _run_taubms(f, flags, seed):
-    e_max = int(flags["e_max"]) if flags.get("e_max") else None
+def _run_taubms(f, flags):
     hypersurface = f.scene.ring.parse(f.text("f"))
     t = f.fraction("t")
     if hypersurface.is_zero() or t < 0:
         raise f.error("taubms needs f != 0 and t >= 0")
-    J = tau_bms(hypersurface, t, e_max=e_max)
+    J = tau_bms(hypersurface, t)
     return _outcome(f, {"ideal": J.serialize()},
                     "expect" not in f or J == f.ideal("expect"))
 
 
-def _run_stabilize(f, flags, seed):
+def _run_stabilize(f, flags):
     core, k = underline(f.pair())
     return _outcome(f, {"exponent": k, "core": core.serialize()},
                     "expect-exponent" not in f
@@ -392,7 +391,7 @@ def _run_stabilize(f, flags, seed):
                     _expect_sub(f, "expect", core))
 
 
-def _run_nilpotent(f, flags, seed):
+def _run_nilpotent(f, flags):
     cm = f.pair()
     sub = f.lookup("submodules", f.text("sub")) if "sub" in f \
         else cm.carrier_sub()
@@ -401,7 +400,7 @@ def _run_nilpotent(f, flags, seed):
     return _outcome(f, {"nilpotent": value}, _expect(f, "expect", value))
 
 
-def _run_ass(f, flags, seed):
+def _run_ass(f, flags):
     got = [p.ideal.serialize() for p in ass_cartier(f.pair())]
     return _outcome(f, {"primes": got},
                     "expect" not in f
@@ -410,14 +409,14 @@ def _run_ass(f, flags, seed):
                               for t in _split_list(f.text("expect"))))
 
 
-def _run_fregular(f, flags, seed):
-    value, cert = is_f_regular(f.pair(), seed=seed)
+def _run_fregular(f, flags):
+    value, cert = is_f_regular(f.pair())
     return _outcome(f, {"f_regular": value, "certificate": cert},
                     _expect(f, "expect", value))
 
 
-def _run_testelements(f, flags, seed):
-    seq = find_test_elements(f.pair(), seed=seed)
+def _run_testelements(f, flags):
+    seq = find_test_elements(f.pair())
     got = [(_prime_label(e.prime), str(e.element)) for e in seq.entries]
     return _outcome(f, {"sequence": got},
                     "expect" not in f
@@ -433,7 +432,7 @@ def _denom_caps(p, text):
     return caps
 
 
-def _run_jumps(f, flags, seed):
+def _run_jumps(f, flags):
     cm = f.pair()
     ideal = f.ideal("ideal")
     caps = f.make(_denom_caps, f.scene.ring.p, f.kv.get("denom-caps", "2,2"))
@@ -444,10 +443,8 @@ def _run_jumps(f, flags, seed):
     if policy not in ("strict", "lower-bound"):
         raise f.error(f"exact-policy must be strict or lower-bound, "
                       f"got {policy!r}")
-    e_max = int(flags["e_max"]) if flags.get("e_max") else None
-    spectrum = jumping_numbers(
-        cm, ideal, top, caps=caps, exact_policy=policy,
-        e_max=e_max, seed=seed, cache=flags.get("cache"))
+    spectrum = jumping_numbers(cm, ideal, top, caps=caps, exact_policy=policy,
+                               cache=flags.get("cache"))
     got = [_fraction_text(t) for t in spectrum.jump_values()]
     return _outcome(f, spectrum.serialize(),
                     all(j.right_continuity_ok for j in spectrum.jumps),
@@ -457,11 +454,11 @@ def _run_jumps(f, flags, seed):
                                if t.strip()])
 
 
-def _run_gr(f, flags, seed):
+def _run_gr(f, flags):
     t = f.fraction("t")
     if t < 0:
         raise f.error("gr needs t >= 0")
-    qcm, info = gr(f.pair(), f.ideal("ideal"), t, seed=seed)
+    qcm, info = gr(f.pair(), f.ideal("ideal"), t)
     nonzero = not qcm.module.is_zero_module()
     nilp = nilpotence(qcm, qcm.module.full_submodule()) if nonzero else True
     result = {"rank": qcm.module.rank, "nonzero": nonzero,
@@ -470,28 +467,28 @@ def _run_gr(f, flags, seed):
                     _expect(f, "expect-nilpotent", nilp))
 
 
-def _run_skoda(f, flags, seed):
+def _run_skoda(f, flags):
     t = f.fraction("t")
     if t < 1:
         raise f.error("skoda needs t >= 1")
-    report = skoda_report(f.pair(), f.ideal("ideal"), t, seed=seed)
+    report = skoda_report(f.pair(), f.ideal("ideal"), t)
     return _outcome(f, report, report["ok"])
 
 
-def _run_pullback(f, flags, seed):
+def _run_pullback(f, flags):
     cm = f.pair()
     rmap = f.lookup("maps", f.text("map"))
     if isinstance(rmap, list):
-        report = composite_pullback_report(cm, rmap, seed=seed)
+        report = composite_pullback_report(cm, rmap)
         return _outcome(f, report, report["ok"])
-    report = commutation_suite(cm, rmap, seed=seed)
+    report = commutation_suite(cm, rmap)
     tau_checked = rmap.kind == "finite" \
         and f.kv.get("check", "tau-commutes") == "tau-commutes"
     return _outcome(f, report, report["ok"],
                     not tau_checked or report.get("tau_equal"))
 
 
-def _run_pushforward(f, flags, seed):
+def _run_pushforward(f, flags):
     cm = f.pair()
     rmap = _finite_map(f)
     if cm.algebra.is_twisted():
@@ -499,24 +496,24 @@ def _run_pushforward(f, flags, seed):
         raise UnsupportedShapeError(
             "push the module forward before twisting: twists over the "
             "extension do not contract along the map")
-    report = commutation_suite(cm, rmap, seed=seed)
+    report = commutation_suite(cm, rmap)
     return _outcome(f, report, report["pushforward_tau_commutes"],
                     report["pushforward_ass_transport"])
 
 
-def _run_quasifinite(f, flags, seed):
+def _run_quasifinite(f, flags):
     cm = f.pair()
     rmap = _finite_map(f)
     upstairs = cm if cm.ring == rmap.target else shriek_finite(cm, rmap).cm
     invert = rmap.target.parse(f.text("invert"))
-    report = quasi_finite_check(upstairs, invert, rmap, seed=seed)
+    report = quasi_finite_check(upstairs, invert, rmap)
     return _outcome(f, report, report["included"],
                     _expect(f, "expect-strict", report["strict"]))
 
 
-def _run_model(f, flags, seed):
+def _run_model(f, flags):
     res = coherent_model(f.pair())
-    tau_model = tau(res.cm, seed=seed).submodule
+    tau_model = tau(res.cm).submodule
     result = res.serialize()
     result["tau_core"] = tau_model.serialize()
     core = res.core()
@@ -526,10 +523,10 @@ def _run_model(f, flags, seed):
                     _expect(f, "expect-strict", strict))
 
 
-def _run_point_pushforward(f, flags, seed):
+def _run_point_pushforward(f, flags):
     cm = f.pair()
     _model, core = pushforward_point(cm)
-    tau_sub = tau(cm, seed=seed).submodule
+    tau_sub = tau(cm).submodule
     _model2, core2 = pushforward_point(cm.with_carrier(tau_sub))
     mismatch = core.dim() != core2.dim()
     result = {"tau_of_pushforward_dim": core.dim(),
@@ -574,13 +571,14 @@ _PULLBACK_CHECKS = ("tau-commutes", "tau-included")
 
 
 def run_task(scene, task, flags):
+    """Run one task in the scene's memo scope.  Of ``flags`` it reads only
+    ``cache`` (a ``ResultCache`` for ``jumps``); any other key is ignored."""
     f = _Fields(scene, task, task.get("line"))
     handler = _TASK_OPS.get(task["op"])
     if handler is None:
         raise f.error(f"unknown task op {task['op']!r}")
-    seed = flags.get("seed", 0)
     with _at_line(f.line), memo_scope(scene.memo):
-        return handler(f, flags, seed)
+        return handler(f, flags)
 
 
 def run_scene(scene, flags=None):

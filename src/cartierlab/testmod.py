@@ -128,27 +128,27 @@ def _factor_pool(cm):
     return pool
 
 
-def candidate_elements(cm, seed=0):
-    """Deterministic candidates first, then 12 seeded random linear forms;
-    memoised by ``_candidate_pool``."""
-    return list(_candidate_pool(cm, seed)[0])
+def candidate_elements(cm):
+    """Deterministic candidates first, then 12 random linear forms drawn
+    from one fixed seed; memoised by ``_candidate_pool``."""
+    return list(_candidate_pool(cm)[0])
 
 
-def _candidate_pool(cm, seed):
+def _candidate_pool(cm):
     """(candidates, factors): the pool of ``candidate_elements`` and a dict
     sending each product a*b the pool emits to its factors (a, b).
 
-    Memoised for the open memo scope on the structure key, the carrier's
-    basis and the seed.
+    Memoised for the open memo scope on the structure key and the carrier's
+    basis.
     """
     memo = memo_table("candidate_pool")
-    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()), seed)
+    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()))
     if key not in memo:
-        memo[key] = _candidate_elements(cm, seed)
+        memo[key] = _candidate_elements(cm)
     return memo[key]
 
 
-def _candidate_elements(cm, seed):
+def _candidate_elements(cm):
     ring = cm.ring
     seen = set()
 
@@ -180,7 +180,7 @@ def _candidate_elements(cm, seed):
             if emit(f):
                 out.append(f)
                 factors[f] = (a, b)
-    rng = random.Random(0x7E57E1 + seed)
+    rng = random.Random(0x7E57E1)
     for _ in range(12):
         coeffs = [rng.randrange(ring.p) for _ in range(ring.nvars + 1)]
         f = ring.const(coeffs[-1])
@@ -209,7 +209,7 @@ def _principal_test_element(cm):
     return d
 
 
-def _shrink_fixed_point(cm, ass_primes, seed=0, *, first_descent=False):
+def _shrink_fixed_point(cm, ass_primes, *, first_descent=False):
     """Iterated one-element shrinking of the algebra-stable carrier.
 
     Each step replaces T by closure(c*T) for a candidate c avoiding every
@@ -239,7 +239,7 @@ def _shrink_fixed_point(cm, ass_primes, seed=0, *, first_descent=False):
       the exact cl; a twisted sum may stop on its window, and is computed.
     """
     carrier = cm.carrier_sub()
-    pool, factors = _candidate_pool(cm, seed)
+    pool, factors = _candidate_pool(cm)
     cands = [c for c in pool
              if not any(pr.contains(c) for pr in ass_primes)]
     if not cands:
@@ -277,7 +277,7 @@ def _shrink_fixed_point(cm, ass_primes, seed=0, *, first_descent=False):
 
 
 @memo_scope()
-def is_f_regular(cm, candidates=None, seed=0, *, first_descent=False):
+def is_f_regular(cm, candidates=None, *, first_descent=False):
     """Decide whether the carrier equals its own test module.
 
     Returns (bool, certificate).  False answers carry a proper qualifying
@@ -308,7 +308,7 @@ def is_f_regular(cm, candidates=None, seed=0, *, first_descent=False):
             "no associated primes found for a nonzero module; "
             "supply candidates")
     cert["ass"] = [pr.ideal.serialize() for pr in ass]
-    fixed, tried = _shrink_fixed_point(cmc, ass, seed=seed,
+    fixed, tried = _shrink_fixed_point(cmc, ass,
                                        first_descent=first_descent)
     cert["candidates"] = tried
     if fixed != core:
@@ -322,7 +322,7 @@ def is_f_regular(cm, candidates=None, seed=0, *, first_descent=False):
 # test elements
 
 
-def _verify_test_element(cm, prime, c, piece, seed=0):
+def _verify_test_element(cm, prime, c, piece):
     """Check that ``piece``, the stable ``prime``-torsion of the core, is
     regular after inverting c.
 
@@ -332,8 +332,8 @@ def _verify_test_element(cm, prime, c, piece, seed=0):
     ``verify`` table, so its key needs no mark for the early stop.
 
     Verdicts are memoised in the ``verify`` table of the open memo scope on
-    the localized module's structure key, its saturated carrier, the prime
-    and the seed.  A ``Scene`` holds one memo for all of its tasks, so what
+    the localized module's structure key, its saturated carrier and the
+    prime.  A ``Scene`` holds one memo for all of its tasks, so what
     this shares is verdicts between tasks that meet the same localized
     piece, not verdicts across twist exponents: one corpus replay hits 23
     of its 76 lookups, each from the twist exponent that stored the entry,
@@ -345,10 +345,10 @@ def _verify_test_element(cm, prime, c, piece, seed=0):
     loc_piece = loc.canon(piece.gens)
     loc = loc.with_carrier(loc_piece)
     memo = memo_table("verify")
-    key = (loc.structure_key(), tuple(loc_piece.basis()), prime, seed)
+    key = (loc.structure_key(), tuple(loc_piece.basis()), prime)
     if key not in memo:
         try:
-            memo[key] = is_f_regular(loc, seed=seed, first_descent=True)
+            memo[key] = is_f_regular(loc, first_descent=True)
         except (UnsupportedShapeError, SearchBudgetError) as ex:
             memo[key] = (False, {"error": str(ex)})
     return memo[key]
@@ -372,7 +372,7 @@ def _order_by_inclusion(primes):
     return out
 
 
-def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
+def _search_element(cmc, prime, core, isolate, mandatory_isolation):
     """First verified element c with c not in ``prime``.
 
     Candidates lying inside every prime of ``isolate`` are tried first,
@@ -385,7 +385,7 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
     """
     tried = []
     piece = stable_torsion(cmc, prime, core)
-    pool = candidate_elements(cmc, seed=seed)
+    pool = candidate_elements(cmc)
     stages = []
     if isolate:
         isolating = [c for c in pool if all(nu.contains(c) for nu in isolate)]
@@ -397,7 +397,7 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
         for c in stage:
             if c in tried or prime.contains(c):
                 continue
-            ok, cert = _verify_test_element(cmc, prime, c, piece, seed=seed)
+            ok, cert = _verify_test_element(cmc, prime, c, piece)
             if ok:
                 return TestElementEntry(prime, c, cert)
             tried.append(c)
@@ -405,20 +405,20 @@ def _search_element(cmc, prime, core, isolate, seed, mandatory_isolation):
                             f"tried {[str(c) for c in tried]}")
 
 
-def _find_for_primes(cmc, core, primes, ass, seed, mandatory_isolation):
+def _find_for_primes(cmc, core, primes, ass, mandatory_isolation):
     """One verified element per prime of ``primes``, isolating it from the
     associated primes ``ass`` strictly above it."""
     entries = []
     for prime in _order_by_inclusion(primes):
         isolate = [nu for nu in ass
                    if nu != prime and nu.ideal.contains_ideal(prime.ideal)]
-        entries.append(_search_element(cmc, prime, core, isolate, seed,
+        entries.append(_search_element(cmc, prime, core, isolate,
                                        mandatory_isolation))
     return TestElementSequence(entries)
 
 
 @memo_scope()
-def find_test_elements(cm, candidates=None, seed=0):
+def find_test_elements(cm, candidates=None):
     """Search a verified sequence of per-prime elements.
 
     For each associated prime eta, candidates are tried in order (isolating
@@ -429,8 +429,7 @@ def find_test_elements(cm, candidates=None, seed=0):
     core, _ = underline(cm)
     cmc = cm.with_carrier(core)
     ass = ass_cartier(cmc, candidates=candidates)
-    return _find_for_primes(cmc, core, ass, ass, seed,
-                            mandatory_isolation=False)
+    return _find_for_primes(cmc, core, ass, ass, mandatory_isolation=False)
 
 
 # ---------------------------------------------------------------------------
@@ -497,51 +496,50 @@ def _tau_engine(cmc, stab, primes, test_elements, e0, holds_at):
     return TauResult(total, cert)
 
 
-def _memoised(memo, compute, cm, test_elements, candidates, e0, seed):
-    """``compute(cm, test_elements, candidates, e0, seed)``, read from the
-    memo table ``memo`` when nothing is supplied.
+def _memoised(memo, compute, cm, test_elements, candidates, e0):
+    """``compute(cm, test_elements, candidates, e0)``, read from the memo
+    table ``memo`` when nothing is supplied.
 
-    The table is keyed on the structure key, the carrier's basis, ``e0``
-    and the seed: a search from those alone picks the test elements and
-    candidate primes, so the answer and its certificate depend on nothing
-    else.  Supplied ``test_elements`` or ``candidates`` bypass the table.
+    The table is keyed on the structure key, the carrier's basis and
+    ``e0``: a search from those alone picks the test elements and candidate
+    primes, so the answer and its certificate depend on nothing else.  Supplied ``test_elements`` or ``candidates`` bypass the table.
     Each call gets its own copy of the certificate dict.
     """
     if test_elements is not None or candidates is not None:
-        return compute(cm, test_elements, candidates, e0, seed)
-    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()), e0, seed)
+        return compute(cm, test_elements, candidates, e0)
+    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()), e0)
     if key not in memo:
-        memo[key] = compute(cm, None, None, e0, seed)
+        memo[key] = compute(cm, None, None, e0)
     result = memo[key]
     return TauResult(result.submodule, dict(result.certificate))
 
 
 @memo_scope()
-def tau(cm, test_elements=None, candidates=None, e0=0, seed=0):
+def tau(cm, test_elements=None, candidates=None, e0=0):
     """Test module via the per-prime closure formula, with verification.
 
     Memoised in the ``tau`` table of the open memo scope on the structure
-    key, the carrier's basis, ``e0`` and the seed; a call that supplies
+    key, the carrier's basis and ``e0``; a call that supplies
     ``test_elements`` or ``candidates`` bypasses the table.
     """
     return _memoised(memo_table("tau"), _tau, cm, test_elements, candidates,
-                     e0, seed)
+                     e0)
 
 
-def _tau(cm, test_elements, candidates, e0, seed):
+def _tau(cm, test_elements, candidates, e0):
     core, stab = underline(cm)
     cmc = cm.with_carrier(core)
     if core.is_trivial():
         return TauResult(core, {"note": "stable core is zero"})
     primes = ass_cartier(cmc, candidates=candidates)
     if test_elements is None:
-        test_elements = _find_for_primes(cmc, core, primes, primes, seed,
+        test_elements = _find_for_primes(cmc, core, primes, primes,
                                          mandatory_isolation=False)
     return _tau_engine(cmc, stab, primes, test_elements, e0, _nil_iso_at)
 
 
 @memo_scope()
-def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0):
+def tau_prime(cm, test_elements=None, candidates=None, e0=0):
     """Legacy variant: generic agreement at the minimal support primes only.
 
     The per-prime elements must isolate their prime (lie in every associated
@@ -550,10 +548,10 @@ def tau_prime(cm, test_elements=None, candidates=None, e0=0, seed=0):
     like ``tau``, in its own ``tau_prime`` table.
     """
     return _memoised(memo_table("tau_prime"), _tau_prime, cm, test_elements,
-                     candidates, e0, seed)
+                     candidates, e0)
 
 
-def _tau_prime(cm, test_elements, candidates, e0, seed):
+def _tau_prime(cm, test_elements, candidates, e0):
     core, stab = underline(cm)
     if core.is_trivial():
         return TauResult(core, {"note": "stable core is zero"})
@@ -562,7 +560,7 @@ def _tau_prime(cm, test_elements, candidates, e0, seed):
     primes = minimal_primes(ann, candidates=candidates)
     if test_elements is None:
         ass = ass_cartier(cmc, candidates=candidates)
-        test_elements = _find_for_primes(cmc, core, primes, ass, seed,
+        test_elements = _find_for_primes(cmc, core, primes, ass,
                                          mandatory_isolation=True)
     return _tau_engine(cmc, stab, primes, test_elements, e0, _equal_at)
 

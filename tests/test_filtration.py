@@ -6,7 +6,7 @@ import pytest
 
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     nilpotence, validate_structure)
-from cartierlab.filtration import (gr, inequality_checks, jumping_numbers,
+from cartierlab.filtration import (gr, jumping_numbers,
                                    mixed_right_continuity, mixed_skoda_report,
                                    skoda_report)
 from cartierlab.fppoly import RingSpec
@@ -139,8 +139,9 @@ class TestGr:
 class TestSkoda:
     def test_principal_equality(self):
         cm, y = plain_line(2)
-        rep = skoda_report(cm, Ideal(cm.ring, [y]), 2)
-        assert rep["ok"] and rep["equality"] and rep["equality_expected"]
+        for t in (1, 2, 3):
+            rep = skoda_report(cm, Ideal(cm.ring, [y]), t)
+            assert rep["ok"] and rep["equality"] and rep["equality_expected"]
 
     def test_two_generators_inclusion_only(self):
         R = RingSpec(3, ("x", "y"))
@@ -175,11 +176,6 @@ class TestSkoda:
             cm, [(Ideal(R, [y]), Fraction(1, 2)),
                  (Ideal(R, [x]), Fraction(1, 2))], eps)
         assert all(results)
-
-    def test_report_bundle(self):
-        cm, y = plain_line(2)
-        rep = inequality_checks(cm, ideal=Ideal(cm.ring, [y]), ts=(1, 2, 3))
-        assert rep["ok"] and len(rep["skoda"]) == 3
 
 
 class TestMonotonicity:
@@ -316,11 +312,11 @@ class TestCacheTable:
         want = jumping_numbers(cm, ideal, 1, caps=(2, 2)).serialize()
         computed = []
 
-        def failing(f, t, e_max=None):
+        def failing(f, t):
             if t == Fraction(5, 8):
                 raise ResourceCapError("cap reached")
             computed.append(t)
-            return tau_bms(f, t, e_max=e_max)
+            return tau_bms(f, t)
 
         tau_bms = filtration.tau_bms
         with monkeypatch.context() as patch:

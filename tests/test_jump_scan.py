@@ -117,7 +117,7 @@ def test_a_right_discontinuity_is_reported(monkeypatch):
     the one at the top fails right-continuity."""
     cm = corpus_pair("floor_formula_p3")
     y = cm.ring.var("y")
-    monkeypatch.setattr(filtration, "tau_bms", lambda f, t, e_max=None:
+    monkeypatch.setattr(filtration, "tau_bms", lambda f, t:
                         Ideal(cm.ring, [y ** math.ceil(12 * t)]))
     got, want = spectra(monkeypatch, cm, Ideal(cm.ring, [y]), 1, (1, 1))
     assert got == want
@@ -130,7 +130,7 @@ def test_a_non_monotone_tau_is_an_internal_error(monkeypatch):
     and 2/3 as neighbours and refuses the rise between them."""
     cm = corpus_pair("floor_formula_p3")
     y = cm.ring.var("y")
-    monkeypatch.setattr(filtration, "tau_bms", lambda f, t, e_max=None:
+    monkeypatch.setattr(filtration, "tau_bms", lambda f, t:
                         Ideal(cm.ring, [y ** 2 if t <= Fraction(1, 2) else y]))
     with pytest.raises(AssertionError,
                        match="tau not monotone between 1/2 and 2/3"):
@@ -145,9 +145,9 @@ def test_tau_bms_calls_grow_with_the_jumps_not_the_grid(curve, monkeypatch):
     calls = []
     tau_bms = filtration.tau_bms
 
-    def counted(f, t, e_max=None):
+    def counted(f, t):
         calls.append(t)
-        return tau_bms(f, t, e_max=e_max)
+        return tau_bms(f, t)
 
     monkeypatch.setattr(filtration, "tau_bms", counted)
     spectrum = jumping_numbers(cm, Ideal(cm.ring, [cm.ring.parse(curve)]), 1,

@@ -38,11 +38,11 @@ CASES = [(p, rank, variant) for p in (2, 3, 5) for rank in (1, 2)
 SEEDS = range(4)
 
 
-def full_shrink(cm, ass_primes, seed=0, descents=None):
+def full_shrink(cm, ass_primes, descents=None):
     """The shrink without the proof: one closure per candidate per pass.
     Each candidate that shrinks the module is appended to ``descents``."""
     carrier = cm.carrier_sub()
-    pool = candidate_elements(cm, seed=seed)
+    pool = candidate_elements(cm)
     cands = [c for c in pool
              if not any(pr.contains(c) for pr in ass_primes)]
     if not cands:
@@ -218,7 +218,7 @@ def test_the_cyclic_walk_matches_the_pass_loop(p, nvars, seed, monkeypatch):
     with monkeypatch.context() as patch, memo_scope():
         patch.setattr(testmod, "graded_sum", recording)
         got = _shrink_fixed_point(cmc, ass)
-        pool, factors = testmod._candidate_pool(cmc, 0)
+        pool, factors = testmod._candidate_pool(cmc)
     assert got == want
     fixed = want[0]
     cands = [c for c in pool if not any(pr.contains(c) for pr in ass)]

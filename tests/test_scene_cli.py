@@ -381,20 +381,21 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
             captured.out + captured.err
 
     def test_scene_report_is_the_same_with_and_without_cli_flags(self):
-        """The task list has no seed of its own, so ``run_scene`` without
-        flags and ``cartierlab check`` (whose flags always hold --seed)
-        agree."""
+        """``run_scene`` without flags, with the flags of ``cartierlab
+        check`` and with the bench corpus worker's ``{"seed": 0}``, a key
+        no task reads, gives one report."""
         text = FLOOR + "task fregular pair=P\ntask testelements pair=P\n"
         flags = _flags(_build_parser().parse_args(["check", "--scene", "-"]))
         plain, plain_code = run_scene(parse_scene(text))
-        cli, cli_code = run_scene(parse_scene(text), flags)
-        assert plain_code == cli_code == 0
-        assert canonical_json(plain) == canonical_json(cli)
+        assert plain_code == 0
+        for other in (flags, {"seed": 0}):
+            report, code = run_scene(parse_scene(text), other)
+            assert code == 0
+            assert canonical_json(report) == canonical_json(plain)
 
     # the options that are no task field; check's --expect-negative (exit 4
     # on a matched negative) is not point-pushforward's expect-negative=
-    RUN_FLAGS = {"help", "scene", "seed", "json", "e-max", "cache-dir",
-                 "expect-negative"}
+    RUN_FLAGS = {"help", "scene", "json", "cache-dir", "expect-negative"}
 
     def test_options_are_task_fields_or_run_flags(self):
         """A single-op subcommand's options are fields of its task, so a
@@ -431,7 +432,11 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         ["check", "--scene", "x.scene", "--denom-caps", "1,1"],
         ["ass", "--scene", "x.scene", "--denom-caps", "9,9"],
         ["corpus", "--scene", "x.scene"],
-    ], ids=["check-denom-caps", "ass-denom-caps", "corpus-scene"])
+        ["check", "--scene", "x.scene", "--seed", "1"],
+        ["tau", "--scene", "x.scene", "--seed", "1"],
+        ["jumps", "--scene", "x.scene", "--e-max", "3"],
+    ], ids=["check-denom-caps", "ass-denom-caps", "corpus-scene",
+            "check-seed", "tau-seed", "jumps-e-max"])
     def test_an_option_of_no_task_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(argv)

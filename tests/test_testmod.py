@@ -6,13 +6,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import cartierlab
-from cartierlab import scene, testmod
+from cartierlab import testmod
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     graded_sum, underline,
                                     validate_structure)
@@ -108,7 +107,7 @@ class TestFindTestElements:
         # verify those again, and the error names each candidate once
         verified = []
 
-        def failing(cmc, prime, c, piece, seed=0):
+        def failing(cmc, prime, c, piece):
             verified.append(str(c))
             return False, {}
 
@@ -329,7 +328,7 @@ class TestProcessHistory:
         "text = resources.files('cartierlab').joinpath(\n"
         "    'corpus/sec3_example_p3.scene').read_text('utf-8')\n"
         "cm = scene.parse_scene(text, name='sec3_example_p3').pairs['P']\n"
-        "print(json.dumps(find_test_elements(cm, seed=3).serialize(),\n"
+        "print(json.dumps(find_test_elements(cm).serialize(),\n"
         "                 sort_keys=True))\n")
 
     TWISTED_PLANE_SNIPPET = (
@@ -359,14 +358,13 @@ class TestProcessHistory:
                               env=env, capture_output=True, text=True,
                               check=True).stdout.strip()
 
-    def test_test_elements_for_a_seed_ignore_earlier_seeds(self):
+    def test_test_elements_ignore_an_earlier_run_on_another_pair(self):
         fresh = self.run_fresh(self.SNIPPET)
-        text = resources.files("cartierlab").joinpath(
-            "corpus/sec3_example_p3.scene").read_text("utf-8")
-        cm = scene.parse_scene(text, name="sec3_example_p3").pairs["P"]
-        find_test_elements(cm, seed=0)
-        after = json.dumps(find_test_elements(cm, seed=3).serialize(),
-                           sort_keys=True)
+        # rank 2 over F_3 with an x-torsion summand, like sec3's module
+        find_test_elements(corpus_pair("remark_pathology_p3"))
+        after = json.dumps(
+            find_test_elements(corpus_pair("sec3_example_p3")).serialize(),
+            sort_keys=True)
         assert after == fresh
 
     def test_test_elements_over_f3_ignore_an_earlier_f2_run(self):
