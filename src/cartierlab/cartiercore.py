@@ -48,22 +48,29 @@ class CartierOp:
     def ring(self):
         return self.matrix[0][0].ring
 
-    def apply_vec(self, vec):
-        """trace_e(U * vec), componentwise."""
-        from .fppoly import cartier_trace
-
+    def row_products(self, vec):
+        """The entries of U * vec: sum_j U_ij * vec_j for each row i."""
         ring = self.ring()
         cols = [vec.component(j) for j in range(self.rank)]
-        out = {}
-        for i, row in enumerate(self.matrix):
+        out = []
+        for row in self.matrix:
             acc = ring.zero()
             for j, u in enumerate(row):
                 if not u.is_zero() and not cols[j].is_zero():
                     acc = acc + u * cols[j]
+            out.append(acc)
+        return out
+
+    def apply_vec(self, vec):
+        """trace_e(U * vec), componentwise."""
+        from .fppoly import cartier_trace
+
+        out = {}
+        for i, acc in enumerate(self.row_products(vec)):
             tr = cartier_trace(acc, self.e)
             for m, c in tr.terms.items():
                 out[(i, m)] = c
-        return VecPoly(ring, self.rank, out)
+        return VecPoly(self.ring(), self.rank, out)
 
     def premultiplied(self, f):
         """The operator kappa o (multiplication by f), same degree."""
@@ -395,13 +402,8 @@ def _residue_images(ring, op, vec):
     trace scans.  Returns (b, image) pairs sorted by b.
     """
     q = ring.p ** op.e
-    cols = [vec.component(j) for j in range(op.rank)]
     per_class = {}
-    for i, row in enumerate(op.matrix):
-        acc = ring.zero()
-        for j, u in enumerate(row):
-            if not u.is_zero() and not cols[j].is_zero():
-                acc = acc + u * cols[j]
+    for i, acc in enumerate(op.row_products(vec)):
         # within row i each term m has its own (b, m // q), so no two
         # terms share a slot and nothing needs summing
         for m, c in acc.terms.items():
@@ -751,35 +753,26 @@ def stable_torsion(cm, prime, within):
 
 
 @memo_scope()
-def ass_cartier(cm, candidates=None):
+def ass_cartier(cm):
     """Primes eta whose eta-torsion stays non-nilpotent after localizing.
 
-    Filters module-level candidates (computed for restricted shapes, or
-    supplied) by the nilpotence test on the stabilized torsion submodule.
-    Memoised for the open memo scope on the structure key, the core's basis
-    and the supplied candidates with their provenance.
+    Filters the module-level candidates of ``_candidate_primes`` by the
+    nilpotence test on the stabilized torsion submodule.  Memoised for the
+    open memo scope on the structure key and the core's basis.
     """
     core, _ = underline(cm)
     if core.is_trivial():
         return []
     memo = memo_table("ass_cartier")
-    key = (cm.structure_key(), tuple(core.basis()),
-           None if candidates is None
-           else tuple((pr, pr.proved) for pr in candidates))
+    key = (cm.structure_key(), tuple(core.basis()))
     if key not in memo:
-        memo[key] = tuple(_ass_cartier(cm, core, candidates))
+        memo[key] = tuple(_ass_cartier(cm, core))
     return list(memo[key])
 
 
-def _ass_cartier(cm, core, candidates):
-    if candidates is None:
-        cand = _candidate_primes(cm, core)
-    else:
-        cand = list(candidates)
-        if cm.inverted is not None:
-            cand = [pr for pr in cand if not pr.contains(cm.inverted)]
+def _ass_cartier(cm, core):
     out = []
-    for pr in cand:
+    for pr in _candidate_primes(cm, core):
         stable = stable_torsion(cm, pr, core)
         if not (stable.is_trivial()
                 or support_vanishes(stable, pr.ideal, inverted=cm.inverted)):

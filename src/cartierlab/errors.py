@@ -44,10 +44,7 @@ class InvalidStructureError(CartierLabError):
 
 
 class UnsupportedShapeError(CartierLabError):
-    """Input falls outside a restricted decision procedure.
-
-    The message names the fallback (usually: supply candidate primes).
-    """
+    """Input falls outside a restricted decision procedure."""
 
 
 class SearchBudgetError(CartierLabError):

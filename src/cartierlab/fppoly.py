@@ -487,7 +487,6 @@ def _parse_poly(ring, text):
                 if k != "int":
                     raise ParseError("expected integer exponent", column=c)
                 exp = v
-            base = ring.var(value)
             m = [0] * ring.nvars
             m[ring._var_index[value]] = exp
             return ring.monomial(m)

@@ -388,7 +388,7 @@ def contract_prime(rmap, prime):
     cmq = CartierModule(quot, trivial)
     pushed = pushforward_finite(cmq, rmap)
     ann = pushed.cm.module.full_submodule().annihilator()
-    return PrimeIdeal(ann, prime.proved)
+    return PrimeIdeal(ann)
 
 
 def fiber_primes(rmap, prime):
@@ -524,66 +524,47 @@ def coherent_models_agree(res1, res2):
 
 
 class PointSpan:
-    """Finite-dimensional F_p-subspace of a presented module."""
+    """Finite-dimensional F_p-subspace of a presented module, in reduced
+    echelon form: monic rows sorted by ``VecPoly.key`` of their leads, no
+    row holding another row's lead term.  The form is unique, so two spans
+    are equal exactly when their rows are."""
 
     def __init__(self, module, vectors):
         self.module = module
-        self.rows = _echelonize(module, [module.reduce(v) for v in vectors])
+        self._pivots = {}
+        for v in vectors:
+            v = self._reduce(module.reduce(v))
+            if v.is_zero():
+                continue
+            v = v.monic()
+            lt = v.lead()[0]
+            for pivot, row in list(self._pivots.items()):
+                c = row.terms.get(lt)
+                if c:
+                    self._pivots[pivot] = row - v.scale(c)
+            self._pivots[lt] = v
+        self.rows = [self._pivots[lt]
+                     for lt in sorted(self._pivots, key=VecPoly.key)]
+
+    def _reduce(self, v):
+        """``v`` less its multiples of the rows.  One pass is enough: a row
+        holds no other row's pivot, so clearing one pivot restores none."""
+        for pivot, row in self._pivots.items():
+            c = v.terms.get(pivot)
+            if c:
+                v = v - row.scale(c)
+        return v
 
     def dim(self):
         return len(self.rows)
 
     def contains(self, vec):
-        red = _reduce_against(self.rows, self.module.reduce(vec))
-        return red.is_zero()
+        return self._reduce(self.module.reduce(vec)).is_zero()
 
     def __eq__(self, other):
         return (self.module == other.module
                 and [r.sorted_terms() for r in self.rows]
                 == [r.sorted_terms() for r in other.rows])
-
-
-def _echelonize(module, vectors):
-    rows = []
-    for v in vectors:
-        v = _reduce_against(rows, v)
-        if not v.is_zero():
-            lt, lc = v.lead()
-            p = module.ring.p
-            rows.append(v.scale(pow(lc, p - 2, p)))
-            rows.sort(key=lambda r: r.key(r.lead()[0]))
-    # interreduce tails so the echelon form is canonical
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(rows)):
-            others = rows[:i] + rows[i + 1:]
-            red = _reduce_against(others, rows[i])
-            if red.is_zero():
-                rows.pop(i)
-                changed = True
-                break
-            lt, lc = red.lead()
-            red = red.scale(pow(lc, module.ring.p - 2, module.ring.p))
-            if red != rows[i]:
-                rows[i] = red
-                changed = True
-                break
-        rows.sort(key=lambda r: r.key(r.lead()[0]))
-    return rows
-
-def _reduce_against(rows, v):
-    changed = True
-    while changed and not v.is_zero():
-        changed = False
-        for r in rows:
-            lt, _ = r.lead()
-            cv = v.terms.get(lt)
-            if cv:
-                v = v - r.scale(cv)
-                changed = True
-                break
-    return v
 
 
 def pushforward_point(cm):

@@ -3,8 +3,8 @@ bracket powers, Frobenius roots, and minimal primes for restricted shapes.
 
 Primality is *proved* only for shapes the desk-scale decision procedures
 cover (zero, monomial primes, certified-irreducible principal generators,
-triangular zero-dimensional quotients that are fields); anything else must be
-asserted by the caller and is tagged as such.
+triangular zero-dimensional quotients that are fields); anything else raises
+``UnsupportedShapeError``.
 """
 
 import math
@@ -145,13 +145,13 @@ class Ideal:
 
 
 class PrimeIdeal:
-    """An ideal together with primality provenance."""
+    """A prime ideal.  ``serialize`` keeps the report format's fixed
+    ``"provenance": "proved"`` field."""
 
-    __slots__ = ("ideal", "proved")
+    __slots__ = ("ideal",)
 
-    def __init__(self, ideal, proved):
+    def __init__(self, ideal):
         self.ideal = ideal
-        self.proved = proved
 
     @property
     def ring(self):
@@ -170,12 +170,10 @@ class PrimeIdeal:
         return hash(self.ideal)
 
     def __repr__(self):
-        tag = "" if self.proved else " (asserted)"
-        return f"{self.ideal!r}{tag}"
+        return repr(self.ideal)
 
     def serialize(self):
-        return {"generators": self.ideal.serialize(),
-                "provenance": "proved" if self.proved else "asserted-by-user"}
+        return {"generators": self.ideal.serialize(), "provenance": "proved"}
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +710,7 @@ def monomial_minimal_primes(ideal):
     out = []
     for cover in _minimal_covers(supports):
         gens = [ring.var(ring.vars[i]) for i in sorted(cover)]
-        out.append(PrimeIdeal(Ideal(ring, gens), proved=True))
+        out.append(PrimeIdeal(Ideal(ring, gens)))
     return out
 
 
@@ -729,7 +727,7 @@ def monomial_associated_primes(ideal):
         box *= e + 1
     if box > _MONOMIAL_BOX_CAP:
         raise UnsupportedShapeError(
-            "monomial associated-prime scan exceeds box cap; supply candidates")
+            "monomial associated-prime scan exceeds box cap")
     out = []
     for exps in product(*[range(e + 1) for e in lcm]):
         mono = ring.monomial(exps)
@@ -739,7 +737,7 @@ def monomial_associated_primes(ideal):
         cgens = colon.groebner()
         if cgens and all(g.is_monomial() and sum(next(iter(g.terms))) == 1
                          for g in cgens):
-            prime = PrimeIdeal(Ideal(ring, list(cgens)), proved=True)
+            prime = PrimeIdeal(Ideal(ring, list(cgens)))
             if prime not in out:
                 out.append(prime)
     return out
@@ -864,31 +862,21 @@ def _zero_dim_minimal_primes(ideal):
         for d in degrees:
             expected = math.lcm(expected, d)
         if dim == expected:
-            prime = PrimeIdeal(J, proved=True)
+            prime = PrimeIdeal(J)
             if prime not in out:
                 out.append(prime)
         else:
             raise UnsupportedShapeError(
-                "zero-dimensional component needs a finer split; "
-                "supply candidate primes")
+                "zero-dimensional component needs a finer split")
     return out
 
 
-def minimal_primes(ideal, candidates=None):
-    """Complete list of minimal primes for the restricted shapes, or a
-    verified filter of caller-supplied candidates."""
+def minimal_primes(ideal):
+    """Complete list of minimal primes for the restricted shapes; any other
+    shape raises ``UnsupportedShapeError``."""
     ring = ideal.ring
-    if candidates is not None:
-        keep = [c for c in candidates if c.ideal.contains_ideal(ideal)]
-        out = []
-        for c in keep:
-            if not any(other.ideal != c.ideal
-                       and c.ideal.contains_ideal(other.ideal)
-                       for other in keep):
-                out.append(c)
-        return out
     if ideal.is_zero():
-        return [PrimeIdeal(Ideal(ring, []), proved=True)]
+        return [PrimeIdeal(Ideal(ring, []))]
     if ideal.is_unit():
         return []
     if ideal.is_monomial():
@@ -899,15 +887,14 @@ def minimal_primes(ideal, candidates=None):
         _unit, factors, certified = factor_restricted(f)
         if not certified:
             raise UnsupportedShapeError(
-                f"cannot certify factorization of {f}; supply candidate primes")
+                f"cannot certify factorization of {f}")
         out = []
         for g, _m in factors:
-            prime = PrimeIdeal(Ideal(ring, [g]), proved=True)
+            prime = PrimeIdeal(Ideal(ring, [g]))
             if prime not in out:
                 out.append(prime)
         return out
     if _is_zero_dimensional(gb, ring.nvars):
         return _zero_dim_minimal_primes(ideal)
     raise UnsupportedShapeError(
-        "ideal shape outside the restricted decision procedures; "
-        "supply candidate primes")
+        "ideal shape outside the restricted decision procedures")

@@ -64,13 +64,15 @@ class _Fields:
     ParseError with the line number, so a bad scene never ends in a
     traceback.  Engine calls on the values read stay outside: their own
     faults propagate.  Polynomial text is parsed inside ``_at_line``, which
-    adds the line to the polynomial parser's errors.
+    adds the line to the polynomial parser's errors.  ``cache`` is the
+    run's ``ResultCache`` (or None), which a ``jumps`` task reads.
     """
 
-    def __init__(self, scene, kv, line):
+    def __init__(self, scene, kv, line, cache=None):
         self.scene = scene
         self.kv = kv
         self.line = line
+        self.cache = cache
 
     def __contains__(self, key):
         return key in self.kv
@@ -107,7 +109,7 @@ class _Fields:
         return _parse_ideal(self.scene.ring, self.text(key))
 
     def prime(self, text):
-        return PrimeIdeal(_parse_ideal(self.scene.ring, text), proved=True)
+        return PrimeIdeal(_parse_ideal(self.scene.ring, text))
 
     def prime_pairs(self, key):
         """``(prime):element ; ...`` as (PrimeIdeal, element text) pairs."""
@@ -353,7 +355,7 @@ def _finite_map(f):
     return rmap
 
 
-def _run_tau(f, flags):
+def _run_tau(f):
     cm = f.pair()
     if "t" in f and "ideal" in f:
         alg = f.make(cm.algebra.with_twist, f.ideal("ideal"),
@@ -373,7 +375,7 @@ def _run_tau(f, flags):
                     _expect_sub(f, "expect", res.submodule))
 
 
-def _run_taubms(f, flags):
+def _run_taubms(f):
     hypersurface = f.scene.ring.parse(f.text("f"))
     t = f.fraction("t")
     if hypersurface.is_zero() or t < 0:
@@ -383,7 +385,7 @@ def _run_taubms(f, flags):
                     "expect" not in f or J == f.ideal("expect"))
 
 
-def _run_stabilize(f, flags):
+def _run_stabilize(f):
     core, k = underline(f.pair())
     return _outcome(f, {"exponent": k, "core": core.serialize()},
                     "expect-exponent" not in f
@@ -391,7 +393,7 @@ def _run_stabilize(f, flags):
                     _expect_sub(f, "expect", core))
 
 
-def _run_nilpotent(f, flags):
+def _run_nilpotent(f):
     cm = f.pair()
     sub = f.lookup("submodules", f.text("sub")) if "sub" in f \
         else cm.carrier_sub()
@@ -400,7 +402,7 @@ def _run_nilpotent(f, flags):
     return _outcome(f, {"nilpotent": value}, _expect(f, "expect", value))
 
 
-def _run_ass(f, flags):
+def _run_ass(f):
     got = [p.ideal.serialize() for p in ass_cartier(f.pair())]
     return _outcome(f, {"primes": got},
                     "expect" not in f
@@ -409,13 +411,13 @@ def _run_ass(f, flags):
                               for t in _split_list(f.text("expect"))))
 
 
-def _run_fregular(f, flags):
+def _run_fregular(f):
     value, cert = is_f_regular(f.pair())
     return _outcome(f, {"f_regular": value, "certificate": cert},
                     _expect(f, "expect", value))
 
 
-def _run_testelements(f, flags):
+def _run_testelements(f):
     seq = find_test_elements(f.pair())
     got = [(_prime_label(e.prime), str(e.element)) for e in seq.entries]
     return _outcome(f, {"sequence": got},
@@ -432,7 +434,7 @@ def _denom_caps(p, text):
     return caps
 
 
-def _run_jumps(f, flags):
+def _run_jumps(f):
     cm = f.pair()
     ideal = f.ideal("ideal")
     caps = f.make(_denom_caps, f.scene.ring.p, f.kv.get("denom-caps", "2,2"))
@@ -444,7 +446,7 @@ def _run_jumps(f, flags):
         raise f.error(f"exact-policy must be strict or lower-bound, "
                       f"got {policy!r}")
     spectrum = jumping_numbers(cm, ideal, top, caps=caps, exact_policy=policy,
-                               cache=flags.get("cache"))
+                               cache=f.cache)
     got = [_fraction_text(t) for t in spectrum.jump_values()]
     return _outcome(f, spectrum.serialize(),
                     all(j.right_continuity_ok for j in spectrum.jumps),
@@ -454,7 +456,7 @@ def _run_jumps(f, flags):
                                if t.strip()])
 
 
-def _run_gr(f, flags):
+def _run_gr(f):
     t = f.fraction("t")
     if t < 0:
         raise f.error("gr needs t >= 0")
@@ -467,7 +469,7 @@ def _run_gr(f, flags):
                     _expect(f, "expect-nilpotent", nilp))
 
 
-def _run_skoda(f, flags):
+def _run_skoda(f):
     t = f.fraction("t")
     if t < 1:
         raise f.error("skoda needs t >= 1")
@@ -475,7 +477,7 @@ def _run_skoda(f, flags):
     return _outcome(f, report, report["ok"])
 
 
-def _run_pullback(f, flags):
+def _run_pullback(f):
     cm = f.pair()
     rmap = f.lookup("maps", f.text("map"))
     if isinstance(rmap, list):
@@ -488,7 +490,7 @@ def _run_pullback(f, flags):
                     not tau_checked or report.get("tau_equal"))
 
 
-def _run_pushforward(f, flags):
+def _run_pushforward(f):
     cm = f.pair()
     rmap = _finite_map(f)
     if cm.algebra.is_twisted():
@@ -501,7 +503,7 @@ def _run_pushforward(f, flags):
                     report["pushforward_ass_transport"])
 
 
-def _run_quasifinite(f, flags):
+def _run_quasifinite(f):
     cm = f.pair()
     rmap = _finite_map(f)
     upstairs = cm if cm.ring == rmap.target else shriek_finite(cm, rmap).cm
@@ -511,7 +513,7 @@ def _run_quasifinite(f, flags):
                     _expect(f, "expect-strict", report["strict"]))
 
 
-def _run_model(f, flags):
+def _run_model(f):
     res = coherent_model(f.pair())
     tau_model = tau(res.cm).submodule
     result = res.serialize()
@@ -523,7 +525,7 @@ def _run_model(f, flags):
                     _expect(f, "expect-strict", strict))
 
 
-def _run_point_pushforward(f, flags):
+def _run_point_pushforward(f):
     cm = f.pair()
     _model, core = pushforward_point(cm)
     tau_sub = tau(cm).submodule
@@ -573,12 +575,12 @@ _PULLBACK_CHECKS = ("tau-commutes", "tau-included")
 def run_task(scene, task, flags):
     """Run one task in the scene's memo scope.  Of ``flags`` it reads only
     ``cache`` (a ``ResultCache`` for ``jumps``); any other key is ignored."""
-    f = _Fields(scene, task, task.get("line"))
+    f = _Fields(scene, task, task.get("line"), flags.get("cache"))
     handler = _TASK_OPS.get(task["op"])
     if handler is None:
         raise f.error(f"unknown task op {task['op']!r}")
     with _at_line(f.line), memo_scope(scene.memo):
-        return handler(f, flags)
+        return handler(f)
 
 
 def run_scene(scene, flags=None):

@@ -277,7 +277,7 @@ def _shrink_fixed_point(cm, ass_primes, *, first_descent=False):
 
 
 @memo_scope()
-def is_f_regular(cm, candidates=None, *, first_descent=False):
+def is_f_regular(cm, *, first_descent=False):
     """Decide whether the carrier equals its own test module.
 
     Returns (bool, certificate).  False answers carry a proper qualifying
@@ -302,11 +302,10 @@ def is_f_regular(cm, candidates=None, *, first_descent=False):
         cert["note"] = "not F-pure"
         return False, cert
     cmc = cm.with_carrier(core)
-    ass = ass_cartier(cmc, candidates=candidates)
+    ass = ass_cartier(cmc)
     if not ass:
         raise UnsupportedShapeError(
-            "no associated primes found for a nonzero module; "
-            "supply candidates")
+            "no associated primes found for a nonzero module")
     cert["ass"] = [pr.ideal.serialize() for pr in ass]
     fixed, tried = _shrink_fixed_point(cmc, ass,
                                        first_descent=first_descent)
@@ -418,7 +417,7 @@ def _find_for_primes(cmc, core, primes, ass, mandatory_isolation):
 
 
 @memo_scope()
-def find_test_elements(cm, candidates=None):
+def find_test_elements(cm):
     """Search a verified sequence of per-prime elements.
 
     For each associated prime eta, candidates are tried in order (isolating
@@ -428,7 +427,7 @@ def find_test_elements(cm, candidates=None):
     """
     core, _ = underline(cm)
     cmc = cm.with_carrier(core)
-    ass = ass_cartier(cmc, candidates=candidates)
+    ass = ass_cartier(cmc)
     return _find_for_primes(cmc, core, ass, ass, mandatory_isolation=False)
 
 
@@ -496,42 +495,42 @@ def _tau_engine(cmc, stab, primes, test_elements, e0, holds_at):
     return TauResult(total, cert)
 
 
-def _memoised(memo, compute, cm, test_elements, candidates, e0):
-    """``compute(cm, test_elements, candidates, e0)``, read from the memo
-    table ``memo`` when nothing is supplied.
+def _memoised(memo, compute, cm, test_elements, e0):
+    """``compute(cm, test_elements, e0)``, read from the memo table ``memo``
+    when no ``test_elements`` are supplied.
 
     The table is keyed on the structure key, the carrier's basis and
-    ``e0``: a search from those alone picks the test elements and candidate
-    primes, so the answer and its certificate depend on nothing else.  Supplied ``test_elements`` or ``candidates`` bypass the table.
-    Each call gets its own copy of the certificate dict.
+    ``e0``: the associated primes and the test elements are computed from
+    those alone, so the answer and its certificate depend on nothing else.
+    Supplied ``test_elements`` bypass the table.  Each call gets its own
+    copy of the certificate dict.
     """
-    if test_elements is not None or candidates is not None:
-        return compute(cm, test_elements, candidates, e0)
+    if test_elements is not None:
+        return compute(cm, test_elements, e0)
     key = (cm.structure_key(), tuple(cm.carrier_sub().basis()), e0)
     if key not in memo:
-        memo[key] = compute(cm, None, None, e0)
+        memo[key] = compute(cm, None, e0)
     result = memo[key]
     return TauResult(result.submodule, dict(result.certificate))
 
 
 @memo_scope()
-def tau(cm, test_elements=None, candidates=None, e0=0):
+def tau(cm, test_elements=None, e0=0):
     """Test module via the per-prime closure formula, with verification.
 
     Memoised in the ``tau`` table of the open memo scope on the structure
     key, the carrier's basis and ``e0``; a call that supplies
-    ``test_elements`` or ``candidates`` bypasses the table.
+    ``test_elements`` bypasses the table.
     """
-    return _memoised(memo_table("tau"), _tau, cm, test_elements, candidates,
-                     e0)
+    return _memoised(memo_table("tau"), _tau, cm, test_elements, e0)
 
 
-def _tau(cm, test_elements, candidates, e0):
+def _tau(cm, test_elements, e0):
     core, stab = underline(cm)
     cmc = cm.with_carrier(core)
     if core.is_trivial():
         return TauResult(core, {"note": "stable core is zero"})
-    primes = ass_cartier(cmc, candidates=candidates)
+    primes = ass_cartier(cmc)
     if test_elements is None:
         test_elements = _find_for_primes(cmc, core, primes, primes,
                                          mandatory_isolation=False)
@@ -539,7 +538,7 @@ def _tau(cm, test_elements, candidates, e0):
 
 
 @memo_scope()
-def tau_prime(cm, test_elements=None, candidates=None, e0=0):
+def tau_prime(cm, test_elements=None, e0=0):
     """Legacy variant: generic agreement at the minimal support primes only.
 
     The per-prime elements must isolate their prime (lie in every associated
@@ -548,18 +547,18 @@ def tau_prime(cm, test_elements=None, candidates=None, e0=0):
     like ``tau``, in its own ``tau_prime`` table.
     """
     return _memoised(memo_table("tau_prime"), _tau_prime, cm, test_elements,
-                     candidates, e0)
+                     e0)
 
 
-def _tau_prime(cm, test_elements, candidates, e0):
+def _tau_prime(cm, test_elements, e0):
     core, stab = underline(cm)
     if core.is_trivial():
         return TauResult(core, {"note": "stable core is zero"})
     cmc = cm.with_carrier(core)
     ann = core.annihilator().saturation_elem(cm.inverted)
-    primes = minimal_primes(ann, candidates=candidates)
+    primes = minimal_primes(ann)
     if test_elements is None:
-        ass = ass_cartier(cmc, candidates=candidates)
+        ass = ass_cartier(cmc)
         test_elements = _find_for_primes(cmc, core, primes, ass,
                                          mandatory_isolation=True)
     return _tau_engine(cmc, stab, primes, test_elements, e0, _equal_at)

@@ -116,8 +116,8 @@ class TestSupport:
         x, y = R.gens()
         M = PresentedModule.quotient_ring(R, Ideal(R, [x]))
         N = M.full_submodule()
-        assert support_vanishes(N, PrimeIdeal(Ideal(R, [y]), True).ideal)
-        assert not support_vanishes(N, PrimeIdeal(Ideal(R, [x]), True).ideal)
+        assert support_vanishes(N, PrimeIdeal(Ideal(R, [y])).ideal)
+        assert not support_vanishes(N, PrimeIdeal(Ideal(R, [x])).ideal)
 
     def test_zero_module_vanishes_everywhere(self):
         R = ring2()

@@ -13,7 +13,8 @@ from cartierlab.errors import (GaugeBoundError, ResourceCapError,
                                UnsupportedShapeError)
 from cartierlab.fppoly import EngineCaps, RingSpec, cartier_trace
 from cartierlab.fpmod import ModuleMap, PresentedModule, present_submodule
-from cartierlab.functorops import (FiniteMapData, RingMap, coherent_model,
+from cartierlab.functorops import (FiniteMapData, PointSpan, RingMap,
+                                   coherent_model,
                                    coherent_models_agree, commutation_suite,
                                    contract_prime, fiber_primes,
                                    gauge_growth_probe, pullback,
@@ -534,3 +535,41 @@ class TestPointPushforward:
             t = tau(cm).submodule
             _m, core_tau = pushforward_point(cm.with_carrier(t))
             assert core_tau.dim() == 0
+
+
+def _span_draw(rng):
+    """A module over F_p[x, y] and 1-12 vectors of it, one of them often a
+    combination of two others."""
+    p = rng.choice((2, 3, 5))
+    R = RingSpec(p, ("x", "y"))
+    if rng.random() < 0.25:
+        module = PresentedModule.quotient_ring(
+            R, Ideal(R, [R.parse("x^3"), R.parse("y^2")]))
+    else:
+        module = PresentedModule.free(R, rng.randint(1, 3))
+    terms = [(i, (a, b)) for i in range(module.rank)
+             for a in range(3) for b in range(3)]
+    vectors = [VecPoly(R, module.rank,
+                       {t: rng.randrange(1, p)
+                        for t in rng.sample(terms, rng.randint(1, 4))})
+               for _ in range(rng.randint(1, 12))]
+    if len(vectors) > 1 and rng.random() < 0.5:
+        vectors.append(vectors[0] + vectors[1].scale(rng.randrange(1, p)))
+    return module, vectors
+
+
+def test_point_span_is_the_reduced_echelon_form():
+    rng = random.Random(2027)
+    for _ in range(400):
+        module, vectors = _span_draw(rng)
+        span = PointSpan(module, vectors)
+        assert all(span.contains(v) for v in vectors)
+        again = vectors + vectors
+        rng.shuffle(again)
+        assert PointSpan(module, again) == span
+        leads = [r.lead() for r in span.rows]
+        assert all(c == 1 for _lt, c in leads)
+        keys = [VecPoly.key(lt) for lt, _c in leads]
+        assert keys == sorted(keys)
+        for row, (lt, _c) in zip(span.rows, leads):
+            assert not set(row.terms) & ({t for t, _ in leads} - {lt})

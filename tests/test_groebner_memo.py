@@ -219,7 +219,7 @@ def cusp_module(t):
 
 
 def _generic_point(cm):
-    return PrimeIdeal(Ideal(cm.ring, []), True)
+    return PrimeIdeal(Ideal(cm.ring, []))
 
 
 # memo table name -> (call, module owning the computation, its name)

@@ -7,7 +7,7 @@ from itertools import product as iproduct
 
 from cartierlab.errors import UnsupportedShapeError
 from cartierlab.fppoly import RingSpec
-from cartierlab.idealkit import (Ideal, PrimeIdeal, factor_restricted,
+from cartierlab.idealkit import (Ideal, factor_restricted,
                                  frobenius_root, frobenius_root_of_power,
                                  minimal_primes, monomial_associated_primes,
                                  _u_factor, _u_mul)
@@ -194,7 +194,6 @@ class TestMinimalPrimes:
         x, y = R.gens()
         ps = minimal_primes(Ideal(R, [x * y]))
         assert {tuple(p.ideal.serialize()) for p in ps} == {("x",), ("y",)}
-        assert all(p.proved for p in ps)
 
     def test_monomial_radical(self):
         R = RingSpec(2, ("x", "y"))
@@ -229,19 +228,9 @@ class TestMinimalPrimes:
         assert all(rad_oracle.contains(g) or True for g in prod.gens)
         assert prod.contains_ideal(Ideal(R, [(x * y) ** 4]))
 
-    def test_candidate_filter(self):
-        R = RingSpec(2, ("x", "y"))
-        x, y = R.gens()
-        I = Ideal(R, [x * y])
-        cands = [PrimeIdeal(Ideal(R, [x]), True),
-                 PrimeIdeal(Ideal(R, [x, y]), True),
-                 PrimeIdeal(Ideal(R, [y]), True)]
-        out = minimal_primes(I, candidates=cands)
-        assert {tuple(p.ideal.serialize()) for p in out} == {("x",), ("y",)}
-
     def test_unsupported_shape(self):
         # positive-dimensional, neither principal nor monomial: outside the
-        # restricted decision procedures, so the caller must supply candidates
+        # restricted decision procedures
         R = RingSpec(2, ("x", "y", "z"))
         I = Ideal(R, [R.parse("x^2 + y^3"), R.parse("x*z")])
         with pytest.raises(UnsupportedShapeError):
@@ -258,7 +247,7 @@ class TestMinimalPrimes:
         R = RingSpec(7, ("x", "y"))
         I = Ideal(R, [R.parse("x^2 + 1"), R.parse("y + 3")])
         ps = minimal_primes(I)
-        assert len(ps) == 1 and ps[0].proved
+        assert len(ps) == 1
 
 
 class TestFactorization:

@@ -1,9 +1,9 @@
 """The ``tau`` and functor-report tables of a memo scope.
 
 ``tau`` and ``tau_prime`` are memoised on the structure key, the carrier's
-basis, ``e0`` and the seed; supplied test elements or candidates bypass the
-table.  ``commutation_suite`` is memoised on the module, its carrier and
-the map, so a scene's ``pushforward`` task reads back the report that its
+basis and ``e0``; supplied test elements bypass the table.
+``commutation_suite`` is memoised on the module, its carrier and the map,
+so a scene's ``pushforward`` task reads back the report that its
 ``pullback`` twin built.  Every read must equal a fresh computation.
 """
 
