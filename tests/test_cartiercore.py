@@ -10,6 +10,7 @@ from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     validate_structure)
 from cartierlab.errors import InvalidStructureError, NotEquivariantError
 from cartierlab.fppoly import RingSpec
+from cartierlab.groebner import memo_scope
 from cartierlab.fpmod import ModuleMap, PresentedModule
 from cartierlab.idealkit import Ideal, PrimeIdeal
 
@@ -151,6 +152,16 @@ class TestAss:
     def test_intro_split_sum(self):
         primes = ass_cartier(intro_module())
         assert sorted(tuple(p.ideal.serialize()) for p in primes) == \
+            [(), ("y",)]
+
+    def test_memo_hands_out_copies(self):
+        # a caller mutating one result must not change the memoised next one
+        cm = intro_module()
+        with memo_scope():
+            first = ass_cartier(cm)
+            first.append(PrimeIdeal(Ideal(cm.ring, [cm.ring.var("x")])))
+            second = ass_cartier(cm)
+        assert sorted(tuple(p.ideal.serialize()) for p in second) == \
             [(), ("y",)]
 
 

@@ -201,6 +201,15 @@ class TestMinimalPrimes:
         ps = minimal_primes(Ideal(R, [x ** 2 * y ** 3]))
         assert {tuple(p.ideal.serialize()) for p in ps} == {("x",), ("y",)}
 
+    def test_embedded_prime_dropped(self):
+        # (x^2, xy) has associated primes (x) and (x, y); only (x) is minimal
+        R = RingSpec(2, ("x", "y"))
+        x, y = R.gens()
+        ps = minimal_primes(Ideal(R, [x * x, x * y]))
+        assert [tuple(p.ideal.serialize()) for p in ps] == [("x",)]
+        assert ps[0].serialize() == {"generators": ["x"],
+                                     "provenance": "proved"}
+
     def test_zero_ideal(self):
         R = RingSpec(2, ("x", "y"))
         ps = minimal_primes(Ideal(R, []))
