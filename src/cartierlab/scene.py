@@ -37,7 +37,7 @@ from .functorops import (RingMap, coherent_model, commutation_suite,
                          composite_pullback_report, pushforward_point,
                          quasi_finite_check, shriek_finite)
 from .groebner import memo_scope
-from .idealkit import Ideal, PrimeIdeal
+from .idealkit import Ideal, PrimeIdeal, minimal_primes
 from .testmod import (TestElementEntry, TestElementSequence,
                       find_test_elements, is_f_regular, tau, tau_bms,
                       tau_prime)
@@ -110,6 +110,16 @@ class _Fields:
 
     def prime(self, text):
         return PrimeIdeal(_parse_ideal(self.scene.ring, text))
+
+    def checked_prime(self, key):
+        """The ideal of field ``key`` as a PrimeIdeal, refused unless it is
+        its own only minimal prime: the unit ideal has none, (x*y) two and
+        (x^2) the prime (x)."""
+        ideal = self.ideal(key)
+        prime = PrimeIdeal(ideal)
+        if self.make(minimal_primes, ideal) != [prime]:
+            raise self.error(f"{key}= is not a prime ideal")
+        return prime
 
     def prime_pairs(self, key):
         """``(prime):element ; ...`` as (PrimeIdeal, element text) pairs."""
@@ -397,7 +407,7 @@ def _run_nilpotent(f):
     cm = f.pair()
     sub = f.lookup("submodules", f.text("sub")) if "sub" in f \
         else cm.carrier_sub()
-    at = f.prime(f.text("at")) if "at" in f else None
+    at = f.checked_prime("at") if "at" in f else None
     value = nilpotence(cm, sub, at=at)
     return _outcome(f, {"nilpotent": value}, _expect(f, "expect", value))
 

@@ -15,7 +15,10 @@ reported as regular with the candidate list recorded in the certificate
 result is post-verified against the defining conditions).  ``is_f_regular``
 walks on to the fixed point and reports it as the proper submodule; the
 check of a test element reads only the verdict, so it stops at the first
-descent.
+descent and formats no candidate list (``find_test_elements`` fills the
+list in for the entries it reports).  The pool is built only as far as a
+reader walks it (``_LazyPool``): the search tries ``1`` first, and in the
+shape below that check reads no candidate at all.
 
 Write cl(X) for the sum of C_e(X) over e >= 0, which is what
 ``graded_sum`` computes.  Every phi in C_e, twisted or localized, has
@@ -46,6 +49,7 @@ value of a jumping-number sweep rests on a certified stop.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import itertools
 import math
 import random
 
@@ -129,66 +133,131 @@ def _factor_pool(cm):
 
 
 def candidate_elements(cm):
-    """Deterministic candidates first, then 12 random linear forms drawn
-    from one fixed seed; memoised by ``_candidate_pool``."""
+    """The whole candidate pool, in order: ``1``, the variables, the
+    irreducible factors of ``_factor_pool``, the pairwise products of the
+    variables and those factors, then 12 random linear forms drawn from one
+    fixed seed.  Memoised by ``_candidate_pool``."""
     return list(_candidate_pool(cm)[0])
 
 
 def _candidate_pool(cm):
-    """(candidates, factors): the pool of ``candidate_elements`` and a dict
-    sending each product a*b the pool emits to its factors (a, b).
+    """(candidates, factors): the whole pool of ``candidate_elements`` and
+    a dict sending each product a*b the pool emits to its factors (a, b)."""
+    return _lazy_pool(cm).complete()
 
-    Memoised for the open memo scope on the structure key and the carrier's
-    basis.
-    """
+
+def _lazy_pool(cm):
+    """The ``_LazyPool`` of ``cm``, memoised for the open memo scope on the
+    structure key and the carrier's basis."""
     memo = memo_table("candidate_pool")
     key = (cm.structure_key(), tuple(cm.carrier_sub().basis()))
     if key not in memo:
-        memo[key] = _candidate_elements(cm)
+        memo[key] = _LazyPool(cm)
     return memo[key]
 
 
+class _LazyPool:
+    """The pool of ``candidate_elements``, built only as far as it is read.
+
+    Iterating walks ``items``, the prefix built so far, and extends it one
+    candidate at a time from a ``_candidate_elements`` stream; ``factors``
+    holds the factors of the products among them.  A reader that stops
+    early builds nothing past its stop: a search that accepts ``1`` factors
+    nothing.  The index walk lets a nested reader of the same pool extend it
+    under an outer one.  A stream that raises is dropped, so the prefix
+    stays a prefix of the pool, and the next extension starts a fresh
+    stream past it: the error is raised afresh, never stored.
+    """
+
+    def __init__(self, cm):
+        self._cm = cm
+        self._stream = None
+        self._whole = None  # (candidates, factors) once the stream ends
+        self.items = []
+        self.factors = {}
+
+    def __iter__(self):
+        i = 0
+        while i < len(self.items) or self._extend():
+            yield self.items[i]
+            i += 1
+
+    def _extend(self):
+        """Append the next candidate; False once the pool is whole."""
+        if self._whole is not None:
+            return False
+        try:
+            if self._stream is None:
+                self._stream = itertools.islice(
+                    _candidate_elements(self._cm), len(self.items), None)
+            f, pair = next(self._stream)
+        except StopIteration:
+            self._whole = (tuple(self.items), self.factors)
+            return False
+        except BaseException:
+            self._stream = None
+            raise
+        self.items.append(f)
+        if pair is not None:
+            self.factors[f] = pair
+        return True
+
+    def complete(self):
+        while self._extend():
+            pass
+        return self._whole
+
+
 def _candidate_elements(cm):
+    """Yield the pool of ``candidate_elements`` in order, each candidate
+    with its factors (a, b) when it is a pool product, else None."""
     ring = cm.ring
     seen = set()
 
-    def emit(f):
-        if f.is_zero():
-            return None
-        if f in seen:
-            return None
+    def new(f):
+        if f.is_zero() or f in seen:
+            return False
         seen.add(f)
-        return f
+        return True
 
-    out = []
-    one = ring.one()
-    if emit(one):
-        out.append(one)
     variables = ring.gens()
-    for v in variables:
-        if emit(v):
-            out.append(v)
+    for f in [ring.one()] + variables:
+        if new(f):
+            yield f, None
     pool = _factor_pool(cm)
     for f in pool:
-        if emit(f):
-            out.append(f)
+        if new(f):
+            yield f, None
     base = variables + pool
-    factors = {}
     for i, a in enumerate(base):
         for b in base[i:]:
             f = a * b
-            if emit(f):
-                out.append(f)
-                factors[f] = (a, b)
+            if new(f):
+                yield f, (a, b)
     rng = random.Random(0x7E57E1)
     for _ in range(12):
         coeffs = [rng.randrange(ring.p) for _ in range(ring.nvars + 1)]
         f = ring.const(coeffs[-1])
         for c, v in zip(coeffs, variables):
             f = f + v.scale(c)
-        if not f.is_constant() and emit(f):
-            out.append(f)
-    return tuple(out), factors
+        if not f.is_constant() and new(f):
+            yield f, None
+
+
+def _avoiders(cm, ass_primes):
+    """The pool's candidates outside every associated prime, in pool
+    order."""
+    cands = [c for c in _candidate_pool(cm)[0]
+             if not any(pr.contains(c) for pr in ass_primes)]
+    if not cands:
+        raise SearchBudgetError(
+            "no avoider found for the associated primes; supply a witness")
+    return cands
+
+
+def _candidate_names(cm, ass_primes):
+    """The avoiders as text, the candidate list of a certificate."""
+    return [str(c) for c in _avoiders(cm, ass_primes)]
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +284,17 @@ def _shrink_fixed_point(cm, ass_primes, *, first_descent=False):
     Each step replaces T by closure(c*T) for a candidate c avoiding every
     associated prime; such steps preserve the defining localization
     conditions, so any strict descent certifies a proper qualifying
-    submodule.  Returns (fixed point, tried candidates).  With
-    ``first_descent`` the walk returns at its first strict descent instead:
-    that submodule already proves the carrier is not regular.
+    submodule.  Returns (fixed point, tried candidates), the second the
+    pool's avoiders as text.  ``first_descent`` marks a caller that reads
+    only the verdict: the walk returns at its first strict descent instead,
+    since that submodule already proves the carrier is not regular, and
+    the candidate list is None.
 
     In the rank-1 principal shape one closure of d*T comes first, with d
-    from ``_principal_test_element``; when it returns T, T is regular and
-    the pool would find no descent (the argument in the module docstring).
+    from ``_principal_test_element``, before the pool is read; when it
+    returns T, T is regular and the pool would find no descent (the
+    argument in the module docstring), so a verdict-only caller builds no
+    pool at all.
 
     Otherwise the loop walks the candidates cyclically, in pool order, and
     stops once every candidate has fixed the current T since the last
@@ -239,18 +312,15 @@ def _shrink_fixed_point(cm, ass_primes, *, first_descent=False):
       the exact cl; a twisted sum may stop on its window, and is computed.
     """
     carrier = cm.carrier_sub()
-    pool, factors = _candidate_pool(cm)
-    cands = [c for c in pool
-             if not any(pr.contains(c) for pr in ass_primes)]
-    if not cands:
-        raise SearchBudgetError(
-            "no avoider found for the associated primes; supply a witness")
-    tried = [str(c) for c in cands]
     d = _principal_test_element(cm)
     if d is not None:
         seeded = cm.canon(list(carrier.scale_poly(d).gens))
         if graded_sum(cm, seeded)[0] == carrier:
-            return carrier, tried
+            return carrier, (None if first_descent
+                             else _candidate_names(cm, ass_primes))
+    cands = _avoiders(cm, ass_primes)
+    tried = None if first_descent else [str(c) for c in cands]
+    factors = _candidate_pool(cm)[1]
     untwisted = not cm.algebra.is_twisted()
     current = carrier
     fixing = set()  # candidates whose closure returned ``current``
@@ -282,16 +352,19 @@ def is_f_regular(cm, *, first_descent=False):
 
     Returns (bool, certificate).  False answers carry a proper qualifying
     submodule and are sound.  It is the full fixed point of the shrink
-    walk, or with ``first_descent`` (set only by the test-element check)
-    the walk's first descent, which already refutes regularity.  True
-    answers record the candidate pool that failed to shrink the module
-    (heuristic completeness, flagged), except in the rank-1 principal
-    shape: a rank-1 free module, possibly localized, with the one generator
-    ``Tr`` and principal twists f_i^t_i.  There d = prod f_i^ceil(t_i) lies
-    in tau (tau(f^m) = (f^m), Blickle-Mustata-Smith 2008; tau is the
-    smallest nonzero compatible ideal, Schwede 2011), so cl(d*T) = T proves
-    the True verdict with one closure; the verdict string and the candidate
-    list are the ones the pool would report.
+    walk, or with ``first_descent`` (set only by the test-element check,
+    which reads the verdict) the walk's first descent, which already
+    refutes regularity.  True answers record the candidate pool that
+    failed to shrink the module (heuristic completeness, flagged), except
+    in the rank-1 principal shape: a rank-1 free module, possibly
+    localized, with the one generator ``Tr`` and principal twists
+    f_i^t_i.  There d = prod f_i^ceil(t_i) lies in tau (tau(f^m) = (f^m),
+    Blickle-Mustata-Smith 2008; tau is the smallest nonzero compatible
+    ideal, Schwede 2011), so cl(d*T) = T proves the True verdict with one
+    closure; the verdict string and the candidate list are the ones the
+    pool would report.  With ``first_descent`` the certificate's
+    ``candidates`` is None: ``find_test_elements`` fills it in for the
+    entries it reports.
     """
     core, k = underline(cm)
     cert = {"f_pure": k == 0}
@@ -321,14 +394,22 @@ def is_f_regular(cm, *, first_descent=False):
 # test elements
 
 
+def _localized(cm, c, piece):
+    """``cm`` with c inverted and ``piece``, saturated, as its carrier."""
+    loc = cm.localize(c)
+    return loc.with_carrier(loc.canon(piece.gens))
+
+
 def _verify_test_element(cm, prime, c, piece):
     """Check that ``piece``, the stable ``prime``-torsion of the core, is
     regular after inverting c.
 
     Only the verdict is read, so the regularity check stops at the first
     descent: a False entry holds that first-descent witness as its proper
-    submodule, not the walk's fixed point.  Only this check writes the
-    ``verify`` table, so its key needs no mark for the early stop.
+    submodule, not the walk's fixed point, and no entry holds the candidate
+    list (``candidates`` is None; ``_report_candidates`` fills it in).
+    Only this check writes the ``verify`` table, so its key needs no mark
+    for the early stop or the missing list.
 
     Verdicts are memoised in the ``verify`` table of the open memo scope on
     the localized module's structure key, its saturated carrier and the
@@ -340,11 +421,9 @@ def _verify_test_element(cm, prime, c, piece):
     """
     if piece.is_trivial():
         return True, {"note": "torsion piece vanishes"}
-    loc = cm.localize(c)
-    loc_piece = loc.canon(piece.gens)
-    loc = loc.with_carrier(loc_piece)
+    loc = _localized(cm, c, piece)
     memo = memo_table("verify")
-    key = (loc.structure_key(), tuple(loc_piece.basis()), prime)
+    key = (loc.structure_key(), tuple(loc.carrier_sub().basis()), prime)
     if key not in memo:
         try:
             memo[key] = is_f_regular(loc, first_descent=True)
@@ -381,13 +460,16 @@ def _search_element(cmc, prime, core, isolate, mandatory_isolation):
     down to ``prime`` itself, which both matches the existence proof's
     search and keeps the recursive verification in its single-prime base
     case.  The pool stage skips the isolating candidates already tried.
+    Its walk builds the pool only as far as it reads; the isolating stage
+    sorts, so it builds the whole pool.
     """
     tried = []
     piece = stable_torsion(cmc, prime, core)
-    pool = candidate_elements(cmc)
+    pool = _lazy_pool(cmc)
     stages = []
     if isolate:
-        isolating = [c for c in pool if all(nu.contains(c) for nu in isolate)]
+        isolating = [c for c in pool.complete()[0]
+                     if all(nu.contains(c) for nu in isolate)]
         stages.append(sorted(isolating,
                              key=lambda c: (c.total_degree(), len(c.terms))))
     if not mandatory_isolation or not isolate:
@@ -423,12 +505,35 @@ def find_test_elements(cm):
     For each associated prime eta, candidates are tried in order (isolating
     ones, which lie in every associated prime strictly containing eta,
     first; then the rest); the first one whose localized stable torsion
-    piece passes the regularity check is recorded with its certificate.
+    piece passes the regularity check is recorded with its certificate,
+    the candidate list filled in by ``_report_candidates``.
     """
     core, _ = underline(cm)
     cmc = cm.with_carrier(core)
     ass = ass_cartier(cmc)
-    return _find_for_primes(cmc, core, ass, ass, mandatory_isolation=False)
+    found = _find_for_primes(cmc, core, ass, ass, mandatory_isolation=False)
+    for entry in found.entries:
+        _report_candidates(cmc, core, entry)
+    return found
+
+
+def _report_candidates(cmc, core, entry):
+    """Fill in the candidate list the verdict-only check left out of
+    ``entry``'s certificate: the memoised pool of the localized core,
+    filtered by its ``ass_cartier``, as ``is_f_regular`` reports it.
+
+    The certificate is the ``verify`` table's own, so the list is filled in
+    once per scope, and a ``tau`` that stored the verdict earlier in the
+    scope leaves the report as it would be without it.
+    """
+    cert = entry.certificate
+    if cert.get("candidates", ()) is not None:
+        return
+    loc = _localized(cmc, entry.element,
+                     stable_torsion(cmc, entry.prime, core))
+    loc_core, _k = underline(loc)
+    loc = loc.with_carrier(loc_core)
+    cert["candidates"] = _candidate_names(loc, ass_cartier(loc))
 
 
 # ---------------------------------------------------------------------------

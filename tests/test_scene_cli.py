@@ -27,6 +27,15 @@ pair P module=M algebra=A
 task tau pair=P ideal=(y) t=3/2 expect="y"
 """
 
+# intro_example_p2's direct sum R/(y) (+) R; a task line appended is line 7
+DIRECT_SUM = """
+scene direct_sum
+ring p=2 vars=x,y
+module N rank=2 relations="y|0"
+algebra C gens="1:y,0/0,x"
+pair P module=N algebra=C
+"""
+
 BAD_STRUCTURE = """
 scene bad
 ring p=2 vars=x,y
@@ -379,6 +388,27 @@ task tau pair=P ideal=(y) t=1 expect="y^5"
         captured = capsys.readouterr()
         assert f"not a rational N or N/D: {rejected!r} (line 8)" in \
             captured.out + captured.err
+
+    @pytest.mark.parametrize("at", ["(x+1,x)", "(x*y)", "(x^2)"],
+                             ids=["unit-ideal", "two-primes", "not-radical"])
+    def test_nilpotent_at_a_non_prime_exits_5_with_line(self, tmp_path,
+                                                        capsys, at):
+        """Localizing at an ideal that is not prime means nothing; each of
+        these reported ``"nilpotent": false`` with status ok before."""
+        scene = tmp_path / "at.scene"
+        scene.write_text(DIRECT_SUM + f'task nilpotent pair=P at="{at}"\n')
+        assert main(["check", "--scene", str(scene), "--json"]) == 5
+        task, = json.loads(capsys.readouterr().out)["tasks"]
+        assert task["status"] == "error"
+        assert task["result"]["error"] == "at= is not a prime ideal (line 7)"
+
+    @pytest.mark.parametrize("at", ["(x)", "(x+1, y)"])
+    def test_nilpotent_at_a_prime_runs(self, tmp_path, capsys, at):
+        scene = tmp_path / "at.scene"
+        scene.write_text(DIRECT_SUM + f'task nilpotent pair=P at="{at}"\n')
+        assert main(["check", "--scene", str(scene), "--json"]) == 0
+        task, = json.loads(capsys.readouterr().out)["tasks"]
+        assert task["status"] == "ok"
 
     def test_scene_report_is_the_same_with_and_without_cli_flags(self):
         """``run_scene`` without flags, with the flags of ``cartierlab
