@@ -49,15 +49,29 @@ class CartierOp:
         return self.matrix[0][0].ring
 
     def row_products(self, vec):
-        """The entries of U * vec: sum_j U_ij * vec_j for each row i."""
+        """The entries of U * vec: sum_j U_ij * vec_j for each row i.
+
+        A product by 1 is its other factor and a sum into zero its other
+        summand, so both are skipped when the two share one ring object.  A
+        skipped product still runs the degree check of the ring it would be
+        built on, so every ``ResourceCapError`` fires as before.
+        """
         ring = self.ring()
         cols = [vec.component(j) for j in range(self.rank)]
         out = []
         for row in self.matrix:
             acc = ring.zero()
             for j, u in enumerate(row):
-                if not u.is_zero() and not cols[j].is_zero():
-                    acc = acc + u * cols[j]
+                col = cols[j]
+                if u.is_zero() or col.is_zero():
+                    continue
+                if u.ring is col.ring and (u.is_one() or col.is_one()):
+                    term = col if u.is_one() else u
+                    u.ring.caps.check_degree(term.total_degree())
+                else:
+                    term = u * col
+                acc = term if acc.is_zero() and term.ring is ring \
+                    else acc + term
             out.append(acc)
         return out
 
@@ -174,6 +188,23 @@ class CartierAlgebraSpec:
         return out
 
 
+class _StructureKey:
+    """A ``structure_key`` value that is hashed once: memo lookups hash
+    their keys on every call."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts):
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __eq__(self, other):
+        return isinstance(other, _StructureKey) and self.parts == other.parts
+
+    def __hash__(self):
+        return self._hash
+
+
 class CartierModule:
     """A presented module with a validated operator algebra.
 
@@ -184,13 +215,14 @@ class CartierModule:
     it stops there (see ``graded_sum``).
     """
 
-    __slots__ = ("module", "algebra", "carrier", "inverted")
+    __slots__ = ("module", "algebra", "carrier", "inverted", "_key")
 
     def __init__(self, module, algebra, carrier=None, inverted=None):
         self.module = module
         self.algebra = algebra
         self.carrier = carrier
         self.inverted = inverted
+        self._key = None
 
     @property
     def ring(self):
@@ -222,16 +254,22 @@ class CartierModule:
         (equal modules may differ in them, and the candidate pool factors
         them), the inverted element (inverting 1 changes nothing, so it
         reads as None), the operators, and the twist generators (the digit
-        peeling walks them) with their exponents."""
-        inverted = None if self.inverted is None or self.inverted.is_one() \
-            else self.inverted
-        return (self.ring.caps, self.module, self.module.relations, inverted,
+        peeling walks them) with their exponents.  Computed once per object;
+        ``with_carrier`` hands it on, since the carrier is not part of it."""
+        if self._key is None:
+            inverted = None if self.inverted is None \
+                or self.inverted.is_one() else self.inverted
+            self._key = _StructureKey((
+                self.ring.caps, self.module, self.module.relations, inverted,
                 self.algebra.generators,
-                tuple((tuple(a.gens), t) for a, t in self.algebra.twists))
+                tuple((tuple(a.gens), t) for a, t in self.algebra.twists)))
+        return self._key
 
     def with_carrier(self, sub):
-        return CartierModule(self.module, self.algebra, carrier=sub,
-                             inverted=self.inverted)
+        cm = CartierModule(self.module, self.algebra, carrier=sub,
+                           inverted=self.inverted)
+        cm._key = self.structure_key()
+        return cm
 
     def with_algebra(self, algebra):
         return CartierModule(self.module, algebra, carrier=self.carrier,
@@ -332,7 +370,9 @@ def _twist_moves(ring, twists, e, pendings):
     Yields (multiplier poly, new pending tuple): the multiplier is the
     product of the chosen small ideal-generator powers; the remaining huge
     powers follow the operator through as p^e-th roots.  The small powers
-    come from ``small_power``.
+    come from ``small_power``.  The product starts at 1, and 1 times a
+    power on ``ring`` is that power, so such a factor is taken as it is,
+    after the degree check the product would run.
     """
     per_ideal = []
     for (ideal, _t), pending in zip(twists, pendings):
@@ -345,8 +385,14 @@ def _twist_moves(ring, twists, e, pendings):
         new_pendings = []
         for gens, gamma, new in combo:
             for g, a in zip(gens, gamma):
-                if a:
-                    mult = mult * small_power(g, a)
+                if not a:
+                    continue
+                power = small_power(g, a)
+                if mult.is_one() and power.ring is ring:
+                    ring.caps.check_degree(power.total_degree())
+                    mult = power
+                else:
+                    mult = mult * power
             new_pendings.append(new)
         yield mult, tuple(new_pendings)
 

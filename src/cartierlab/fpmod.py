@@ -22,7 +22,7 @@ from .idealkit import Ideal
 class PresentedModule:
     """R^rank modulo the span of ``relations`` (VecPoly columns)."""
 
-    __slots__ = ("ring", "rank", "relations", "_relgb")
+    __slots__ = ("ring", "rank", "relations", "_relgb", "_hash")
 
     def __init__(self, ring, rank, relations=()):
         if rank < 0:
@@ -41,6 +41,7 @@ class PresentedModule:
                 rels.append(v)
         self.relations = tuple(rels)
         self._relgb = None
+        self._hash = None
 
     @staticmethod
     def free(ring, rank):
@@ -99,7 +100,11 @@ class PresentedModule:
                 and tuple(self.relation_gb()) == tuple(other.relation_gb()))
 
     def __hash__(self):
-        return hash((self.ring, self.rank, tuple(self.relation_gb())))
+        """Cached like ``relation_gb``: nothing it reads ever changes."""
+        if self._hash is None:
+            self._hash = hash((self.ring, self.rank,
+                               tuple(self.relation_gb())))
+        return self._hash
 
     def __repr__(self):
         return f"<module rank {self.rank} / {len(self.relations)} relations>"
@@ -213,7 +218,9 @@ class Submodule:
             else Ideal(ring, [ring.one()])
 
     def saturate(self, c):
-        """(self : c^infty) inside the parent, chain certified."""
+        """(self : c^infty) inside the parent, chain certified.  ``c = None``
+        or ``c = 1`` inverts nothing and returns ``self``, by the rule of
+        ``Ideal.saturation_elem``."""
         if c is None or c.is_one():
             return self
         return self.parent.ring.caps.stabilize(

@@ -131,8 +131,12 @@ class Ideal:
             "saturation chain did not stabilize")
 
     def saturation_elem(self, c):
-        """(self : c^infty); ``c = None`` inverts nothing."""
-        return self if c is None else self.saturation(Ideal(self.ring, [c]))
+        """(self : c^infty).  ``c = None`` or ``c = 1`` inverts nothing, so
+        the result is ``self``: (self : 1) = self, the chain's first step
+        is already a fixed point, and ``stabilize`` returns its start."""
+        if c is None or c.is_one():
+            return self
+        return self.saturation(Ideal(self.ring, [c]))
 
     def bracket_power(self, e):
         """Ideal generated by g^(p^e) over the stored generators."""

@@ -553,7 +553,14 @@ def _nil_iso_at(cm, prime, big, small):
 
 
 def _equal_at(cm, prime, big, small):
-    """Does the inclusion small <= big become an equality at ``prime``?"""
+    """Does the inclusion small <= big become an equality at ``prime``?
+
+    Equal submodules are equal at every prime, so ``big == small`` answers
+    True without the conductor, which would be (1) and so not inside the
+    proper ideal ``prime``.
+    """
+    if big == small:
+        return True
     gens = big.generators_reduced()
     return not gens or unit_at(small.conductor(gens), prime, cm.inverted)
 

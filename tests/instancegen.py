@@ -9,14 +9,16 @@ pieces) so the restricted associated-prime machinery stays decidable; draws
 that still fall outside it are redrawn deterministically.
 """
 
+from fractions import Fraction
 from importlib import resources
 import random
 
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     validate_structure)
 from cartierlab.errors import CartierLabError
-from cartierlab.fppoly import Poly, RingSpec
+from cartierlab.fppoly import EngineCaps, Poly, RingSpec
 from cartierlab.fpmod import PresentedModule
+from cartierlab.idealkit import Ideal
 from cartierlab.scene import parse_scene
 
 
@@ -26,6 +28,29 @@ def corpus_pair(scene, pair="P"):
     text = resources.files("cartierlab").joinpath(
         "corpus", f"{scene}.scene").read_text(encoding="utf-8")
     return parse_scene(text, name=scene).pairs[pair]
+
+
+def trace_grid(p, text, caps=EngineCaps(max_total_degree=10 ** 6)):
+    """[(t, module)] for the trace ``Tr`` on F_p[x,y] twisted by f^t, with
+    f parsed from ``text`` on a ring with ``caps``, at every grid point
+    t = k/(p^2(p^2-1)), k = 1..p^2(p^2-1): a surface of acceptance
+    criterion 10."""
+    ring = RingSpec(p, ("x", "y"), caps=caps)
+    f = ring.parse(text)
+    den = p ** 2 * (p ** 2 - 1)
+    out = []
+    for k in range(1, den + 1):
+        t = Fraction(k, den)
+        algebra = CartierAlgebraSpec([CartierOp(1, [[ring.one()]])],
+                                     twist=(Ideal(ring, [f]), t))
+        out.append((t, validate_structure(PresentedModule.free(ring, 1),
+                                          algebra)))
+    return out
+
+
+def cusp_grid():
+    """Tr on F_2[x,y] twisted by (x^3 + y^2)^(k/12), k = 1..12."""
+    return [cm for _t, cm in trace_grid(2, "x^3 + y^2")]
 
 
 def random_poly(rng, ring, deg=3, terms=3, nonzero=False):

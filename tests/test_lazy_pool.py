@@ -17,7 +17,6 @@ whose associated primes nest, so the search isolates (``tau_prime`` must),
 and the corpus pair of ``intro_example_p2``, whose primes (0) < (y) nest.
 """
 
-from fractions import Fraction
 import itertools
 import random
 
@@ -25,19 +24,14 @@ import pytest
 
 from cartierlab import testmod
 from cartierlab.cache import canonical_json
-from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
-                                    stable_torsion, underline,
-                                    validate_structure)
+from cartierlab.cartiercore import stable_torsion, underline
 from cartierlab.errors import ResourceCapError
-from cartierlab.fpmod import PresentedModule
-from cartierlab.fppoly import EngineCaps, RingSpec
 from cartierlab.groebner import memo_scope
-from cartierlab.idealkit import Ideal
 from cartierlab.scene import parse_scene, run_task
 from cartierlab.testmod import (candidate_elements, find_test_elements,
                                 is_f_regular, tau, tau_prime)
 
-from instancegen import corpus_pair, random_cartier_module
+from instancegen import corpus_pair, cusp_grid, random_cartier_module
 
 # (p, seed) of the 2-variable ``random_cartier_module`` draws whose
 # associated primes nest: (0) < (x + 1), (0) < (x), (y + 1) and the like
@@ -52,15 +46,6 @@ def nested_draw(p, seed):
 def nested_modules():
     return ([nested_draw(p, seed) for p, seed in NESTED]
             + [corpus_pair("intro_example_p2")])
-
-
-def cusp_grid():
-    """Tr on F_2[x,y] twisted by (x^3 + y^2)^(k/12), k = 1..12."""
-    R = RingSpec(2, ("x", "y"), caps=EngineCaps(max_total_degree=10 ** 6))
-    f = R.parse("x^3 + y^2")
-    return [validate_structure(PresentedModule.free(R, 1), CartierAlgebraSpec(
-        [CartierOp(1, [[R.one()]])], twist=(Ideal(R, [f]), Fraction(k, 12))))
-            for k in range(1, 13)]
 
 
 def eager_pool(cm):
