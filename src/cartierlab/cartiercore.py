@@ -30,13 +30,14 @@ from .idealkit import (PrimeIdeal, minimal_primes,
 class CartierOp:
     """Degree-e operator given by an r x r matrix of polynomials (rows)."""
 
-    __slots__ = ("e", "matrix")
+    __slots__ = ("e", "matrix", "_hash")
 
     def __init__(self, e, matrix):
         if e < 1:
             raise ValueError("structural generators must have degree e >= 1")
         self.e = e
         self.matrix = tuple(tuple(row) for row in matrix)
+        self._hash = None
         r = len(self.matrix)
         if any(len(row) != r for row in self.matrix):
             raise ValueError("operator matrix must be square")
@@ -114,7 +115,11 @@ class CartierOp:
                 and self.matrix == other.matrix)
 
     def __hash__(self):
-        return hash((self.e, self.matrix))
+        """Cached: the graded walk's step table hashes the operator on every
+        lookup, and nothing it reads ever changes."""
+        if self._hash is None:
+            self._hash = hash((self.e, self.matrix))
+        return self._hash
 
     def serialize(self):
         return {"e": self.e,
@@ -162,10 +167,10 @@ class CartierAlgebraSpec:
         return bool(self.twists)
 
     def twist_exponents(self, e):
-        out = []
-        for ideal, t in self.twists:
-            out.append(math.ceil(t * (ideal.ring.p ** e)))
-        return tuple(out)
+        """ceil(t*p^e) for each twist, in integers: every graded walk asks
+        for it, and the ``Fraction`` product is several times slower."""
+        return tuple(-(-t.numerator * ideal.ring.p ** e // t.denominator)
+                     for ideal, t in self.twists)
 
     def untwisted(self):
         return CartierAlgebraSpec(self.generators)
@@ -467,6 +472,31 @@ def _apply_generator(cm, op, gens):
     return [img for g in gens for _b, img in _residue_images(ring, op, g)]
 
 
+def _graded_step(cm, op, mult, state):
+    """The images of the reduced state ``state`` (a tuple of vectors) under
+    the letter ``op`` after multiplying by the digit multiplier ``mult``
+    (None for 1), from the ``graded_step`` table of the open memo scope.
+
+    The table is the transition table of the graded walks of one scope,
+    twisted (``graded_piece_gens``) and untwisted (``_graded_sum``) alike;
+    its key is (ring, ring caps, operator, multiplier, state).  A hit is
+    exact, because the images are a function of that key alone: they read
+    the ring, its caps (the degree checks of the products) and nothing of
+    the module, so its relations, an inverted element, a carrier or a
+    twist exponent does not change them.  The caps are in the key, so a
+    hit never skips a ``ResourceCapError`` that a fresh step would raise,
+    and a step that raises stores nothing.  Never mutate the tuple.
+    """
+    table = memo_table("graded_step")
+    ring = cm.ring
+    key = (ring, ring.caps, op, mult, state)
+    images = table.get(key)
+    if images is None:
+        scaled = state if mult is None else [v.mul_poly(mult) for v in state]
+        images = table[key] = tuple(_apply_generator(cm, op, scaled))
+    return images
+
+
 def graded_piece_gens(cm, e, seed_gens):
     """Generators of (C_e^twisted applied to the seed span), degree e >= 1.
 
@@ -481,6 +511,15 @@ def graded_piece_gens(cm, e, seed_gens):
     so each state spans a submodule S' with S' <= S <= S'^sat for the
     saturated state S, and the returned generators span the saturated
     walk's piece up to saturation.
+
+    Every letter step is looked up in the step table of the open memo
+    scope (``_graded_step``).  The sums of one ``tau`` call walk the same
+    steps at every degree e and under every twist exponent, since the walk
+    restarts from the seed.  A hit returns exactly the images a fresh step
+    computes, since they are a function of the key, which holds the ring
+    and its caps.  The states are reduced here, with the module's
+    relations, as a walk with no memo reduces them, and the last level is
+    returned unreduced, its images in walk order.
     """
     algebra = cm.algebra
     ring = cm.ring
@@ -493,7 +532,7 @@ def graded_piece_gens(cm, e, seed_gens):
             continue
         # keep state generator sets small: span is all that matters
         for pending in list(level):
-            level[pending] = _piece_basis(cm, level[pending])
+            level[pending] = tuple(_piece_basis(cm, level[pending]))
         for op in algebra.generators:
             nxt = consumed + op.e
             if nxt > e:
@@ -502,9 +541,8 @@ def graded_piece_gens(cm, e, seed_gens):
             for pending, gens in level.items():
                 for mult, new_pending in _twist_moves(ring, twists, op.e,
                                                       pending):
-                    scaled = gens if mult.is_one() else \
-                        [v.mul_poly(mult) for v in gens]
-                    images = _apply_generator(cm, op, scaled)
+                    images = _graded_step(cm, op, None if mult.is_one()
+                                          else mult, gens)
                     if images:
                         target.setdefault(new_pending, []).extend(images)
     final = states.get(e, {})
@@ -519,6 +557,20 @@ def graded_piece_gens(cm, e, seed_gens):
                                       ring.caps.twist_expand_cap):
             out.extend(v.mul_poly(f) for v in gens)
     return out
+
+
+def _untwisted_piece(cm, pieces, e):
+    """Degree e of the untwisted walk: the images of each operator's
+    reduced piece ``pieces[e - op.e]``, in operator order, through the
+    step table (see ``_graded_step``); records their reduced basis as
+    ``pieces[e]``."""
+    acc = []
+    for op in cm.algebra.generators:
+        prev = pieces.get(e - op.e)
+        if prev:
+            acc.extend(_graded_step(cm, op, None, prev))
+    pieces[e] = tuple(_piece_basis(cm, acc)) if acc else ()
+    return acc
 
 
 def _piece_basis(cm, gens):
@@ -568,8 +620,12 @@ def _twist_window(cm, seed_degree):
         period_lcm = math.lcm(period_lcm, period)
         tw_deg += max((g.total_degree() for g in ideal.gens), default=0)
     growth = max(0, seed_degree) + tw_deg + 1
-    logp = max(1, math.ceil(math.log(growth + 1, p)))
-    return max(3, pre + period_lcm + 1, logp + 2)
+    # digits = max(1, ceil(log_p(growth + 1))), in integers
+    digits, reach = 1, p
+    while reach < growth + 1:
+        digits += 1
+        reach *= p
+    return max(3, pre + period_lcm + 1, digits + 2)
 
 
 def _max_degree(gens):
@@ -622,9 +678,15 @@ def _graded_sum(cm, seed_gens, e_min):
     P' <= P <= P'^sat, so a saturated total contains P exactly when it
     contains P', and adding either gives the same canonical sum: every
     quiet/growth decision, every total and every info dict is unchanged.
+
+    The untwisted pieces and the closing stability check take their letter
+    steps from the step table of the open memo scope (``_graded_step``),
+    which the twisted walks share.  A hit is exact: a step is a function of
+    its key (ring, caps, operator, multiplier, state), so every piece, its
+    order and every ``ResourceCapError`` are those of a fresh scan.
     """
     e_cap = cm.ring.caps.chain_cap
-    pieces = {0: seed_gens}
+    pieces = {0: tuple(seed_gens)}
     max_gen_e = max(op.e for op in cm.algebra.generators)
     twisted = cm.algebra.is_twisted()
     window = _twist_window(cm, _max_degree(seed_gens))
@@ -649,16 +711,8 @@ def _graded_sum(cm, seed_gens, e_min):
     top = 0
     for e in range(1, e_cap + 1):
         top = e
-        if twisted:
-            piece = graded_piece_gens(cm, e, seed_gens)
-        else:
-            acc = []
-            for op in cm.algebra.generators:
-                prev = pieces.get(e - op.e)
-                if prev:
-                    acc.extend(_apply_generator(cm, op, prev))
-            piece = acc
-            pieces[e] = _piece_basis(cm, piece) if piece else []
+        piece = graded_piece_gens(cm, e, seed_gens) if twisted \
+            else _untwisted_piece(cm, pieces, e)
         if e < e_min:
             continue
         if all(total.contains(g) for g in piece):
@@ -670,9 +724,10 @@ def _graded_sum(cm, seed_gens, e_min):
             if done:
                 return done
         if not twisted and quiet >= max_gen_e:
+            basis = tuple(total.basis())
             stable = all(
-                total.contains_sub(cm.canon(_apply_generator(cm, op,
-                                                             total.basis())))
+                total.contains_sub(cm.canon(
+                    _graded_step(cm, op, None, basis)))
                 for op in cm.algebra.generators)
             if stable:
                 return total, {"degrees": e, "window": max_gen_e,

@@ -33,7 +33,8 @@ earlier.  Other layers keep their own tables in the same memo via
 ``memo_table``, each opened by one function: Frobenius-root digit steps
 (one automaton of ideals per f) and small powers g^a (``idealkit``; the
 twisted graded walk of ``cartiercore`` takes its powers from the same
-table); graded sums, stable cores, stable torsion and associated primes
+table); graded sums, the graded walk's letter steps, stable cores,
+stable torsion and associated primes
 (``cartiercore``); candidate pools, regularity verdicts, and ``tau`` and
 ``tau_prime`` results (``testmod``); and ``commutation_suite`` reports
 (``functorops``).

@@ -8,6 +8,7 @@ saturated, which walks every quiet degree; both must give the same
 submodule and the same info dict.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -248,3 +249,37 @@ def test_a_start_that_is_not_stable_still_raises():
             with pytest.raises(InvalidStructureError,
                                match="C_\\+ chain is not descending"):
                 underline(cm, start=start)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_twist_window_counts_digits_in_integers(p):
+    """The window holds max(1, ceil(log_p(growth + 1))) + 2 degrees, with
+    growth + 1 = seed degree + 3 under the twist (x)^1 (whose pattern
+    needs 0 + 1 + 1 = 2).  At growth + 1 = p^k the count is k: the float
+    log read 5^3 and 7^5 as a hair over, and took one degree too many."""
+    R = RingSpec(p, ("x", "y"))
+    cm = validate_structure(PresentedModule.free(R, 1), CartierAlgebraSpec(
+        [CartierOp(1, [[R.one()]])], twist=(Ideal(R, [R.var("x")]), 1)))
+    for k in range(1, 8):
+        for reach, digits in ((p ** k - 1, k), (p ** k, k),
+                              (p ** k + 1, k + 1)):
+            if reach < 3:
+                continue
+            assert _twist_window(cm, reach - 3) == max(3, digits + 2), \
+                (p, k, reach)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_twist_exponents_are_exact_ceilings(p):
+    """ceil(t*p^e) in integers matches the ``Fraction`` ceiling, at exact
+    multiples (t*p^e an integer) and one step either side of them."""
+    R = RingSpec(p, ("x", "y"))
+    ideal = Ideal(R, [R.var("x")])
+    ts = {Fraction(n, d) for d in (1, 2, 3, 4, 6, p, p * p, p * p - 1)
+          for n in range(1, 2 * d + 2)}
+    for t in sorted(ts):
+        algebra = CartierAlgebraSpec([CartierOp(1, [[R.one()]])],
+                                     [(ideal, t), (ideal, t / 2)])
+        for e in range(0, 6):
+            assert algebra.twist_exponents(e) == (
+                math.ceil(t * p ** e), math.ceil(t / 2 * p ** e)), (t, e)
