@@ -477,9 +477,9 @@ def _graded_step(cm, op, mult, state):
     the letter ``op`` after multiplying by the digit multiplier ``mult``
     (None for 1), from the ``graded_step`` table of the open memo scope.
 
-    The table is the transition table of the graded walks of one scope,
-    twisted (``graded_piece_gens``) and untwisted (``_graded_sum``) alike;
-    its key is (ring, ring caps, operator, multiplier, state).  A hit is
+    The table is the transition table of the graded walks of one scope
+    (``graded_piece_gens`` and the closing check of ``_graded_sum``); its
+    key is (ring, ring caps, operator, multiplier, state).  A hit is
     exact, because the images are a function of that key alone: they read
     the ring, its caps (the degree checks of the products) and nothing of
     the module, so its relations, an inverted element, a carrier or a
@@ -503,7 +503,14 @@ def graded_piece_gens(cm, e, seed_gens):
     Walks all generator words of total degree e.  Twist powers are peeled
     digit by digit: kappa(g^[q] h m) = g kappa(h m) turns a pending a^A into
     a^((A-|gamma|)/q) after each letter, so huge ideal powers never get
-    expanded; only the final small leftover does.
+    expanded; only the final small leftover does.  An untwisted algebra has
+    one move per letter, by 1 with nothing pending, so the same walk is the
+    untwisted one.
+
+    ``seed_gens`` must be a reduced basis (``Submodule.basis()``, which
+    holds the relations): it is the level-0 state as it is, and only the
+    levels >= 1 are reduced.  A reduced basis is its own ``_piece_basis``,
+    so reducing it again would return it unchanged.
 
     The per-level states are kept as ``_piece_basis``, unsaturated.  Every
     letter phi has phi(N^sat) <= phi(N)^sat (the argument in
@@ -515,7 +522,8 @@ def graded_piece_gens(cm, e, seed_gens):
     Every letter step is looked up in the step table of the open memo
     scope (``_graded_step``).  The sums of one ``tau`` call walk the same
     steps at every degree e and under every twist exponent, since the walk
-    restarts from the seed.  A hit returns exactly the images a fresh step
+    restarts from the seed; the restarted levels are step-table and
+    ``buchberger`` memo hits.  A hit returns exactly the images a fresh step
     computes, since they are a function of the key, which holds the ring
     and its caps.  The states are reduced here, with the module's
     relations, as a walk with no memo reduces them, and the last level is
@@ -525,14 +533,15 @@ def graded_piece_gens(cm, e, seed_gens):
     ring = cm.ring
     twists = algebra.twists
     # states: consumed degree -> {pending twist exponents: [gens]}
-    states = {0: {algebra.twist_exponents(e): list(seed_gens)}}
+    states = {0: {algebra.twist_exponents(e): tuple(seed_gens)}}
     for consumed in range(e):
         level = states.get(consumed)
         if not level:
             continue
-        # keep state generator sets small: span is all that matters
-        for pending in list(level):
-            level[pending] = tuple(_piece_basis(cm, level[pending]))
+        if consumed:
+            # keep state generator sets small: span is all that matters
+            for pending in list(level):
+                level[pending] = tuple(_piece_basis(cm, level[pending]))
         for op in algebra.generators:
             nxt = consumed + op.e
             if nxt > e:
@@ -557,20 +566,6 @@ def graded_piece_gens(cm, e, seed_gens):
                                       ring.caps.twist_expand_cap):
             out.extend(v.mul_poly(f) for v in gens)
     return out
-
-
-def _untwisted_piece(cm, pieces, e):
-    """Degree e of the untwisted walk: the images of each operator's
-    reduced piece ``pieces[e - op.e]``, in operator order, through the
-    step table (see ``_graded_step``); records their reduced basis as
-    ``pieces[e]``."""
-    acc = []
-    for op in cm.algebra.generators:
-        prev = pieces.get(e - op.e)
-        if prev:
-            acc.extend(_graded_step(cm, op, None, prev))
-    pieces[e] = tuple(_piece_basis(cm, acc)) if acc else ()
-    return acc
 
 
 def _piece_basis(cm, gens):
@@ -668,10 +663,11 @@ def _graded_sum(cm, seed_gens, e_min):
     e_min > 0 the seed is not in the sum, so it is checked to lie in the
     carrier first.
 
+    Every degree's piece comes from ``graded_piece_gens``, twisted or not.
     The seed, every running total and the returned sum are canonical
-    (c-saturated); the intermediate pieces (``pieces[e]`` here and the
-    per-level states of ``graded_piece_gens``) are only reduced, by
-    ``_piece_basis``.  That changes nothing: if c^k x lies in N, then
+    (c-saturated); the intermediate pieces (the per-level states of
+    ``graded_piece_gens``) are only reduced, by ``_piece_basis``.  That
+    changes nothing: if c^k x lies in N, then
     c^m phi(x) = phi(c^(m p^e) x) lies in phi(N) once m p^e >= k (the
     projection formula), so phi(N^sat) <= phi(N)^sat for every letter phi.
     By induction an unsaturated piece P' and the saturated piece P have
@@ -679,14 +675,13 @@ def _graded_sum(cm, seed_gens, e_min):
     contains P', and adding either gives the same canonical sum: every
     quiet/growth decision, every total and every info dict is unchanged.
 
-    The untwisted pieces and the closing stability check take their letter
-    steps from the step table of the open memo scope (``_graded_step``),
-    which the twisted walks share.  A hit is exact: a step is a function of
-    its key (ring, caps, operator, multiplier, state), so every piece, its
-    order and every ``ResourceCapError`` are those of a fresh scan.
+    The walks and the closing stability check take their letter steps
+    from the step table of the open memo scope (``_graded_step``).  A hit
+    is exact: a step is a function of its key (ring, caps, operator,
+    multiplier, state), so every piece, its order and every
+    ``ResourceCapError`` are those of a fresh scan.
     """
     e_cap = cm.ring.caps.chain_cap
-    pieces = {0: tuple(seed_gens)}
     max_gen_e = max(op.e for op in cm.algebra.generators)
     twisted = cm.algebra.is_twisted()
     window = _twist_window(cm, _max_degree(seed_gens))
@@ -711,8 +706,7 @@ def _graded_sum(cm, seed_gens, e_min):
     top = 0
     for e in range(1, e_cap + 1):
         top = e
-        piece = graded_piece_gens(cm, e, seed_gens) if twisted \
-            else _untwisted_piece(cm, pieces, e)
+        piece = graded_piece_gens(cm, e, seed_gens)
         if e < e_min:
             continue
         if all(total.contains(g) for g in piece):

@@ -33,11 +33,11 @@ earlier.  Other layers keep their own tables in the same memo via
 ``memo_table``, each opened by one function: Frobenius-root digit steps
 (one automaton of ideals per f) and small powers g^a (``idealkit``; the
 twisted graded walk of ``cartiercore`` takes its powers from the same
-table); graded sums, the graded walk's letter steps, stable cores,
-stable torsion and associated primes
-(``cartiercore``); candidate pools, regularity verdicts, and ``tau`` and
-``tau_prime`` results (``testmod``); and ``commutation_suite`` reports
-(``functorops``).
+table); graded sums, the graded walk's letter steps, stable cores, stable
+torsion and associated primes (``cartiercore``); factor pools, candidate
+pools, regularity verdicts, and ``tau`` and ``tau_prime`` results
+(``testmod``); and ``commutation_suite`` reports (``functorops``).  Every
+entry is a finished value, stored once its computation returns.
 """
 
 import contextlib
@@ -169,11 +169,6 @@ class VecPoly:
     def extend_rank(self, new_rank, offset=0):
         return VecPoly(self.ring, new_rank,
                        {(pos + offset, m): c for (pos, m), c in self.terms.items()})
-
-    def sugar(self):
-        if not self.terms:
-            return 0
-        return max(sum(m) for (_, m) in self.terms)
 
     def max_total_degree(self):
         if not self.terms:
@@ -351,8 +346,8 @@ def _buchberger(gens, ring):
         lcm = tuple(max(a, b) for a, b in zip(mi, mj))
         if rank == 1 and all(a + b == l for a, b, l in zip(mi, mj, lcm)):
             return None  # product criterion (ideals only)
-        sugar = max(basis[i].sugar() + sum(lcm) - sum(mi),
-                    basis[j].sugar() + sum(lcm) - sum(mj))
+        sugar = max(basis[i].max_total_degree() + sum(lcm) - sum(mi),
+                    basis[j].max_total_degree() + sum(lcm) - sum(mj))
         return (sugar, ring.monomial_key(lcm), i, j)
 
     pairs = []

@@ -16,9 +16,10 @@ result is post-verified against the defining conditions).  ``is_f_regular``
 walks on to the fixed point and reports it as the proper submodule; the
 check of a test element reads only the verdict, so it stops at the first
 descent and formats no candidate list (``find_test_elements`` fills the
-list in for the entries it reports).  The pool is built only as far as a
-reader walks it (``_LazyPool``): the search tries ``1`` first, and in the
-shape below that check reads no candidate at all.
+list in for the entries it reports).  The search walks a stream of the
+pool and builds it only as far as it reads: it tries ``1`` first, and in
+the shape below that check reads no candidate at all.  The factor pool
+and the finished pool are memo values; no half-read stream is kept.
 
 Write cl(X) for the sum of C_e(X) over e >= 0, which is what
 ``graded_sum`` computes.  Every phi in C_e, twisted or localized, has
@@ -49,7 +50,6 @@ value of a jumping-number sweep rests on a certified stop.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-import itertools
 import math
 import random
 
@@ -104,6 +104,15 @@ class TauResult:
 
 
 def _factor_pool(cm):
+    """The irreducible factors of the relations' components, the operator
+    entries, the twist generators and the carrier's annihilator, each once,
+    in that order.  Memoised in the ``factor_pool`` table of the open memo
+    scope on the structure key and the carrier's basis; a fault that
+    escapes it stores nothing."""
+    memo = memo_table("factor_pool")
+    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()))
+    if key in memo:
+        return memo[key]
     pool = []
 
     def add(f):
@@ -129,6 +138,7 @@ def _factor_pool(cm):
             add(g)
     except CartierLabError:
         pass
+    memo[key] = pool
     return pool
 
 
@@ -136,81 +146,33 @@ def candidate_elements(cm):
     """The whole candidate pool, in order: ``1``, the variables, the
     irreducible factors of ``_factor_pool``, the pairwise products of the
     variables and those factors, then 12 random linear forms drawn from one
-    fixed seed.  Memoised by ``_candidate_pool``."""
+    fixed seed.  Memoised by ``_candidate_pool``; the test-element search
+    reads the same order from a ``_candidate_elements`` stream of its own."""
     return list(_candidate_pool(cm)[0])
 
 
 def _candidate_pool(cm):
     """(candidates, factors): the whole pool of ``candidate_elements`` and
-    a dict sending each product a*b the pool emits to its factors (a, b)."""
-    return _lazy_pool(cm).complete()
-
-
-def _lazy_pool(cm):
-    """The ``_LazyPool`` of ``cm``, memoised for the open memo scope on the
-    structure key and the carrier's basis."""
+    a dict sending each product a*b the pool emits to its factors (a, b).
+    Memoised in the ``candidate_pool`` table of the open memo scope on the
+    structure key and the carrier's basis, once the stream has ended."""
     memo = memo_table("candidate_pool")
     key = (cm.structure_key(), tuple(cm.carrier_sub().basis()))
     if key not in memo:
-        memo[key] = _LazyPool(cm)
+        candidates, factors = [], {}
+        for f, pair in _candidate_elements(cm):
+            candidates.append(f)
+            if pair is not None:
+                factors[f] = pair
+        memo[key] = (tuple(candidates), factors)
     return memo[key]
-
-
-class _LazyPool:
-    """The pool of ``candidate_elements``, built only as far as it is read.
-
-    Iterating walks ``items``, the prefix built so far, and extends it one
-    candidate at a time from a ``_candidate_elements`` stream; ``factors``
-    holds the factors of the products among them.  A reader that stops
-    early builds nothing past its stop: a search that accepts ``1`` factors
-    nothing.  The index walk lets a nested reader of the same pool extend it
-    under an outer one.  A stream that raises is dropped, so the prefix
-    stays a prefix of the pool, and the next extension starts a fresh
-    stream past it: the error is raised afresh, never stored.
-    """
-
-    def __init__(self, cm):
-        self._cm = cm
-        self._stream = None
-        self._whole = None  # (candidates, factors) once the stream ends
-        self.items = []
-        self.factors = {}
-
-    def __iter__(self):
-        i = 0
-        while i < len(self.items) or self._extend():
-            yield self.items[i]
-            i += 1
-
-    def _extend(self):
-        """Append the next candidate; False once the pool is whole."""
-        if self._whole is not None:
-            return False
-        try:
-            if self._stream is None:
-                self._stream = itertools.islice(
-                    _candidate_elements(self._cm), len(self.items), None)
-            f, pair = next(self._stream)
-        except StopIteration:
-            self._whole = (tuple(self.items), self.factors)
-            return False
-        except BaseException:
-            self._stream = None
-            raise
-        self.items.append(f)
-        if pair is not None:
-            self.factors[f] = pair
-        return True
-
-    def complete(self):
-        while self._extend():
-            pass
-        return self._whole
 
 
 def _candidate_elements(cm):
     """Yield the pool of ``candidate_elements`` in order, each candidate
-    with its factors (a, b) when it is a pool product, else None."""
+    with its factors (a, b) when it is a pool product, else None.  The
+    factor pool is read only after ``1`` and the variables, so a reader
+    that stops at one of those factors nothing."""
     ring = cm.ring
     seen = set()
 
@@ -460,20 +422,21 @@ def _search_element(cmc, prime, core, isolate, mandatory_isolation):
     down to ``prime`` itself, which both matches the existence proof's
     search and keeps the recursive verification in its single-prime base
     case.  The pool stage skips the isolating candidates already tried.
-    Its walk builds the pool only as far as it reads; the isolating stage
-    sorts, so it builds the whole pool.
+    It reads a fresh ``_candidate_elements`` stream, so it builds the pool
+    only as far as it walks: a search that accepts ``1`` or a variable
+    factors nothing.  The isolating stage sorts, so it reads the whole
+    memoised pool.
     """
     tried = []
     piece = stable_torsion(cmc, prime, core)
-    pool = _lazy_pool(cmc)
     stages = []
     if isolate:
-        isolating = [c for c in pool.complete()[0]
+        isolating = [c for c in _candidate_pool(cmc)[0]
                      if all(nu.contains(c) for nu in isolate)]
         stages.append(sorted(isolating,
                              key=lambda c: (c.total_degree(), len(c.terms))))
     if not mandatory_isolation or not isolate:
-        stages.append(pool)
+        stages.append(c for c, _pair in _candidate_elements(cmc))
     for stage in stages:
         for c in stage:
             if c in tried or prime.contains(c):

@@ -1,9 +1,12 @@
 """The graded walk takes its steps from one transition table per memo scope.
 
-``graded_piece_gens`` (twisted) and ``_untwisted_piece`` (untwisted) look
-each letter step up in the ``graded_step`` table, keyed on (ring, ring
-caps, operator, digit multiplier, reduced state).  The oracles are the
-walks as they ran before the table, kept below as ``reference_*``.  Each
+``graded_piece_gens`` is the one graded walk, twisted or not (an untwisted
+algebra has one digit move per letter, by 1), and looks each letter step
+up in the ``graded_step`` table, keyed on (ring, ring caps, operator,
+digit multiplier, reduced state).  It takes its seed, a reduced basis, as
+the level-0 state unreduced.  The oracles are the walk and the step as
+they ran before the table, kept below as ``reference_*``; the oracle walk
+reduces its seed.  Each
 draw is compared fresh and inside one scope shared with every other
 draw's sums, so a key that leaves out something a step reads lets one
 draw's step answer another's.
@@ -18,12 +21,12 @@ from cartierlab import cartiercore
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     _apply_generator, _expand_twist_powers,
                                     _piece_basis, _twist_moves,
-                                    _untwisted_piece, graded_piece_gens,
-                                    graded_sum, validate_structure)
+                                    graded_piece_gens, graded_sum,
+                                    validate_structure)
 from cartierlab.errors import ResourceCapError
 from cartierlab.fpmod import PresentedModule
 from cartierlab.fppoly import EngineCaps, RingSpec
-from cartierlab.groebner import memo_scope
+from cartierlab.groebner import buchberger, memo_scope
 from cartierlab.idealkit import Ideal
 
 from instancegen import friendly_factor, random_cartier_module, trace_grid
@@ -67,27 +70,15 @@ def reference_piece_gens(cm, e, seed_gens):
     return out
 
 
-def reference_untwisted_piece(cm, pieces, e):
-    acc = []
-    for op in cm.algebra.generators:
-        prev = pieces.get(e - op.e)
-        if prev:
-            acc.extend(_apply_generator(cm, op, prev))
-    pieces[e] = _piece_basis(cm, acc) if acc else []
-    return acc
-
-
 def reference_step(cm, op, mult, state):
     scaled = state if mult is None else [v.mul_poly(mult) for v in state]
     return _apply_generator(cm, op, scaled)
 
 
 def reference_paths(monkeypatch):
-    """Run ``graded_sum`` on the walks without the tables."""
+    """Run ``graded_sum`` on the walk without the tables."""
     monkeypatch.setattr(cartiercore, "graded_piece_gens",
                         reference_piece_gens)
-    monkeypatch.setattr(cartiercore, "_untwisted_piece",
-                        reference_untwisted_piece)
     monkeypatch.setattr(cartiercore, "_graded_step", reference_step)
 
 
@@ -152,23 +143,14 @@ TOP = 3
 
 
 def walk(cm, seed):
-    """The twisted pieces of degrees 1..TOP and the untwisted pieces with
-    their reduced states."""
+    """The pieces of degrees 1..TOP."""
     gens = seed.basis()
-    pieces = {0: tuple(gens)}
-    untwisted = [(_untwisted_piece(cm, pieces, e), pieces[e])
-                 for e in range(1, TOP + 1)]
-    return ([graded_piece_gens(cm, e, gens) for e in range(1, TOP + 1)],
-            [(list(a), list(b)) for a, b in untwisted])
+    return [graded_piece_gens(cm, e, gens) for e in range(1, TOP + 1)]
 
 
 def reference_walk(cm, seed):
     gens = seed.basis()
-    pieces = {0: gens}
-    untwisted = [(reference_untwisted_piece(cm, pieces, e), pieces[e])
-                 for e in range(1, TOP + 1)]
-    return ([reference_piece_gens(cm, e, gens) for e in range(1, TOP + 1)],
-            [(list(a), list(b)) for a, b in untwisted])
+    return [reference_piece_gens(cm, e, gens) for e in range(1, TOP + 1)]
 
 
 def sums(cm, seed):
@@ -187,6 +169,23 @@ def test_the_draws_cover_every_shape():
     assert any(cm.module.relations for cm in DRAWS)
     assert {1, 2} <= {op.e for cm in DRAWS for op in cm.algebra.generators}
     assert {cm.ring.p for cm in DRAWS} == {2, 3, 5}
+
+
+def test_a_seed_basis_is_its_own_reduced_basis():
+    """``graded_piece_gens`` takes ``Submodule.basis()`` as its level-0
+    state without reducing it: that basis, with relations and saturated
+    after localizing, is what ``buchberger`` and ``_piece_basis`` return
+    for it, fresh and as a memo hit."""
+    shapes = set()
+    for cm in DRAWS:
+        for seed in seeds(cm):
+            b = seed.basis()
+            assert b and buchberger(b) == b and _piece_basis(cm, b) == b
+            with memo_scope():
+                assert buchberger(b) == b and _piece_basis(cm, b) == b
+                assert buchberger(b) == b and _piece_basis(cm, b) == b
+            shapes.add((bool(cm.module.relations), cm.inverted is not None))
+    assert {(True, False), (False, True)} <= shapes
 
 
 def test_pieces_match_the_walk_without_tables():

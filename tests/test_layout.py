@@ -1,14 +1,18 @@
 """Repository layout: the corpus is the one home of the worked examples,
 every library name the bench tracer hooks exists, no library module
-keeps a cache of its own, and each memo table has one owner."""
+keeps a cache of its own, each memo table has one owner, and every memo
+entry is a finished value."""
 
 import ast
+from collections.abc import Iterator
 import importlib
+import importlib.resources
 import importlib.util
 import re
 from pathlib import Path
 
 from cartierlab.cli import corpus_scene_names
+from cartierlab.scene import parse_scene, run_task
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -104,3 +108,54 @@ def test_each_memo_table_is_opened_in_one_function():
     shared = {name: sorted(where) for name, where in owners.items()
               if len(where) != 1}
     assert shared == {}
+
+
+def _iterators_in(value):
+    """Paths to the iterators (generators included) reachable from
+    ``value`` through tuples, lists, sets, dict values and instance
+    attributes, each object visited once."""
+    found, seen = [], set()
+    stack = [(value, "")]
+    while stack:
+        obj, path = stack.pop()
+        if id(obj) in seen or isinstance(obj, (str, bytes, int, type)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Iterator):
+            found.append(f"{path}: {type(obj).__name__}")
+            continue
+        if isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend((item, f"{path}[{i}]") for i, item in enumerate(obj))
+        elif isinstance(obj, dict):
+            stack.extend((item, f"{path}[{i}]")
+                         for i, item in enumerate(obj.values()))
+        else:
+            attrs = dict(getattr(obj, "__dict__", {}))
+            for cls in type(obj).__mro__:
+                for name in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, name):
+                        attrs[name] = getattr(obj, name)
+            stack.extend((item, f"{path}.{name}")
+                         for name, item in attrs.items())
+    return found
+
+
+def test_every_memo_entry_of_the_corpus_is_a_finished_value():
+    """After the 13 corpus scenes run into one scene memo, no table value
+    holds a generator or another iterator: an entry that keeps a half-read
+    stream answers later readers by what earlier ones read."""
+    folder = importlib.resources.files("cartierlab").joinpath("corpus")
+    names = corpus_scene_names()
+    assert len(names) == 13
+    memo = {}
+    for name in names:
+        scene = parse_scene(folder.joinpath(name).read_text("utf-8"),
+                            name=name)
+        scene.memo = memo
+        for task in scene.tasks:
+            run_task(scene, task, {"seed": 0})
+    assert {"candidate_pool", "factor_pool", "graded_step",
+            "verify"} <= set(memo)
+    found = [f"{table}{path}" for table, entries in memo.items()
+             for path in _iterators_in(entries)]
+    assert found == []

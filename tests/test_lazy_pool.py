@@ -1,13 +1,15 @@
 """The test-element search builds only the candidates it reads.
 
-``_search_element`` walks the candidate pool as a ``_LazyPool``, extended
-on demand: a search that accepts ``1``, the pool's first candidate, factors
-nothing and forms no product.  A regularity check that reads only the
-verdict (the check of ``tau``'s search) leaves its certificate's candidate
-list out, and ``find_test_elements`` fills the list in for the entries it
-reports.  Since ``tau`` and ``find_test_elements`` share the ``verify``
-table of one memo scope, a ``find_test_elements`` report must not depend
-on whether a ``tau`` ran before it.
+``_search_element`` walks a fresh ``_candidate_elements`` stream of the
+candidate pool: a search that accepts ``1``, the pool's first candidate,
+factors nothing and forms no product.  The memo tables hold only finished
+values: the factor pool (``factor_pool``) and the whole pool with its
+products' factors (``candidate_pool``).  A regularity check that reads
+only the verdict (the check of ``tau``'s search) leaves its certificate's
+candidate list out, and ``find_test_elements`` fills the list in for the
+entries it reports.  Since ``tau`` and ``find_test_elements`` share the
+``verify`` table of one memo scope, a ``find_test_elements`` report must
+not depend on whether a ``tau`` ran before it.
 
 The oracles are ``eager_pool``, the pool built whole in one go, in the
 order of ``candidate_elements``'s docstring, and the public
@@ -17,14 +19,13 @@ whose associated primes nest, so the search isolates (``tau_prime`` must),
 and the corpus pair of ``intro_example_p2``, whose primes (0) < (y) nest.
 """
 
-import itertools
 import random
 
 import pytest
 
 from cartierlab import testmod
 from cartierlab.cache import canonical_json
-from cartierlab.cartiercore import stable_torsion, underline
+from cartierlab.cartiercore import ass_cartier, stable_torsion, underline
 from cartierlab.errors import ResourceCapError
 from cartierlab.groebner import memo_scope
 from cartierlab.scene import parse_scene, run_task
@@ -82,18 +83,41 @@ def eager_pool(cm):
     return tuple(out), factors
 
 
-class EagerPool:
-    """A stand-in for ``_LazyPool`` that builds the whole pool before any
-    candidate is read."""
+def eager_stream(cm):
+    """A stand-in for ``_candidate_elements`` that builds the whole pool
+    before any candidate is read."""
+    candidates, factors = eager_pool(cm)
+    return iter([(c, factors.get(c)) for c in candidates])
 
-    def __init__(self, cm):
-        self.whole = eager_pool(cm)
 
-    def __iter__(self):
-        return iter(self.whole[0])
+def counting(monkeypatch, name):
+    """Patch ``testmod.<name>`` to record its calls; returns the record."""
+    calls = []
+    real = getattr(testmod, name)
 
-    def complete(self):
-        return self.whole
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(testmod, name, counted)
+    return calls
+
+
+def recording_streams(monkeypatch):
+    """Patch ``_candidate_elements`` to record, per stream, the candidates
+    it yielded as text; returns the list of records."""
+    streams = []
+    real = testmod._candidate_elements
+
+    def recording(cm):
+        read = []
+        streams.append(read)
+        for f, pair in real(cm):
+            read.append(str(f))
+            yield f, pair
+
+    monkeypatch.setattr(testmod, "_candidate_elements", recording)
+    return streams
 
 
 def reports(cm):
@@ -125,22 +149,12 @@ def localized_core(cmc, core, entry):
 
 def test_a_search_that_accepts_one_builds_one_candidate(monkeypatch):
     """On the cusp grid every search accepts ``1`` through the one-closure
-    proof: no factoring, a pool that holds ``1`` alone, and no candidate
-    list in any verdict."""
-    calls = []
-
-    def counted(name):
-        real = getattr(testmod, name)
-
-        def counting(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(testmod, name, counting)
-
-    for name in ("irreducible_factors_best_effort", "_factor_pool",
-                 "_candidate_names"):
-        counted(name)
+    proof: no factoring, streams that yield ``1`` alone, no pool in either
+    table, and no candidate list in any verdict."""
+    calls = [counting(monkeypatch, name)
+             for name in ("irreducible_factors_best_effort", "_factor_pool",
+                          "_candidate_names")]
+    streams = recording_streams(monkeypatch)
     verdicts = 0
     for cm in cusp_grid():
         memo = {}
@@ -148,31 +162,43 @@ def test_a_search_that_accepts_one_builds_one_candidate(monkeypatch):
             result = tau(cm)
         elements = result.certificate.get("test_elements", [])
         assert all(e["element"] == "1" for e in elements)
-        for pool in memo.get("candidate_pool", {}).values():
-            assert [str(c) for c in pool.items] == ["1"]
+        assert not memo.get("factor_pool") and not memo.get("candidate_pool")
         for ok, cert in memo.get("verify", {}).values():
             assert ok and cert["candidates"] is None
             verdicts += 1
-    assert calls == []
+    assert calls == [[], [], []]
+    assert streams and all(read == ["1"] for read in streams)
     assert verdicts == 12
 
 
-def test_the_lazy_pool_is_the_eager_pool():
-    """Read in part and then whole, the pool of each module, its cores and
-    the localized cores its search checks is ``eager_pool``'s, products'
-    factors included."""
-    checked = 0
-    for cm in nested_modules() + cusp_grid()[5:7]:
-        for module in pools_of(cm):
-            want = eager_pool(module)
-            with memo_scope():
-                lazy = testmod._lazy_pool(module)
-                assert list(itertools.islice(lazy, 3)) == list(want[0][:3])
-                assert lazy.items == list(want[0][:3])
-                assert testmod._candidate_pool(module) == want
-                assert candidate_elements(module) == list(want[0])
-            checked += 1
-    assert checked > 30
+def test_the_search_stream_is_the_eager_pool(monkeypatch):
+    """Read in part, up to ``1`` and the variables, the search's stream of
+    each module, its cores and the localized cores its search checks
+    factors nothing.  Read whole, it is ``eager_pool``, products' factors
+    included, and so is the memoised pool, which factors nothing more."""
+    modules = [module for cm in nested_modules() + cusp_grid()[5:7]
+               for module in pools_of(cm)]
+    wants = [eager_pool(module) for module in modules]
+    pools = counting(monkeypatch, "_factor_pool")
+    factored = counting(monkeypatch, "irreducible_factors_best_effort")
+    for module, want in zip(modules, wants):
+        pools.clear()
+        with memo_scope():
+            stream = testmod._candidate_elements(module)
+            head = 1 + module.ring.nvars
+            read = [next(stream) for _ in range(head)]
+            assert read == [(c, None) for c in want[0][:head]]
+            assert pools == []
+            read += list(stream)
+            assert pools == ["_factor_pool"]
+            assert tuple(c for c, _pair in read) == want[0]
+            assert {c: pair for c, pair in read if pair is not None} \
+                == want[1]
+            before = len(factored)
+            assert testmod._candidate_pool(module) == want
+            assert candidate_elements(module) == list(want[0])
+            assert len(factored) == before
+    assert len(modules) > 30
 
 
 def test_lazy_search_matches_eager_search(monkeypatch):
@@ -180,8 +206,33 @@ def test_lazy_search_matches_eager_search(monkeypatch):
     builds the whole pool before it reads any candidate."""
     modules = nested_modules()
     lazy = [reports(cm) for cm in modules]
-    monkeypatch.setattr(testmod, "_lazy_pool", EagerPool)
+    monkeypatch.setattr(testmod, "_candidate_elements", eager_stream)
     assert [reports(cm) for cm in modules] == lazy
+
+
+def test_searches_accept_past_the_factor_pool():
+    """The nested draws read the pool past its factors: isolating searches
+    accept the products x*y + x and x*y, and searches with nothing to
+    isolate, which read only the stream, accept the linear forms x + y and
+    x + 1 after every product."""
+    past = set()
+    for cm in nested_modules():
+        core, _k = underline(cm)
+        cmc = cm.with_carrier(core)
+        pool, factors = eager_pool(cmc)
+        head = 1 + max(pool.index(g) for g in
+                       cmc.ring.gens() + testmod._factor_pool(cmc))
+        ass = ass_cartier(cmc)
+        for entry in find_test_elements(cm).entries:
+            if pool.index(entry.element) < head:
+                continue
+            isolating = any(nu != entry.prime
+                            and nu.ideal.contains_ideal(entry.prime.ideal)
+                            for nu in ass)
+            past.add((str(entry.element), entry.element in factors,
+                      isolating))
+    assert {("x*y + x", True, True), ("x*y", True, True),
+            ("x + y", False, False), ("x + 1", False, False)} <= past, past
 
 
 def test_reported_candidates_are_the_checks_own():
@@ -217,31 +268,36 @@ def test_find_test_elements_after_tau_in_one_scope(first):
         assert after == again == fresh
 
 
-def test_an_error_while_extending_leaves_a_prefix(monkeypatch):
-    """A factoring fault reaches the reader that asked for the fourth
-    candidate.  The three read before it stay, and the next read builds the
-    whole pool afresh."""
+def test_a_factoring_fault_stores_nothing(monkeypatch):
+    """A fault while factoring the pool reaches the stream's reader at the
+    fourth candidate, after ``1``, x and y, and then the reader of the
+    whole pool; neither table stores anything.  The next read builds the
+    whole pool."""
     cm = nested_draw(3, 42)
     want = eager_pool(cm)
-    real = testmod._factor_pool
-    failures = [ResourceCapError("cap reached once")]
+    real = testmod.irreducible_factors_best_effort
+    failures = [ResourceCapError("cap reached once") for _ in range(2)]
 
-    def flaky(module):
+    def flaky(f):
         if failures:
             raise failures.pop()
-        return real(module)
+        return real(f)
 
-    monkeypatch.setattr(testmod, "_factor_pool", flaky)
-    with memo_scope():
-        lazy = testmod._lazy_pool(cm)
+    monkeypatch.setattr(testmod, "irreducible_factors_best_effort", flaky)
+    memo = {}
+    with memo_scope(memo):
         read = []
         with pytest.raises(ResourceCapError):
-            for c in lazy:
+            for c, _pair in testmod._candidate_elements(cm):
                 read.append(c)
-        assert read == lazy.items == list(want[0][:3])
-        assert testmod._lazy_pool(cm) is lazy
+        assert read == list(want[0][:3])
+        with pytest.raises(ResourceCapError):
+            testmod._candidate_pool(cm)
+        assert not memo.get("factor_pool") and not memo.get("candidate_pool")
+        assert testmod._candidate_pool(cm) == want
         assert candidate_elements(cm) == list(want[0])
-        assert lazy.factors == want[1]
+        assert list(memo["factor_pool"].values()) \
+            == [testmod._factor_pool(cm)]
 
 
 SCENE = """
