@@ -204,7 +204,8 @@ class _StructureKey:
         self._hash = hash(parts)
 
     def __eq__(self, other):
-        return isinstance(other, _StructureKey) and self.parts == other.parts
+        return self is other or (isinstance(other, _StructureKey)
+                                 and self.parts == other.parts)
 
     def __hash__(self):
         return self._hash
@@ -359,13 +360,23 @@ def validate_structure(module, algebra, carrier=None, inverted=None):
 
 
 def _gamma_choices_one(ring, ngens, e, pending):
-    """All (gamma, new pending) with gamma in [0, q-1]^m, q | pending-|gamma|."""
+    """All (gamma, new pending) with gamma in [0, q-1]^m, |gamma| <= pending
+    and q | pending-|gamma|, in ``iproduct`` order over gamma.
+
+    Only the first m-1 digits are enumerated: the last is the one residue
+    in [0, q-1] that makes |gamma| congruent to pending mod q, and the
+    tuple is kept when its sum is at most pending.  With m = 0 the one
+    choice is the empty tuple, when q divides pending."""
     q = ring.p ** e
+    if not ngens:
+        return [((), pending // q)] if pending % q == 0 else []
     out = []
-    for gamma in iproduct(*[range(q) for _ in range(ngens)]):
-        total = sum(gamma)
-        if total <= pending and (pending - total) % q == 0:
-            out.append((gamma, (pending - total) // q))
+    for head in iproduct(*[range(q) for _ in range(ngens - 1)]):
+        total = sum(head)
+        last = (pending - total) % q
+        total += last
+        if total <= pending:
+            out.append((head + (last,), (pending - total) // q))
     return out
 
 
@@ -541,7 +552,7 @@ def graded_piece_gens(cm, e, seed_gens):
         if consumed:
             # keep state generator sets small: span is all that matters
             for pending in list(level):
-                level[pending] = tuple(_piece_basis(cm, level[pending]))
+                level[pending] = _piece_basis(cm, level[pending])
         for op in algebra.generators:
             nxt = consumed + op.e
             if nxt > e:
@@ -644,7 +655,7 @@ def graded_sum(cm, seed, e_min=0):
     seed = seed if isinstance(seed, Submodule) else cm.canon(seed)
     seed_gens = seed.basis()
     memo = memo_table("graded_sum")
-    key = (cm.structure_key(), tuple(seed_gens), e_min)
+    key = (cm.structure_key(), seed_gens, e_min)
     if key not in memo:
         memo[key] = _graded_sum(cm, seed_gens, e_min)
     total, info = memo[key]
@@ -718,10 +729,9 @@ def _graded_sum(cm, seed_gens, e_min):
             if done:
                 return done
         if not twisted and quiet >= max_gen_e:
-            basis = tuple(total.basis())
             stable = all(
                 total.contains_sub(cm.canon(
-                    _graded_step(cm, op, None, basis)))
+                    _graded_step(cm, op, None, total.basis())))
                 for op in cm.algebra.generators)
             if stable:
                 return total, {"degrees": e, "window": max_gen_e,
@@ -752,7 +762,7 @@ def underline(cm, start=None):
     """
     current = cm.canon_sub(start if start is not None else cm.carrier_sub())
     memo = memo_table("underline")
-    key = (cm.structure_key(), tuple(current.basis()))
+    key = (cm.structure_key(), current.basis())
     if key not in memo:
         memo[key] = _underline(cm, current)
     core, k = memo[key]
@@ -840,7 +850,7 @@ def stable_torsion(cm, prime, within):
     memoised for the open memo scope on the structure key, the prime and
     the basis of ``within``."""
     memo = memo_table("stable_torsion")
-    key = (cm.structure_key(), prime, tuple(within.basis()))
+    key = (cm.structure_key(), prime, within.basis())
     if key not in memo:
         tor = cm.canon_sub(torsion(cm.module, prime.ideal, within=within))
         memo[key] = tor if tor.is_trivial() else underline(cm, start=tor)[0]
@@ -859,7 +869,7 @@ def ass_cartier(cm):
     if core.is_trivial():
         return []
     memo = memo_table("ass_cartier")
-    key = (cm.structure_key(), tuple(core.basis()))
+    key = (cm.structure_key(), core.basis())
     if key not in memo:
         memo[key] = tuple(_ass_cartier(cm, core))
     return list(memo[key])

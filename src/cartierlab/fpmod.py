@@ -54,9 +54,11 @@ class PresentedModule:
         return PresentedModule(ring, 1, rels)
 
     def relation_gb(self):
+        """The reduced basis of the relations, as the stored tuple: every
+        call returns the same object, which callers never mutate."""
         if self._relgb is None:
             self._relgb = tuple(buchberger(list(self.relations)))
-        return list(self._relgb)
+        return self._relgb
 
     def reduce(self, vec):
         return normal_form(vec, self.relation_gb())
@@ -95,15 +97,15 @@ class PresentedModule:
         return PresentedModule(self.ring, rank, rels)
 
     def __eq__(self, other):
-        return (isinstance(other, PresentedModule) and self.ring == other.ring
-                and self.rank == other.rank
-                and tuple(self.relation_gb()) == tuple(other.relation_gb()))
+        return self is other or (
+            isinstance(other, PresentedModule) and self.ring == other.ring
+            and self.rank == other.rank
+            and self.relation_gb() == other.relation_gb())
 
     def __hash__(self):
         """Cached like ``relation_gb``: nothing it reads ever changes."""
         if self._hash is None:
-            self._hash = hash((self.ring, self.rank,
-                               tuple(self.relation_gb())))
+            self._hash = hash((self.ring, self.rank, self.relation_gb()))
         return self._hash
 
     def __repr__(self):
@@ -132,11 +134,14 @@ class Submodule:
         self._gb = None
 
     def basis(self):
+        """The reduced basis of generators plus relations, as the stored
+        tuple: every call returns the same object, which memo keys use as
+        it is and callers never mutate."""
         if self._gb is None:
             self._gb = tuple(
                 buchberger(list(self.gens) + list(self.parent.relations))
                 if self.gens else self.parent.relation_gb())
-        return list(self._gb)
+        return self._gb
 
     def generators_reduced(self):
         """Generators reduced modulo the parent relations, zero ones dropped."""
@@ -155,17 +160,18 @@ class Submodule:
 
     def is_trivial(self):
         """Is this the zero submodule of the parent?"""
-        return tuple(self.basis()) == tuple(self.parent.relation_gb())
+        return self.basis() == self.parent.relation_gb()
 
     def is_full(self):
         return self == self.parent.full_submodule()
 
     def __eq__(self, other):
-        return (isinstance(other, Submodule) and self.parent == other.parent
-                and tuple(self.basis()) == tuple(other.basis()))
+        return self is other or (
+            isinstance(other, Submodule) and self.parent == other.parent
+            and self.basis() == other.basis())
 
     def __hash__(self):
-        return hash((self.parent, tuple(self.basis())))
+        return hash((self.parent, self.basis()))
 
     def __repr__(self):
         gens = ", ".join(
@@ -203,11 +209,11 @@ class Submodule:
         rank = self.parent.rank
         cols = [self.parent.generator(i).mul_poly(c) for i in range(rank)]
         return Submodule(self.parent, tuple(
-            syzygies(cols + self.basis(), rank, rank)))
+            syzygies(cols + list(self.basis()), rank, rank)))
 
     def colon_ideal(self, vec):
         """{f in R : f * vec in self}, as an ideal."""
-        syz = syzygies([vec] + self.basis(), self.parent.rank, 1)
+        syz = syzygies([vec] + list(self.basis()), self.parent.rank, 1)
         return Ideal(self.parent.ring, [s.component(0) for s in syz])
 
     def conductor(self, vectors):
@@ -311,7 +317,7 @@ class ModuleMap:
 
     def kernel(self):
         """{v in source : phi(v) in target relations}, as a Submodule."""
-        cols = list(self.columns) + self.target.relation_gb()
+        cols = list(self.columns) + list(self.target.relation_gb())
         return Submodule(self.source, tuple(
             syzygies(cols, self.target.rank, self.source.rank)))
 
@@ -338,5 +344,6 @@ def present_submodule(sub):
     gens = sub.generators_reduced()
     if not gens:
         return PresentedModule(parent.ring, 0), []
-    rels = syzygies(gens + parent.relation_gb(), parent.rank, len(gens))
+    rels = syzygies(gens + list(parent.relation_gb()), parent.rank,
+                    len(gens))
     return PresentedModule(parent.ring, len(gens), rels), gens

@@ -103,7 +103,7 @@ class RingSpec:
     pushforward of a one-variable ring to a point needs it.
     """
 
-    __slots__ = ("p", "vars", "caps", "_var_index")
+    __slots__ = ("p", "vars", "caps", "_var_index", "_hash")
 
     @staticmethod
     def monomial_key(m):
@@ -126,20 +126,23 @@ class RingSpec:
         self.vars = variables
         self.caps = caps
         self._var_index = {v: i for i, v in enumerate(variables)}
+        # memo keys hash the ring on every lookup; the caps are not part of
+        # it, so rings that differ only in caps hash equal
+        self._hash = hash((p, variables))
 
     @property
     def nvars(self):
         return len(self.vars)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, RingSpec)
             and self.p == other.p
             and self.vars == other.vars
         )
 
     def __hash__(self):
-        return hash((self.p, self.vars))
+        return self._hash
 
     def __repr__(self):
         return f"F_{self.p}[{','.join(self.vars)}]"

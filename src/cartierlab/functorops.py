@@ -639,7 +639,7 @@ def commutation_suite(cm, rmap):
     the report dict.
     """
     memo = memo_table("commutation_suite")
-    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()),
+    key = (cm.structure_key(), cm.carrier_sub().basis(),
            tuple(rmap.serialize().items()), rmap.source, rmap.target)
     if key not in memo:
         memo[key] = _commutation_suite(cm, rmap)

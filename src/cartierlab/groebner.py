@@ -27,9 +27,11 @@ Inside a ``memo_scope`` (opened by the top-level calls of the
 ``cartiercore``, test-module, filtration and functor layers), ``buchberger``
 remembers each reduced basis it computed, keyed on its exact input.  A
 library call's memo is dropped when its outermost scope exits; the tasks of
-one parsed ``Scene`` share the memo the scene holds.  A hit returns exactly
-what a fresh computation would, so answers never depend on what ran
-earlier.  Other layers keep their own tables in the same memo via
+one parsed ``Scene`` share the memo the scene holds.  ``memo_scope`` is a
+small class: as a decorator it calls straight through when a scope is
+already open, so a nested call costs one context-variable read.  A hit
+returns exactly what a fresh computation would, so answers never depend on
+what ran earlier.  Other layers keep their own tables in the same memo via
 ``memo_table``, each opened by one function: Frobenius-root digit steps
 (one automaton of ideals per f) and small powers g^a (``idealkit``; the
 twisted graded walk of ``cartiercore`` takes its powers from the same
@@ -38,10 +40,17 @@ torsion and associated primes (``cartiercore``); factor pools, candidate
 pools, regularity verdicts, and ``tau`` and ``tau_prime`` results
 (``testmod``); and ``commutation_suite`` reports (``functorops``).  Every
 entry is a finished value, stored once its computation returns.
+
+Keys are built from values that are already at hand, so a hit costs little
+more than its dict lookup: ``buchberger`` keys on each generator's cached
+``VecPoly.frozen()``, and the tables of the upper layers key on the stored
+basis tuples of ``Submodule.basis()`` and ``relation_gb()`` and on the
+once-hashed ``CartierModule.structure_key()``.  Keys are equal exactly
+when their inputs are.
 """
 
-import contextlib
 import contextvars
+import functools
 import heapq
 from operator import add, le, sub
 
@@ -51,15 +60,18 @@ from .fppoly import Poly
 
 class VecPoly:
     """Element of R^rank, stored as {(pos, mono): coeff}.  Never mutate
-    ``terms`` after creation: the hash and the leading term are cached on
-    first use."""
+    ``terms`` after creation: the frozen terms, the hash and the leading
+    term are cached on first use.  The hash is that of (rank, ``frozen()``),
+    so equal vectors hash equal whatever order their terms were filled in,
+    and no hash sorts."""
 
-    __slots__ = ("ring", "rank", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "rank", "terms", "_frozen", "_hash", "_lead")
 
     def __init__(self, ring, rank, terms):
         self.ring = ring
         self.rank = rank
         self.terms = terms
+        self._frozen = None
         self._hash = None
         self._lead = None
 
@@ -111,9 +123,17 @@ class VecPoly:
         return (isinstance(other, VecPoly) and self.ring == other.ring
                 and self.rank == other.rank and self.terms == other.terms)
 
+    def frozen(self):
+        """``frozenset(terms.items())``, built once: two vectors of one ring
+        and rank are equal exactly when these are, and comparing them runs
+        in C."""
+        if self._frozen is None:
+            self._frozen = frozenset(self.terms.items())
+        return self._frozen
+
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rank, tuple(self.sorted_terms())))
+            self._hash = hash((self.rank, self.frozen()))
         return self._hash
 
     def __add__(self, other):
@@ -277,25 +297,46 @@ def _spair(f, g):
 _MEMO = contextvars.ContextVar("cartierlab_groebner_memo", default=None)
 
 
-@contextlib.contextmanager
-def memo_scope(memo=None):
+class memo_scope:
     """Memoise ``buchberger`` and the ``memo_table`` tables while the
     scope of a top-level call or a scene task is open.
 
     Usable as ``with memo_scope():`` and as the decorator ``@memo_scope()``.
-    Reentrant: an inner entry joins the open memo.  The outermost entry
+    Reentrant: an inner entry joins the open memo, and a decorated call
+    made while a scope is open calls straight through.  The outermost entry
     holds its tables in ``memo``, so the caller that passes a dict decides
     how long they live (a ``Scene`` keeps one for all of its tasks); with
     ``memo=None`` it starts a fresh dict that its exit drops.
     """
-    if _MEMO.get() is not None:
-        yield
-        return
-    token = _MEMO.set({} if memo is None else memo)
-    try:
-        yield
-    finally:
-        _MEMO.reset(token)
+
+    __slots__ = ("memo", "_token")
+
+    def __init__(self, memo=None):
+        self.memo = memo
+        self._token = None
+
+    def __enter__(self):
+        if _MEMO.get() is None:
+            self._token = _MEMO.set({} if self.memo is None else self.memo)
+
+    def __exit__(self, *exc_info):
+        if self._token is not None:
+            _MEMO.reset(self._token)
+            self._token = None
+
+    def __call__(self, func):
+        memo = self.memo
+
+        @functools.wraps(func)
+        def scoped(*args, **kwargs):
+            if _MEMO.get() is not None:
+                return func(*args, **kwargs)
+            token = _MEMO.set({} if memo is None else memo)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                _MEMO.reset(token)
+        return scoped
 
 
 def memo_table(name):
@@ -310,7 +351,11 @@ def buchberger(gens):
 
     The basis depends on the generator order and on the ring's caps (its
     ``pair_cap``), so both are part of the memo key; a ``ResourceCapError``
-    is raised afresh each time.
+    is raised afresh each time.  The key holds each generator's cached
+    ``VecPoly.frozen()``, not the vector itself: callers such as
+    ``Ideal.groebner`` wrap fresh vectors on every call, and a hit then
+    compares frozensets in C instead of running ``VecPoly.__eq__`` per
+    generator.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -320,8 +365,7 @@ def buchberger(gens):
         return _buchberger(gens, ring)
     memo = memo_table("buchberger")
     # equal rings may differ in caps, and the basis carries its ring
-    key = (ring, ring.caps, gens[0].rank,
-           tuple(frozenset(g.terms.items()) for g in gens))
+    key = (ring, ring.caps, gens[0].rank, tuple(g.frozen() for g in gens))
     basis = memo.get(key)
     if basis is None:
         basis = memo[key] = tuple(_buchberger(gens, ring))

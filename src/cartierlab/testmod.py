@@ -110,7 +110,7 @@ def _factor_pool(cm):
     scope on the structure key and the carrier's basis; a fault that
     escapes it stores nothing."""
     memo = memo_table("factor_pool")
-    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()))
+    key = (cm.structure_key(), cm.carrier_sub().basis())
     if key in memo:
         return memo[key]
     pool = []
@@ -157,7 +157,7 @@ def _candidate_pool(cm):
     Memoised in the ``candidate_pool`` table of the open memo scope on the
     structure key and the carrier's basis, once the stream has ended."""
     memo = memo_table("candidate_pool")
-    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()))
+    key = (cm.structure_key(), cm.carrier_sub().basis())
     if key not in memo:
         candidates, factors = [], {}
         for f, pair in _candidate_elements(cm):
@@ -385,7 +385,7 @@ def _verify_test_element(cm, prime, c, piece):
         return True, {"note": "torsion piece vanishes"}
     loc = _localized(cm, c, piece)
     memo = memo_table("verify")
-    key = (loc.structure_key(), tuple(loc.carrier_sub().basis()), prime)
+    key = (loc.structure_key(), loc.carrier_sub().basis(), prime)
     if key not in memo:
         try:
             memo[key] = is_f_regular(loc, first_descent=True)
@@ -582,7 +582,7 @@ def _memoised(memo, compute, cm, test_elements, e0):
     """
     if test_elements is not None:
         return compute(cm, test_elements, e0)
-    key = (cm.structure_key(), tuple(cm.carrier_sub().basis()), e0)
+    key = (cm.structure_key(), cm.carrier_sub().basis(), e0)
     if key not in memo:
         memo[key] = compute(cm, None, e0)
     result = memo[key]

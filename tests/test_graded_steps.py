@@ -13,6 +13,7 @@ draw's step answer another's.
 """
 
 from fractions import Fraction
+from itertools import product as iproduct
 import random
 
 import pytest
@@ -20,6 +21,7 @@ import pytest
 from cartierlab import cartiercore
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     _apply_generator, _expand_twist_powers,
+                                    _gamma_choices_one,
                                     _piece_basis, _twist_moves,
                                     graded_piece_gens, graded_sum,
                                     validate_structure)
@@ -180,10 +182,11 @@ def test_a_seed_basis_is_its_own_reduced_basis():
     for cm in DRAWS:
         for seed in seeds(cm):
             b = seed.basis()
-            assert b and buchberger(b) == b and _piece_basis(cm, b) == b
+            # ``buchberger`` returns a list, ``basis()`` its stored tuple
+            assert b and buchberger(b) == list(b) and _piece_basis(cm, b) == b
             with memo_scope():
-                assert buchberger(b) == b and _piece_basis(cm, b) == b
-                assert buchberger(b) == b and _piece_basis(cm, b) == b
+                assert buchberger(b) == list(b) and _piece_basis(cm, b) == b
+                assert buchberger(b) == list(b) and _piece_basis(cm, b) == b
             shapes.add((bool(cm.module.relations), cm.inverted is not None))
     assert {(True, False), (False, True)} <= shapes
 
@@ -262,3 +265,32 @@ def test_a_tighter_ring_raises_under_a_hit(p, text, k, cap):
     with memo_scope():
         graded_sum(roomy, roomy.carrier_sub(), e_min=1)
         assert cap_error(tight) == alone
+
+
+def reference_gamma_choices(ring, ngens, e, pending):
+    """Every digit tuple of [0, q-1]^m, kept when its sum fits."""
+    q = ring.p ** e
+    out = []
+    for gamma in iproduct(*[range(q) for _ in range(ngens)]):
+        total = sum(gamma)
+        if total <= pending and (pending - total) % q == 0:
+            out.append((gamma, (pending - total) // q))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_digit_choices_match_the_filtered_product(p):
+    """The last digit is solved for, not enumerated: same list, same
+    order."""
+    ring = RingSpec(p, ("x",))
+    matched = 0
+    for m in range(4):
+        for e in (1, 2):
+            for pending in range(60):
+                got = _gamma_choices_one(ring, m, e, pending)
+                assert got == reference_gamma_choices(ring, m, e, pending), \
+                    (m, e, pending)
+                matched += bool(got)
+    assert _gamma_choices_one(ring, 0, 1, p) == [((), 1)]
+    assert _gamma_choices_one(ring, 0, 1, 1) == []
+    assert matched > 300

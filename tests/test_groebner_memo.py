@@ -6,14 +6,23 @@ Inside a ``memo_scope`` a repeated ``buchberger``, ``graded_sum``,
 input returns the stored result; these tests pin down that a hit is
 indistinguishable from a fresh computation, that an error is raised afresh,
 and that the memo never outlives its outermost scope.
+
+Keys are equal exactly when their inputs are, and are built from values at
+hand: ``buchberger`` keys on each vector's cached ``VecPoly.frozen()``, and
+``Submodule.basis()`` and ``relation_gb()`` return the stored tuples that
+the other tables key on.  A work-count guard pins the fresh ``_buchberger``
+and ``_graded_sum`` runs of a fixed workload, so a key that stops hitting,
+or hits too widely, changes a number here instead of silently changing the
+work.
 """
 
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from cartierlab import cartiercore, groebner, testmod
+from cartierlab import cartiercore, cli, groebner, scene, testmod
 from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     ass_cartier, graded_sum, stable_torsion,
                                     underline, validate_structure)
@@ -23,7 +32,9 @@ from cartierlab.filtration import gr, skoda_report
 from cartierlab.fppoly import EngineCaps, Poly, RingSpec
 from cartierlab.groebner import VecPoly, buchberger, memo_scope
 from cartierlab.idealkit import Ideal, PrimeIdeal
-from cartierlab.testmod import candidate_elements, tau_bms
+from cartierlab.testmod import candidate_elements, tau, tau_bms
+
+from instancegen import trace_grid
 
 
 def _vecs(polys):
@@ -326,3 +337,126 @@ def test_a_regularity_verdict_is_kept_per_localized_carrier():
     with memo_scope():
         assert [testmod._verify_test_element(cm, point, cm.ring.one(), piece)
                 for piece in pieces] == fresh
+
+
+def test_nested_decorated_calls_share_the_outer_memo():
+    seen = []
+
+    @memo_scope()
+    def inner():
+        seen.append(groebner._MEMO.get())
+
+    @memo_scope()
+    def outer():
+        seen.append(groebner._MEMO.get())
+        inner()
+
+    outer()
+    outer()
+    assert groebner._MEMO.get() is None
+    first, nested, second, _ = seen
+    assert first is not None and nested is first
+    assert second is not first
+    assert inner.__wrapped__ is not None and inner.__name__ == "inner"
+
+
+def test_a_decorated_call_that_raises_leaves_no_memo():
+    """An inner call that raises keeps the outer memo open; the outermost
+    call that raises unsets it."""
+    @memo_scope()
+    def failing():
+        raise ValueError("boom")
+
+    @memo_scope()
+    def outer():
+        memo = groebner._MEMO.get()
+        with pytest.raises(ValueError):
+            failing()
+        assert groebner._MEMO.get() is memo
+        failing()
+
+    with pytest.raises(ValueError):
+        outer()
+    assert groebner._MEMO.get() is None
+
+
+def test_a_decorated_call_inside_a_given_memo_writes_into_it():
+    cm = cusp_module("1/2")
+    memo = {}
+    with memo_scope(memo):
+        with memo_scope():
+            assert groebner._MEMO.get() is memo
+        underline(cm)
+    assert groebner._MEMO.get() is None
+    assert {"underline", "graded_sum", "buchberger"} <= set(memo)
+    with memo_scope({}):
+        with memo_scope(memo):
+            assert groebner._MEMO.get() is not memo
+
+
+def test_equal_vectors_filled_in_other_orders_share_one_entry(monkeypatch):
+    R = RingSpec(3, ("x", "y"))
+    terms = list(VecPoly.from_columns(
+        R, [R.parse("x^2*y - y^2 + x - 1")]).terms.items())
+    a = VecPoly(R, 1, dict(terms))
+    b = VecPoly(R, 1, dict(reversed(terms)))
+    assert list(a.terms) != list(b.terms)
+    assert a == b and hash(a) == hash(b) and a.frozen() == b.frozen()
+    assert a.frozen() is a.frozen()
+    other = VecPoly.from_columns(R, [R.parse("x*y - 1")])
+    computed = _counting(monkeypatch, groebner, "_buchberger")
+    memo = {}
+    with memo_scope(memo):
+        first = buchberger([a, other])
+        assert buchberger([b, other]) == first
+    assert len(memo["buchberger"]) == 1 and computed == [1]
+
+
+def test_bases_are_the_stored_tuples():
+    R = RingSpec(2, ("x", "y"))
+    M = PresentedModule(R, 2, [[R.parse("x^2"), R.parse("y")]])
+    sub = M.submodule([[R.parse("x"), R.one()]])
+    basis = sub.basis()
+    assert isinstance(basis, tuple) and sub.basis() is basis
+    assert M.relation_gb() is M.relation_gb()
+    assert M.zero_submodule().basis() is M.relation_gb()
+    assert sub == sub and M == M
+
+
+def test_equal_rings_with_other_caps_hash_equal():
+    roomy = RingSpec(3, ("x", "y"))
+    tight = RingSpec(3, ("x", "y"), EngineCaps(max_total_degree=5))
+    assert roomy == tight and hash(roomy) == hash(tight)
+    assert roomy.caps != tight.caps
+    assert roomy != RingSpec(3, ("y", "x"))
+
+
+# fresh (_buchberger, _graded_sum) runs, measured before the keys of the
+# memo tables were last changed
+GRID_RUNS = (586, 260)
+CORPUS_RUNS = (697, 273)
+
+
+def test_fresh_runs_of_a_fixed_workload_are_pinned(monkeypatch):
+    """The 84 grid points of x^3 + y^2 over F_2 and x^2 + y^2 over F_3,
+    one scope per ``tau`` call, and one replay of the bundled corpus, each
+    scene in its own memo."""
+    grid = [cm for p, text in ((2, "x^3 + y^2"), (3, "x^2 + y^2"))
+            for _t, cm in trace_grid(p, text)]
+    assert len(grid) == 84
+    folder = resources.files("cartierlab").joinpath("corpus")
+    bases = _counting(monkeypatch, groebner, "_buchberger")
+    sums = _counting(monkeypatch, cartiercore, "_graded_sum")
+    for cm in grid:
+        tau(cm)
+    assert (len(bases), len(sums)) == GRID_RUNS
+    bases.clear()
+    sums.clear()
+    # the replay parses each scene (its validations count) and runs its
+    # tasks in the memo the scene holds
+    for name in cli.corpus_scene_names():
+        sc = scene.parse_scene(folder.joinpath(name).read_text("utf-8"),
+                               name=name.rsplit(".", 1)[0])
+        for task in sc.tasks:
+            scene.run_task(sc, task, {})
+    assert (len(bases), len(sums)) == CORPUS_RUNS
