@@ -656,9 +656,10 @@ def graded_sum(cm, seed, e_min=0):
     seed_gens = seed.basis()
     memo = memo_table("graded_sum")
     key = (cm.structure_key(), seed_gens, e_min)
-    if key not in memo:
-        memo[key] = _graded_sum(cm, seed_gens, e_min)
-    total, info = memo[key]
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = _graded_sum(cm, seed_gens, e_min)
+    total, info = entry
     return total, dict(info)
 
 
@@ -763,9 +764,10 @@ def underline(cm, start=None):
     current = cm.canon_sub(start if start is not None else cm.carrier_sub())
     memo = memo_table("underline")
     key = (cm.structure_key(), current.basis())
-    if key not in memo:
-        memo[key] = _underline(cm, current)
-    core, k = memo[key]
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = _underline(cm, current)
+    core, k = entry
     return (current if k == 0 else core), k
 
 
@@ -851,10 +853,12 @@ def stable_torsion(cm, prime, within):
     the basis of ``within``."""
     memo = memo_table("stable_torsion")
     key = (cm.structure_key(), prime, within.basis())
-    if key not in memo:
+    core = memo.get(key)
+    if core is None:
         tor = cm.canon_sub(torsion(cm.module, prime.ideal, within=within))
-        memo[key] = tor if tor.is_trivial() else underline(cm, start=tor)[0]
-    return memo[key]
+        core = memo[key] = (tor if tor.is_trivial()
+                            else underline(cm, start=tor)[0])
+    return core
 
 
 @memo_scope()
@@ -870,9 +874,10 @@ def ass_cartier(cm):
         return []
     memo = memo_table("ass_cartier")
     key = (cm.structure_key(), core.basis())
-    if key not in memo:
-        memo[key] = tuple(_ass_cartier(cm, core))
-    return list(memo[key])
+    primes = memo.get(key)
+    if primes is None:
+        primes = memo[key] = tuple(_ass_cartier(cm, core))
+    return list(primes)
 
 
 def _ass_cartier(cm, core):

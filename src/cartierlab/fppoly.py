@@ -22,7 +22,7 @@ contraction behaviour of trace operators and drive the coherent-model
 machinery in :mod:`cartierlab.functorops`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .errors import ParseError, ResourceCapError, RingMismatchError
@@ -58,7 +58,12 @@ def is_prime(n):
 @dataclass(frozen=True)
 class EngineCaps:
     """Hard resource limits; only ``max_total_degree`` is settable.
-    Exceeding any of them raises, loudly."""
+    Exceeding any of them raises, loudly.
+
+    Memo keys hold the caps and hash them on every lookup, so the hash is
+    computed once, as ``RingSpec`` does.  Equality stays the dataclass's:
+    caps of another class (a subclass with a smaller ClassVar cap) are
+    unequal even when they hash equal."""
 
     max_vars: ClassVar[int] = 6
     max_e: ClassVar[int] = 6
@@ -67,6 +72,13 @@ class EngineCaps:
     basis_enum_cap: ClassVar[int] = 1 << 20
     twist_expand_cap: ClassVar[int] = 512
     max_total_degree: int = 4096
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.max_total_degree))
+
+    def __hash__(self):
+        return self._hash
 
     def check_degree(self, deg):
         if deg > self.max_total_degree:

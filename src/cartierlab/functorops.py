@@ -641,9 +641,10 @@ def commutation_suite(cm, rmap):
     memo = memo_table("commutation_suite")
     key = (cm.structure_key(), cm.carrier_sub().basis(),
            tuple(rmap.serialize().items()), rmap.source, rmap.target)
-    if key not in memo:
-        memo[key] = _commutation_suite(cm, rmap)
-    return dict(memo[key])
+    report = memo.get(key)
+    if report is None:
+        report = memo[key] = _commutation_suite(cm, rmap)
+    return dict(report)
 
 
 def _commutation_suite(cm, rmap):

@@ -33,7 +33,8 @@ already open, so a nested call costs one context-variable read.  A hit
 returns exactly what a fresh computation would, so answers never depend on
 what ran earlier.  Other layers keep their own tables in the same memo via
 ``memo_table``, each opened by one function: Frobenius-root digit steps
-(one automaton of ideals per f) and small powers g^a (``idealkit``; the
+and ascent checks (one ``RootAutomaton`` per f) and small powers g^a
+(``idealkit``; the
 twisted graded walk of ``cartiercore`` takes its powers from the same
 table); graded sums, the graded walk's letter steps, stable cores, stable
 torsion and associated primes (``cartiercore``); factor pools, candidate
@@ -44,9 +45,10 @@ entry is a finished value, stored once its computation returns.
 Keys are built from values that are already at hand, so a hit costs little
 more than its dict lookup: ``buchberger`` keys on each generator's cached
 ``VecPoly.frozen()``, and the tables of the upper layers key on the stored
-basis tuples of ``Submodule.basis()`` and ``relation_gb()`` and on the
-once-hashed ``CartierModule.structure_key()``.  Keys are equal exactly
-when their inputs are.
+basis tuples of ``Submodule.basis()`` and ``relation_gb()``, on the
+once-hashed ``CartierModule.structure_key()`` and on the once-hashed
+``EngineCaps``.  Keys are equal exactly when their inputs are, and a hit
+is one ``dict.get``.
 """
 
 import contextvars

@@ -219,70 +219,121 @@ def small_power(g, a):
     return power
 
 
+class RootAutomaton:
+    """The Frobenius roots of the powers of one f, walked digit by digit.
+
+    root_e(f^A) is read off the base-p digits of A, from the lowest, via
+    root_1(g^[p] * J) = g * root_1(J) and root_e = root_(e-1) o root_1.  A
+    digit step takes the ideal J of the previous level (the unit ideal at
+    the start) to the reduced basis of root_1(f^d * J), so it depends only
+    on (f, the ring's caps, d, J).  States are reduced bases interned as
+    small integers in ``states`` and ``ids`` (state 0 is the unit ideal),
+    and ``steps`` maps (state, digit) to a state.  A chain of roots of
+    powers of f meets only finitely many ideals (Blickle-Mustata-Smith,
+    Michigan Math. J. 2008), and a jumping-number sweep reaches the same
+    ideal through many digit prefixes, so most steps are transitions
+    already taken.  A hit is exact: the step's input list
+    ``[f^d * g for g in J]`` (J itself when d = 0), hence its
+    ``buchberger`` basis, is a function of (caps, f, d, J), and reduced
+    bases are unique and sorted, so equal ideals share one state.
+
+    A walk ends in a pair (state, quotient) that names the ideal
+    f^quotient * J_state.  The quotient is 0 at the zero state, so pairs of
+    quotient 0 are equal exactly when their ideals are.  ``ascents`` keeps
+    the verdicts of ``contains``, keyed by the two pairs.
+    """
+
+    __slots__ = ("f", "states", "ids", "steps", "ascents")
+
+    def __init__(self, f):
+        unit = (f.ring.one(),)
+        self.f = f
+        self.states = [unit]
+        self.ids = {unit: 0}
+        self.steps = {}
+        self.ascents = {}
+
+    def walk(self, exponent, e):
+        """(state, exponent // p^e) after the lowest e digits of
+        ``exponent``; (zero state, 0) once a step reaches the zero ideal,
+        which no later step leaves."""
+        f = self.f
+        p = f.ring.p
+        states, steps = self.states, self.steps
+        state = 0
+        for _ in range(e):
+            exponent, digit = divmod(exponent, p)
+            target = steps.get((state, digit))
+            if target is None:
+                gens = states[state]
+                if digit:
+                    fd = small_power(f, digit)
+                    gens = [fd * g for g in gens]
+                basis = tuple(v.component(0) for v in buchberger(
+                    [_vec(g) for g in frobenius_root_gens(gens, 1)]))
+                target = steps[state, digit] = self.ids.setdefault(
+                    basis, len(states))
+                if target == len(states):
+                    states.append(basis)
+            state = target
+            if not states[state]:
+                return state, 0
+        return state, exponent
+
+    def ideal(self, pair):
+        """The ideal f^quotient * J_state that ``pair`` names.  With
+        quotient 0 it carries the state's reduced basis as its own, so
+        comparing it does not recompute it; the tail power comes from
+        ``small_power``."""
+        state, quotient = pair
+        ring = self.f.ring
+        basis = self.states[state]
+        if quotient == 0:
+            root = Ideal(ring, basis)
+            root._gb = basis
+            return root
+        tail = small_power(self.f, quotient)
+        return Ideal(ring, [tail * g for g in basis])
+
+    def contains(self, pair, other):
+        """Whether the ideal of ``pair`` contains that of ``other``, tested
+        once per two pairs.  ``other``'s ideal is built first, so a degree
+        cap trips in the order the chain reached the two."""
+        key = pair, other
+        verdict = self.ascents.get(key)
+        if verdict is None:
+            inner = self.ideal(other)
+            verdict = self.ascents[key] = \
+                self.ideal(pair).contains_ideal(inner)
+        return verdict
+
+
+def root_automaton(f):
+    """The ``RootAutomaton`` of f in the open memo scope, one per (caps, f).
+
+    The caps are in the key because degree checks read them, so a hit
+    never skips a ``ResourceCapError`` that a fresh walk would raise."""
+    automata = memo_table("frobenius_root_of_power")
+    key = f.ring.caps, f
+    automaton = automata.get(key)
+    if automaton is None:
+        automaton = automata[key] = RootAutomaton(f)
+    return automaton
+
+
 def frobenius_root_of_power(f, exponent, e):
     """root_e of the ideal (f^exponent) without expanding f^exponent.
 
-    Peels one base-p digit of the exponent per level, from the lowest, via
-    root_1(g^[p] * J) = g * root_1(J) and root_e = root_(e-1) o root_1; the
-    leftover quotient power (exponent // p^e) is expanded at the bottom, so
-    intermediate degrees stay contracted.
-
-    The levels walk a finite automaton of ideals.  A digit step takes the
-    ideal J of the previous level (the unit ideal at the start) to the
-    reduced basis of root_1(f^d * J), so it depends only on (f, the ring's
-    caps, d, J).  The open memo scope keeps one automaton per (caps, f),
-    looked up once per call: its states are reduced bases interned as small
-    integers (state 0 is the unit ideal) and its transitions map
-    (state, digit) to a state.  A chain of roots of powers of f meets only
-    finitely many ideals (Blickle-Mustata-Smith, Michigan Math. J. 2008),
-    and a jumping-number sweep reaches the same ideal through many digit
-    prefixes, so most steps are transitions already taken.  A hit is exact:
-    the step's input list ``[f^d * g for g in J]`` (J itself when d = 0),
-    hence its ``buchberger`` basis, is a function of (caps, f, d, J), and
-    reduced bases are unique and sorted, so equal ideals share one state.
-    The caps are in the key because degree checks read them, so a hit
-    never skips a ``ResourceCapError`` that a fresh walk would raise.  The
-    digit powers f^d and the tail power come from ``small_power``, so a
-    sweep builds each of them once.  The fixed-point certificate of
-    ``tau_bms`` asks for the chain's own digit prefixes (exponent mod p^j,
-    j levels), so it walks only transitions the chain has already taken.
-
-    When ``exponent < p^e`` the root is generated by the last state's
-    reduced basis, which the returned ideal carries as its own, so
-    comparing it does not recompute it.
+    Walks ``root_automaton(f)`` over the lowest e base-p digits of the
+    exponent and expands only the leftover quotient power
+    (exponent // p^e) at the bottom, so intermediate degrees stay
+    contracted.  The digit powers f^d and the tail power come from
+    ``small_power``, so a sweep builds each of them once.  ``tau_bms``
+    walks the same automaton on state pairs and builds an ideal only for
+    the level it returns and for its ascent checks.
     """
-    ring = f.ring
-    p = ring.p
-    automata = memo_table("frobenius_root_of_power")
-    automaton = automata.get((ring.caps, f))
-    if automaton is None:
-        unit = (ring.one(),)
-        automaton = automata[ring.caps, f] = ([unit], {unit: 0}, {})
-    states, ids, steps = automaton
-    state = 0
-    for _ in range(e):
-        exponent, digit = divmod(exponent, p)
-        target = steps.get((state, digit))
-        if target is None:
-            gens = states[state]
-            if digit:
-                fd = small_power(f, digit)
-                gens = [fd * g for g in gens]
-            basis = tuple(v.component(0) for v in buchberger(
-                [_vec(g) for g in frobenius_root_gens(gens, 1)]))
-            target = steps[state, digit] = ids.setdefault(basis, len(states))
-            if target == len(states):
-                states.append(basis)
-        state = target
-        if not states[state]:
-            return Ideal(ring, [])
-    current = states[state]
-    if exponent == 0:
-        root = Ideal(ring, current)
-        root._gb = current
-        return root
-    tail = small_power(f, exponent)
-    return Ideal(ring, [tail * g for g in current])
+    roots = root_automaton(f)
+    return roots.ideal(roots.walk(exponent, e))
 
 
 # ---------------------------------------------------------------------------

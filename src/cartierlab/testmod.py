@@ -45,7 +45,8 @@ would reach the same fixed point and record the same candidates.
 ``tau_bms`` is the fast path for principal twists on the rank-1 free module:
 the stable member of the ascending Frobenius-root chain of f^ceil(t*p^e).
 It stops at a proven fixed point of the chain's period step, so each EXACT
-value of a jumping-number sweep rests on a certified stop.
+value of a jumping-number sweep rests on a certified stop.  The chain runs
+on the state pairs of the Frobenius-root automaton.
 """
 
 from dataclasses import dataclass, field
@@ -59,8 +60,8 @@ from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion, unit_at
 from .groebner import memo_scope, memo_table
-from .idealkit import (Ideal, PrimeIdeal, frobenius_root_of_power,
-                       irreducible_factors_best_effort, minimal_primes)
+from .idealkit import (PrimeIdeal, irreducible_factors_best_effort,
+                       minimal_primes, root_automaton)
 
 
 @dataclass
@@ -111,8 +112,9 @@ def _factor_pool(cm):
     escapes it stores nothing."""
     memo = memo_table("factor_pool")
     key = (cm.structure_key(), cm.carrier_sub().basis())
-    if key in memo:
-        return memo[key]
+    pool = memo.get(key)
+    if pool is not None:
+        return pool
     pool = []
 
     def add(f):
@@ -158,14 +160,15 @@ def _candidate_pool(cm):
     structure key and the carrier's basis, once the stream has ended."""
     memo = memo_table("candidate_pool")
     key = (cm.structure_key(), cm.carrier_sub().basis())
-    if key not in memo:
+    entry = memo.get(key)
+    if entry is None:
         candidates, factors = [], {}
         for f, pair in _candidate_elements(cm):
             candidates.append(f)
             if pair is not None:
                 factors[f] = pair
-        memo[key] = (tuple(candidates), factors)
-    return memo[key]
+        entry = memo[key] = (tuple(candidates), factors)
+    return entry
 
 
 def _candidate_elements(cm):
@@ -386,12 +389,14 @@ def _verify_test_element(cm, prime, c, piece):
     loc = _localized(cm, c, piece)
     memo = memo_table("verify")
     key = (loc.structure_key(), loc.carrier_sub().basis(), prime)
-    if key not in memo:
+    verdict = memo.get(key)
+    if verdict is None:
         try:
-            memo[key] = is_f_regular(loc, first_descent=True)
+            verdict = is_f_regular(loc, first_descent=True)
         except (UnsupportedShapeError, SearchBudgetError) as ex:
-            memo[key] = (False, {"error": str(ex)})
-    return memo[key]
+            verdict = (False, {"error": str(ex)})
+        memo[key] = verdict
+    return verdict
 
 
 def _order_by_inclusion(primes):
@@ -583,9 +588,9 @@ def _memoised(memo, compute, cm, test_elements, e0):
     if test_elements is not None:
         return compute(cm, test_elements, e0)
     key = (cm.structure_key(), cm.carrier_sub().basis(), e0)
-    if key not in memo:
-        memo[key] = compute(cm, None, e0)
-    result = memo[key]
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = compute(cm, None, e0)
     return TauResult(result.submodule, dict(result.certificate))
 
 
@@ -657,14 +662,21 @@ def tau_bms(f, t, e_max=None):
     pre + nk on, and the level pre + (n+1)k where the equality is seen is
     returned.  With A = ceil(t*p^e) at e = pre + nk, K_n = f^m * L_n for
     m = A // p^(nk) and L_n = root_(nk)(f^(A mod p^(nk))), the ideal the
-    chain's own root walk reached after the lowest nk digits of A, so
-    ``frobenius_root_of_power`` reads it off digit steps the chain has
-    already taken; K_0 is (f^ceil(t*p^pre)).  K_(n+1) = K_n is tested as
-    equality of the pairs (m, L_n), so no power f^m * L_n is built.
+    chain's own root walk reached after the lowest nk digits of A.
+
+    The chain runs on ``root_automaton(f)``: each J_e is a pair (state,
+    quotient) of its walk, and an ``Ideal`` is built only for the returned
+    level and for an ascent check.  L_n has quotient 0, so it is a state,
+    states are interned by reduced basis, and K_(n+1) = K_n is the
+    equality of the integer pairs (m, L_n); K_0 is (ceil(t*p^pre), unit
+    state).
 
     Raises NoStabilizationError when level e_max passes without that
-    equality.  The chain must ascend; equal ideals contain each other, so
-    that check runs only when consecutive roots differ.
+    equality.  The chain must ascend: where consecutive pairs differ,
+    the automaton's ``contains`` tests that the later ideal contains the
+    earlier one, once per two pairs in the open memo scope.  Equal pairs
+    name equal ideals; unequal pairs can name equal ideals only with a
+    quotient above 0, and then the test passes.
     """
     if f.is_zero():
         raise ValueError("hypersurface equation must be nonzero")
@@ -676,21 +688,21 @@ def tau_bms(f, t, e_max=None):
     e_max = e_max if e_max is not None else ring.caps.chain_cap
     pre, period = ceil_pattern_period(p, t)
     num, den = t.numerator, t.denominator
-    prev_step = (-(-num * p ** pre // den), Ideal(ring, [ring.one()]))  # K_0
+    roots = root_automaton(f)
+    prev_step = (-(-num * p ** pre // den), 0)  # K_0
     prev = None
     for e in range(1, e_max + 1):
         exponent = -(-num * p ** e // den)  # ceil(t * p^e)
-        current = frobenius_root_of_power(f, exponent, e)
+        current = roots.walk(exponent, e)
         if (prev is not None and current != prev
-                and not current.contains_ideal(prev)):
+                and not roots.contains(current, prev)):
             raise AssertionError(
                 "root chain failed to ascend (internal error)")
         if e > pre and (e - pre) % period == 0:
             q = p ** (e - pre)
-            step = (exponent // q,
-                    frobenius_root_of_power(f, exponent % q, e - pre))
+            step = (exponent // q, roots.walk(exponent % q, e - pre)[0])
             if step == prev_step:
-                return current
+                return roots.ideal(current)
             prev_step = step
         prev = current
     raise NoStabilizationError(

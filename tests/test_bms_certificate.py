@@ -1,24 +1,31 @@
-"""Differential test: ``tau_bms`` stops at a proven fixed point.
+"""Differential tests: ``tau_bms`` stops at a proven fixed point.
 
 ``tau_bms`` returns once two consecutive period steps K_n = K_(n+1) of the
-chain agree (see its docstring).  The oracle below is the loop it replaced,
-which returned after a window of ``max(3, pre + period + 1)`` equal levels;
-both must give the same ideal on every grid point.  A stop at the first
-equal pair of levels, or at an equal pair of K at consecutive levels instead
-of period steps, returns a plateau below the stable value at some of these
+chain agree (see its docstring).  The first oracle below is the loop that
+returned after a window of ``max(3, pre + period + 1)`` equal levels; both
+must give the same ideal on every grid point.  A stop at the first equal
+pair of levels, or at an equal pair of K at consecutive levels instead of
+period steps, returns a plateau below the stable value at some of these
 points.
+
+The second oracle is the same certified loop run on whole ideals: one
+``Ideal`` per level, compared by reduced basis, where ``tau_bms`` compares
+the (state, quotient) pairs of the root automaton.  On seeded f it must
+return the same ideal and stop at the same level; a returned ideal without
+its tail power f^quotient (t >= 1) fails it.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from cartierlab.cartiercore import ceil_pattern_period
 from cartierlab.errors import NoStabilizationError
-from cartierlab.fppoly import EngineCaps, RingSpec
+from cartierlab.fppoly import EngineCaps, Poly, RingSpec
 from cartierlab.groebner import memo_scope
-from cartierlab.idealkit import frobenius_root_of_power
+from cartierlab.idealkit import Ideal, frobenius_root_of_power
 from cartierlab.testmod import tau_bms
 
 # the distinct curves of criterion 10, then two of degree >= 4
@@ -89,3 +96,67 @@ def test_e_max_admits_exactly_the_certified_level(p):
             with pytest.raises(NoStabilizationError,
                                match=f"by level e_max={level - 1}$"):
                 tau_bms(f, t, e_max=level - 1)
+
+
+def ideal_level_tau(f, t, e_max):
+    """The certified chain of ``tau_bms`` with an ``Ideal`` at every level:
+    (the stable ideal, the level its certificate is seen at)."""
+    ring = f.ring
+    p = ring.p
+    pre, period = ceil_pattern_period(p, t)
+    prev_step = (math.ceil(t * p ** pre), Ideal(ring, [ring.one()]))
+    prev = None
+    for e in range(1, e_max + 1):
+        exponent = math.ceil(t * p ** e)
+        current = frobenius_root_of_power(f, exponent, e)
+        if (prev is not None and current != prev
+                and not current.contains_ideal(prev)):
+            raise AssertionError("root chain failed to ascend")
+        if e > pre and (e - pre) % period == 0:
+            q = p ** (e - pre)
+            step = (exponent // q,
+                    frobenius_root_of_power(f, exponent % q, e - pre))
+            if step == prev_step:
+                return current, e
+            prev_step = step
+        prev = current
+    raise NoStabilizationError(
+        f"root chain reached no certified fixed point by level "
+        f"e_max={e_max}")
+
+
+def seeded_curve(ring, rng):
+    """Two or three terms of degree 2 to 5: singular at the origin, so the
+    chain passes through proper ideals below the unit ideal."""
+    terms = {}
+    while len(terms) < 2:
+        for _ in range(rng.randint(2, 3)):
+            degree = rng.randint(2, 5)
+            i = rng.randint(0, degree)
+            terms[i, degree - i] = rng.randrange(1, ring.p)
+    return Poly(ring, terms)
+
+
+@pytest.mark.parametrize("p, step", [(2, 1), (3, 1), (5, 11)])
+def test_the_pair_chain_matches_the_ideal_chain(p, step):
+    """Grid points k/(p^2 (p^2 - 1)) of (0, 2], the midpoints between them,
+    and t in {1, 3/2, 2}, where every level's quotient is above 0."""
+    ring = RingSpec(p, ("x", "y"), caps=EngineCaps(max_total_degree=10 ** 6))
+    rng = random.Random(3300 + p)
+    D = p ** 2 * (p ** 2 - 1)
+    exponents = sorted({Fraction(k, 2 * D) for k in range(1, 4 * D + 1, step)}
+                       | {Fraction(1), Fraction(3, 2), Fraction(2)})
+    assert any(k.denominator == 2 * D for k in exponents)
+    curves = set()
+    while len(curves) < 3:
+        curves.add(seeded_curve(ring, rng))
+    for f in sorted(curves, key=str):
+        with memo_scope():
+            for t in exponents:
+                expected, level = ideal_level_tau(f, t, ring.caps.chain_cap)
+                assert tau_bms(f, t) == expected, (f, t)
+                with pytest.raises(NoStabilizationError) as raised:
+                    tau_bms(f, t, e_max=level - 1)
+                with pytest.raises(NoStabilizationError) as oracle:
+                    ideal_level_tau(f, t, level - 1)
+                assert str(raised.value) == str(oracle.value), (f, t)

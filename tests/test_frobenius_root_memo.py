@@ -8,7 +8,8 @@ that each transition is computed once, that a hit never hides a degree-cap
 error (neither a transition hit nor a power that the twisted graded walk
 left in the shared small-power table), and that ``tau_bms`` roots at
 exactly ceil(t*p^e) and certifies its stop on the chain's own digit
-prefixes.
+prefixes.  A work-count guard pins the fresh transitions and the ascent
+checks of the sweeps of one bms-spectrum benchmark unit.
 """
 
 import math
@@ -21,11 +22,13 @@ from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
                                     ceil_pattern_period, graded_piece_gens,
                                     validate_structure)
 from cartierlab.errors import NoStabilizationError, ResourceCapError
+from cartierlab.filtration import jumping_numbers
 from cartierlab.fpmod import PresentedModule
 from cartierlab.fppoly import EngineCaps, Poly, RingSpec
 from cartierlab import idealkit
 from cartierlab.groebner import memo_scope, memo_table
-from cartierlab.idealkit import Ideal, frobenius_root, frobenius_root_of_power
+from cartierlab.idealkit import (Ideal, RootAutomaton, frobenius_root,
+                                 frobenius_root_of_power)
 from cartierlab.testmod import tau_bms
 
 
@@ -67,7 +70,7 @@ def test_shared_prefixes_give_the_fresh_root_in_any_order(p):
 
 def transitions(automata):
     """Number of (state, digit) transitions in a table of automata."""
-    return sum(len(steps) for _states, _ids, steps in automata.values())
+    return sum(len(automaton.steps) for automaton in automata.values())
 
 
 # singular curves, whose root chains pass through several proper ideals
@@ -102,10 +105,10 @@ def test_the_automaton_walk_gives_the_root_of_the_expanded_power(p):
     # some proper ideal was reached through two different digit prefixes,
     # so the walks crossed on a state and did not only share prefixes
     assert any(
-        len({source_digit for source_digit, target in steps.items()
+        len({source_digit for source_digit, target in automaton.steps.items()
              if target == state}) > 1
-        for _states, _ids, steps in automata.values()
-        for state in set(steps.values()) if state != 0), p
+        for automaton in automata.values()
+        for state in set(automaton.steps.values()) if state != 0), p
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -200,23 +203,22 @@ def ceil_fractions(p):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_tau_bms_roots_at_ceil_of_t_times_p_to_the_e(p, monkeypatch):
     """tau_bms computes ceil(t*p^e) in integers; every exponent its chain
-    asks a root for equals math.ceil(t * p**e) on a Fraction.  After the
-    chain's root at a level e = pre + nk (n >= 1), the certificate asks for
-    the chain's digit prefix of nk levels, (ceil(t*p^e) mod p^(nk), nk)."""
-    from cartierlab import testmod
-
+    walks the root automaton for equals math.ceil(t * p**e) on a Fraction.
+    After the chain's walk at a level e = pre + nk (n >= 1), the certificate
+    walks the chain's digit prefix of nk levels, (ceil(t*p^e) mod p^(nk),
+    nk)."""
     x = RingSpec(p, ("x",)).var("x")
-    real = testmod.frobenius_root_of_power
+    real = RootAutomaton.walk
     levels = set()
     for t in ceil_fractions(p):
         pre, k = ceil_pattern_period(p, t)
         asked = []
 
-        def recording(f, exponent, e):
+        def recording(automaton, exponent, e):
             asked.append((exponent, e))
-            return real(f, exponent, e)
+            return real(automaton, exponent, e)
 
-        monkeypatch.setattr(testmod, "frobenius_root_of_power", recording)
+        monkeypatch.setattr(RootAutomaton, "walk", recording)
         try:
             tau_bms(x, t, e_max=8)
         except NoStabilizationError:
@@ -235,3 +237,45 @@ def test_tau_bms_roots_at_ceil_of_t_times_p_to_the_e(p, monkeypatch):
             for e in range(pre + k, len(chain) + 1, k)], t
         levels.update(e for _exponent, e in chain)
     assert levels == set(range(1, 9))
+
+
+# The first visits of unit 0 of the bms-spectrum benchmark at the default
+# seed, in order; its revisits read a result cache and walk no root.
+BMS_UNIT = ((2, "x^3 + y^2"), (3, "x^3 + y^3"), (3, "x*y"), (3, "x^2*y + y^3"),
+            (3, "x^2*y"), (3, "x"), (3, "x^3 + y^3"), (5, "x*y"),
+            (3, "x^2 + y^2"), (3, "x^2*y"), (3, "x"), (3, "x^3 + y^2"))
+# fresh transitions, and ascent checks: one per two consecutive unequal
+# pairs of a chain, each pair of pairs once per sweep
+UNIT_TRANSITIONS = 63
+UNIT_ASCENT_CHECKS = 21
+
+
+def test_the_root_work_of_a_bms_unit_is_pinned(monkeypatch):
+    """Each sweep is ``jumping_numbers(cm, (f), 1, caps=(2, 2))`` on the
+    trace line, in its own memo scope; only ``tau_bms`` reaches
+    ``frobenius_root_gens`` (once per fresh transition) and
+    ``Ideal.contains_ideal`` on this path."""
+    roots, checks = [], []
+    real_gens, real_contains = idealkit.frobenius_root_gens, \
+        Ideal.contains_ideal
+
+    def counting_gens(gens, e):
+        roots.append(e)
+        return real_gens(gens, e)
+
+    def counting_contains(ideal, other):
+        checks.append(other)
+        return real_contains(ideal, other)
+
+    monkeypatch.setattr(idealkit, "frobenius_root_gens", counting_gens)
+    monkeypatch.setattr(Ideal, "contains_ideal", counting_contains)
+    for p, text in BMS_UNIT:
+        ring = RingSpec(p, ("x", "y"))
+        cm = validate_structure(
+            PresentedModule.free(ring, 1),
+            CartierAlgebraSpec([CartierOp(1, [[ring.one()]])]))
+        spectrum = jumping_numbers(cm, Ideal(ring, [ring.parse(text)]), 1,
+                                   caps=(2, 2))
+        assert spectrum.exactness == "EXACT"
+    assert roots == [1] * UNIT_TRANSITIONS
+    assert len(checks) == UNIT_ASCENT_CHECKS

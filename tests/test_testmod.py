@@ -18,7 +18,7 @@ from cartierlab.cartiercore import (CartierAlgebraSpec, CartierOp,
 from cartierlab.errors import NoStabilizationError, SearchBudgetError
 from cartierlab.fppoly import EngineCaps, RingSpec
 from cartierlab.fpmod import PresentedModule, torsion
-from cartierlab.idealkit import Ideal
+from cartierlab.idealkit import Ideal, RootAutomaton, root_automaton
 from cartierlab.testmod import (_nil_iso_at, find_test_elements,
                                 is_f_regular, tau, tau_bms, tau_prime)
 from cartierlab.cartiercore import ass_cartier
@@ -268,16 +268,21 @@ class TestTauBms:
             tau_bms(y, Fraction(1, 3), e_max=3)
 
     def test_a_descending_root_chain_is_an_internal_error(self, monkeypatch):
+        # every root of a power of x is a power of x: the pair (unit state,
+        # m) names (x^m), so the walk below feeds the chain (x), then (x^2)
         R = RingSpec(3, ("x", "y"))
         x = R.var("x")
 
-        def descending(f, exponent, e):
-            return Ideal(R, [x if e == 1 else x ** 2])
+        def descending(automaton, exponent, e):
+            return 0, 1 if e == 1 else 2
 
-        monkeypatch.setattr(testmod, "frobenius_root_of_power", descending)
+        monkeypatch.setattr(RootAutomaton, "walk", descending)
+        automaton = root_automaton(x)
+        assert automaton.ideal((0, 1)) == Ideal(R, [x])
+        assert automaton.ideal((0, 2)) == Ideal(R, [x ** 2])
         with pytest.raises(AssertionError,
                            match="root chain failed to ascend"):
-            tau_bms(R.parse("x^3 + y^2"), Fraction(1, 2))
+            tau_bms(x, Fraction(1, 2))
 
     def test_fast_path_equivalence_small(self):
         for p, ftxt, t in ((2, "x^3 + y^2", Fraction(1, 2)),
