@@ -5,7 +5,7 @@
     cartierlab stabilize|nilpotent|ass|fregular|testelements --scene FILE
                [--pair NAME]
     cartierlab jumps --scene FILE [--pair NAME] --ideal I --max-t T
-               [--denom-caps A,B] [--exact-policy P] [--cache-dir DIR]
+               [--denom-caps A,B] [--cache-dir DIR]
     cartierlab gr --scene FILE [--pair NAME] --ideal I --t T
     cartierlab pullback --scene FILE [--pair NAME] --map NAME [--check C]
     cartierlab pushforward --scene FILE [--pair NAME] --map NAME
@@ -39,14 +39,13 @@ _TAU_OPTIONS = ("t", "ideal", "e0", "test-elements")
 _TASK_OPTIONS = {
     "tau": _TAU_OPTIONS, "tauprime": _TAU_OPTIONS, "stabilize": (),
     "nilpotent": (), "ass": (), "fregular": (), "testelements": (),
-    "jumps": ("ideal", "max-t", "denom-caps", "exact-policy"),
+    "jumps": ("ideal", "max-t", "denom-caps"),
     "gr": ("ideal", "t"), "pullback": ("map", "check"),
     "pushforward": ("map",)}
 _OPTION_HELP = {
     "pair": "name of the (module, algebra) pair",
     "test-elements": 'override: "(prime):element ; ..."',
-    "denom-caps": "A,B for the grid denominator p^A(p^B-1)",
-    "exact-policy": "strict or lower-bound"}
+    "denom-caps": "A,B for the grid denominator p^A(p^B-1)"}
 
 
 def _build_parser():

@@ -145,8 +145,7 @@ class JumpSpectrum:
 
 
 @memo_scope()
-def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
-                    cache=None):
+def jumping_numbers(cm, ideal, top, caps=(2, 2), cache=None):
     """Scan tau(M, a^t) over the grid and certify the strict drops.
 
     ``caps`` = (A, B) fixes the candidate denominator p^A (p^B - 1).
@@ -171,10 +170,7 @@ def jumping_numbers(cm, ideal, top, caps=(2, 2), exact_policy="strict",
         # once per sweep, also when it raised: the points computed so far
         # are kept for the next run
         sampler.flush()
-    if exact_policy == "strict" and sampler.fast:
-        exactness = "EXACT"
-    else:
-        exactness = "LOWER-BOUND"
+    exactness = "EXACT" if sampler.fast else "LOWER-BOUND"
     return JumpSpectrum(top, D, exactness, jumps, cache_hits=sampler.hits)
 
 

@@ -594,9 +594,9 @@ def cartier_trace(f, e, premul=None):
 # gauges
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Gauge:
-    """Max-norm gauge value; ``bottom`` (for 0) sorts below everything."""
+    """Max-norm gauge value; ``bottom`` is the gauge of 0."""
 
     is_finite: bool
     value: int = 0
@@ -611,11 +611,6 @@ class Gauge:
 
     def __repr__(self):
         return str(self.value) if self.is_finite else "-inf"
-
-    def __add__(self, other):
-        if not self.is_finite or not other.is_finite:
-            return Gauge.bottom()
-        return Gauge(True, self.value + other.value)
 
 
 def gauge_of(f):

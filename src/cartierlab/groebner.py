@@ -37,10 +37,10 @@ and ascent checks (one ``RootAutomaton`` per f) and small powers g^a
 (``idealkit``; the
 twisted graded walk of ``cartiercore`` takes its powers from the same
 table); graded sums, the graded walk's letter steps, stable cores, stable
-torsion and associated primes (``cartiercore``); factor pools, candidate
-pools, regularity verdicts, and ``tau`` and ``tau_prime`` results
-(``testmod``); and ``commutation_suite`` reports (``functorops``).  Every
-entry is a finished value, stored once its computation returns.
+torsion and associated primes (``cartiercore``); candidate pools and
+``tau`` results (``testmod``); and ``commutation_suite`` reports
+(``functorops``).  Every entry is a finished value, stored once its
+computation returns, and every table is one that the corpus reads back.
 
 Keys are built from values that are already at hand, so a hit costs little
 more than its dict lookup: ``buchberger`` keys on each generator's cached
@@ -443,10 +443,6 @@ def interreduce(basis):
            for i, g in enumerate(keep)]
     out.sort(key=lambda v: VecPoly.key(v.lead()[0]))
     return out
-
-
-def member(v, gb):
-    return normal_form(v, gb).is_zero()
 
 
 def syzygies(vectors, rank, keep):

@@ -451,12 +451,7 @@ def _run_jumps(f):
     top = f.fraction("max-t")
     if top <= 0:
         raise f.error("jumps needs max-t > 0")
-    policy = f.kv.get("exact-policy", "strict")
-    if policy not in ("strict", "lower-bound"):
-        raise f.error(f"exact-policy must be strict or lower-bound, "
-                      f"got {policy!r}")
-    spectrum = jumping_numbers(cm, ideal, top, caps=caps, exact_policy=policy,
-                               cache=f.cache)
+    spectrum = jumping_numbers(cm, ideal, top, caps=caps, cache=f.cache)
     got = [_fraction_text(t) for t in spectrum.jump_values()]
     return _outcome(f, spectrum.serialize(),
                     all(j.right_continuity_ok for j in spectrum.jumps),
@@ -569,8 +564,7 @@ _TASK_FIELDS = {
     "nilpotent": {"pair", "sub", "at", "expect"},
     "ass": {"pair", "expect"}, "fregular": {"pair", "expect"},
     "testelements": {"pair", "expect"},
-    "jumps": {"pair", "ideal", "max-t", "denom-caps", "exact-policy",
-              "expect-jumps"},
+    "jumps": {"pair", "ideal", "max-t", "denom-caps", "expect-jumps"},
     "gr": {"pair", "ideal", "t", "expect-nonzero", "expect-nilpotent"},
     "skoda": {"pair", "ideal", "t"},
     "pullback": {"pair", "map", "check"},

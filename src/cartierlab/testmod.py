@@ -18,8 +18,8 @@ check of a test element reads only the verdict, so it stops at the first
 descent and formats no candidate list (``find_test_elements`` fills the
 list in for the entries it reports).  The search walks a stream of the
 pool and builds it only as far as it reads: it tries ``1`` first, and in
-the shape below that check reads no candidate at all.  The factor pool
-and the finished pool are memo values; no half-read stream is kept.
+the shape below that check reads no candidate at all.  The finished pool
+is a memo value; no half-read stream is kept.
 
 Write cl(X) for the sum of C_e(X) over e >= 0, which is what
 ``graded_sum`` computes.  Every phi in C_e, twisted or localized, has
@@ -107,14 +107,7 @@ class TauResult:
 def _factor_pool(cm):
     """The irreducible factors of the relations' components, the operator
     entries, the twist generators and the carrier's annihilator, each once,
-    in that order.  Memoised in the ``factor_pool`` table of the open memo
-    scope on the structure key and the carrier's basis; a fault that
-    escapes it stores nothing."""
-    memo = memo_table("factor_pool")
-    key = (cm.structure_key(), cm.carrier_sub().basis())
-    pool = memo.get(key)
-    if pool is not None:
-        return pool
+    in that order."""
     pool = []
 
     def add(f):
@@ -140,7 +133,6 @@ def _factor_pool(cm):
             add(g)
     except CartierLabError:
         pass
-    memo[key] = pool
     return pool
 
 
@@ -365,38 +357,22 @@ def _localized(cm, c, piece):
     return loc.with_carrier(loc.canon(piece.gens))
 
 
-def _verify_test_element(cm, prime, c, piece):
-    """Check that ``piece``, the stable ``prime``-torsion of the core, is
+def _verify_test_element(cm, c, piece):
+    """Check that ``piece``, the stable torsion of the core at a prime, is
     regular after inverting c.
 
     Only the verdict is read, so the regularity check stops at the first
-    descent: a False entry holds that first-descent witness as its proper
-    submodule, not the walk's fixed point, and no entry holds the candidate
-    list (``candidates`` is None; ``_report_candidates`` fills it in).
-    Only this check writes the ``verify`` table, so its key needs no mark
-    for the early stop or the missing list.
-
-    Verdicts are memoised in the ``verify`` table of the open memo scope on
-    the localized module's structure key, its saturated carrier and the
-    prime.  A ``Scene`` holds one memo for all of its tasks, so what
-    this shares is verdicts between tasks that meet the same localized
-    piece, not verdicts across twist exponents: one corpus replay hits 23
-    of its 76 lookups, each from the twist exponent that stored the entry,
-    and an oracle-grid surface, whose exponents all differ, hits none.
+    descent: a False verdict holds that first-descent witness as its proper
+    submodule, not the walk's fixed point, and no verdict holds the
+    candidate list (``candidates`` is None; ``_report_candidates`` fills it
+    in).
     """
     if piece.is_trivial():
         return True, {"note": "torsion piece vanishes"}
-    loc = _localized(cm, c, piece)
-    memo = memo_table("verify")
-    key = (loc.structure_key(), loc.carrier_sub().basis(), prime)
-    verdict = memo.get(key)
-    if verdict is None:
-        try:
-            verdict = is_f_regular(loc, first_descent=True)
-        except (UnsupportedShapeError, SearchBudgetError) as ex:
-            verdict = (False, {"error": str(ex)})
-        memo[key] = verdict
-    return verdict
+    try:
+        return is_f_regular(_localized(cm, c, piece), first_descent=True)
+    except (UnsupportedShapeError, SearchBudgetError) as ex:
+        return False, {"error": str(ex)}
 
 
 def _order_by_inclusion(primes):
@@ -446,7 +422,7 @@ def _search_element(cmc, prime, core, isolate, mandatory_isolation):
         for c in stage:
             if c in tried or prime.contains(c):
                 continue
-            ok, cert = _verify_test_element(cmc, prime, c, piece)
+            ok, cert = _verify_test_element(cmc, c, piece)
             if ok:
                 return TestElementEntry(prime, c, cert)
             tried.append(c)
@@ -488,11 +464,9 @@ def find_test_elements(cm):
 def _report_candidates(cmc, core, entry):
     """Fill in the candidate list the verdict-only check left out of
     ``entry``'s certificate: the memoised pool of the localized core,
-    filtered by its ``ass_cartier``, as ``is_f_regular`` reports it.
-
-    The certificate is the ``verify`` table's own, so the list is filled in
-    once per scope, and a ``tau`` that stored the verdict earlier in the
-    scope leaves the report as it would be without it.
+    filtered by its ``ass_cartier``, as ``is_f_regular`` reports it.  No
+    memo table holds the certificate, so filling it in changes no stored
+    value.
     """
     cert = entry.certificate
     if cert.get("candidates", ()) is not None:
@@ -575,34 +549,25 @@ def _tau_engine(cmc, stab, primes, test_elements, e0, holds_at):
     return TauResult(total, cert)
 
 
-def _memoised(memo, compute, cm, test_elements, e0):
-    """``compute(cm, test_elements, e0)``, read from the memo table ``memo``
-    when no ``test_elements`` are supplied.
-
-    The table is keyed on the structure key, the carrier's basis and
-    ``e0``: the associated primes and the test elements are computed from
-    those alone, so the answer and its certificate depend on nothing else.
-    Supplied ``test_elements`` bypass the table.  Each call gets its own
-    copy of the certificate dict.
-    """
-    if test_elements is not None:
-        return compute(cm, test_elements, e0)
-    key = (cm.structure_key(), cm.carrier_sub().basis(), e0)
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = compute(cm, None, e0)
-    return TauResult(result.submodule, dict(result.certificate))
-
-
 @memo_scope()
 def tau(cm, test_elements=None, e0=0):
     """Test module via the per-prime closure formula, with verification.
 
     Memoised in the ``tau`` table of the open memo scope on the structure
-    key, the carrier's basis and ``e0``; a call that supplies
-    ``test_elements`` bypasses the table.
+    key, the carrier's basis and ``e0``: the associated primes and the test
+    elements are computed from those alone, so the answer and its
+    certificate depend on nothing else.  A call that supplies
+    ``test_elements`` bypasses the table.  Each call gets its own copy of
+    the certificate dict.
     """
-    return _memoised(memo_table("tau"), _tau, cm, test_elements, e0)
+    if test_elements is not None:
+        return _tau(cm, test_elements, e0)
+    memo = memo_table("tau")
+    key = (cm.structure_key(), cm.carrier_sub().basis(), e0)
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = _tau(cm, None, e0)
+    return TauResult(result.submodule, dict(result.certificate))
 
 
 def _tau(cm, test_elements, e0):
@@ -623,14 +588,9 @@ def tau_prime(cm, test_elements=None, e0=0):
 
     The per-prime elements must isolate their prime (lie in every associated
     prime strictly above it): without isolation the closure picks up embedded
-    components and overshoots the minimal qualifying submodule.  Memoised
-    like ``tau``, in its own ``tau_prime`` table.
+    components and overshoots the minimal qualifying submodule.  Not
+    memoised, unlike ``tau``.
     """
-    return _memoised(memo_table("tau_prime"), _tau_prime, cm, test_elements,
-                     e0)
-
-
-def _tau_prime(cm, test_elements, e0):
     core, stab = underline(cm)
     if core.is_trivial():
         return TauResult(core, {"note": "stable core is zero"})

@@ -63,9 +63,6 @@ class TestJumpingNumbers:
         cm = validate_structure(M, CartierAlgebraSpec([CartierOp(1, [[x]])]))
         spec = jumping_numbers(cm, Ideal(R, [x]), 1, caps=(1, 1))
         assert spec.exactness == "LOWER-BOUND"
-        spec2 = jumping_numbers(cm, Ideal(R, [x]), 1, caps=(1, 1),
-                                exact_policy="lower-bound")
-        assert spec2.exactness == "LOWER-BOUND"
 
     @pytest.mark.parametrize("caps", [(1, 0), (-1, 1)])
     def test_a_grid_without_denominator_is_rejected(self, caps):

@@ -323,19 +323,20 @@ def test_equal_modules_with_other_relations_keep_their_own_pool():
 
 
 def test_a_regularity_verdict_is_kept_per_localized_carrier():
-    """The ``verify`` table keys on the piece it checks: the cusp at
-    t = 1/2 is not F-pure on the whole ring but regular on its core."""
+    """The check of a test element decides on the piece it is given, also
+    when both pieces share one scope, whose tables key on the carrier: the
+    cusp at t = 1/2 is not F-pure on the whole ring but regular on its
+    core."""
     cm = cusp_module("1/2")
-    point = _generic_point(cm)
     pieces = (cm.carrier_sub(), underline(cm)[0])
     fresh = []
     for piece in pieces:
         with memo_scope():
-            fresh.append(testmod._verify_test_element(cm, point,
-                                                      cm.ring.one(), piece))
+            fresh.append(testmod._verify_test_element(cm, cm.ring.one(),
+                                                      piece))
     assert fresh[0][0] is False and fresh[1][0] is True
     with memo_scope():
-        assert [testmod._verify_test_element(cm, point, cm.ring.one(), piece)
+        assert [testmod._verify_test_element(cm, cm.ring.one(), piece)
                 for piece in pieces] == fresh
 
 

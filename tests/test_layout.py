@@ -1,7 +1,7 @@
 """Repository layout: the corpus is the one home of the worked examples,
 every library name the bench tracer hooks exists, no library module
-keeps a cache of its own, each memo table has one owner, and every memo
-entry is a finished value."""
+keeps a cache of its own, each memo table has one owner and is read back
+by the corpus, and every memo entry is a finished value."""
 
 import ast
 from collections.abc import Iterator
@@ -154,8 +154,40 @@ def test_every_memo_entry_of_the_corpus_is_a_finished_value():
         scene.memo = memo
         for task in scene.tasks:
             run_task(scene, task, {"seed": 0})
-    assert {"candidate_pool", "factor_pool", "graded_step",
-            "verify"} <= set(memo)
+    assert {"candidate_pool", "graded_step", "tau"} <= set(memo)
     found = [f"{table}{path}" for table, entries in memo.items()
              for path in _iterators_in(entries)]
     assert found == []
+
+
+class _CountingTable(dict):
+    """A memo table that counts the ``get`` calls that find their key."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        if key in self:
+            self.hits += 1
+        return value
+
+
+def test_the_corpus_reads_back_every_memo_table():
+    """Replayed as ``run_scene`` holds it, one memo per scene, the corpus
+    reads each memo table back at least once: a table that no traffic
+    reads back only costs its keys and its memory."""
+    folder = importlib.resources.files("cartierlab").joinpath("corpus")
+    names = corpus_scene_names()
+    assert len(names) == 13
+    tables = {name: [] for name in _memo_table_openers()}
+    for name in names:
+        scene = parse_scene(folder.joinpath(name).read_text("utf-8"),
+                            name=name)
+        for table, seen in tables.items():
+            seen.append(scene.memo.setdefault(table, _CountingTable()))
+        for task in scene.tasks:
+            run_task(scene, task, {"seed": 0})
+    hits = {table: sum(t.hits for t in seen)
+            for table, seen in tables.items()}
+    assert [table for table, count in hits.items() if count == 0] == [], \
+        hits

@@ -2,14 +2,14 @@
 
 ``_search_element`` walks a fresh ``_candidate_elements`` stream of the
 candidate pool: a search that accepts ``1``, the pool's first candidate,
-factors nothing and forms no product.  The memo tables hold only finished
-values: the factor pool (``factor_pool``) and the whole pool with its
-products' factors (``candidate_pool``).  A regularity check that reads
-only the verdict (the check of ``tau``'s search) leaves its certificate's
-candidate list out, and ``find_test_elements`` fills the list in for the
-entries it reports.  Since ``tau`` and ``find_test_elements`` share the
-``verify`` table of one memo scope, a ``find_test_elements`` report must
-not depend on whether a ``tau`` ran before it.
+factors nothing and forms no product.  The memo holds only the finished
+pool with its products' factors (``candidate_pool``).  A regularity check
+that reads only the verdict (the check of ``tau``'s search) leaves its
+certificate's candidate list out, and ``find_test_elements`` fills the
+list in for the entries it reports.  Since ``tau`` and
+``find_test_elements`` share the tables of one memo scope, a
+``find_test_elements`` report must not depend on whether a ``tau`` ran
+before it.
 
 The oracles are ``eager_pool``, the pool built whole in one go, in the
 order of ``candidate_elements``'s docstring, and the public
@@ -149,33 +149,42 @@ def localized_core(cmc, core, entry):
 
 def test_a_search_that_accepts_one_builds_one_candidate(monkeypatch):
     """On the cusp grid every search accepts ``1`` through the one-closure
-    proof: no factoring, streams that yield ``1`` alone, no pool in either
-    table, and no candidate list in any verdict."""
+    proof: no factoring, streams that yield ``1`` alone, no pool in the
+    memo, and no candidate list in any verdict."""
     calls = [counting(monkeypatch, name)
              for name in ("irreducible_factors_best_effort", "_factor_pool",
                           "_candidate_names")]
     streams = recording_streams(monkeypatch)
-    verdicts = 0
+    verdicts = []
+    real = testmod.is_f_regular
+
+    def recording(cm, *, first_descent=False):
+        verdict = real(cm, first_descent=first_descent)
+        if first_descent:
+            verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(testmod, "is_f_regular", recording)
     for cm in cusp_grid():
         memo = {}
         with memo_scope(memo):
             result = tau(cm)
         elements = result.certificate.get("test_elements", [])
         assert all(e["element"] == "1" for e in elements)
-        assert not memo.get("factor_pool") and not memo.get("candidate_pool")
-        for ok, cert in memo.get("verify", {}).values():
-            assert ok and cert["candidates"] is None
-            verdicts += 1
+        assert not memo.get("candidate_pool")
     assert calls == [[], [], []]
     assert streams and all(read == ["1"] for read in streams)
-    assert verdicts == 12
+    assert len(verdicts) == 12
+    assert all(ok and cert["candidates"] is None for ok, cert in verdicts)
 
 
 def test_the_search_stream_is_the_eager_pool(monkeypatch):
     """Read in part, up to ``1`` and the variables, the search's stream of
     each module, its cores and the localized cores its search checks
     factors nothing.  Read whole, it is ``eager_pool``, products' factors
-    included, and so is the memoised pool, which factors nothing more."""
+    included, and so is the memoised pool, which factors the same again
+    once, as no memo table holds the factor pool; a second read of the
+    memoised pool factors nothing."""
     modules = [module for cm in nested_modules() + cusp_grid()[5:7]
                for module in pools_of(cm)]
     wants = [eager_pool(module) for module in modules]
@@ -183,6 +192,7 @@ def test_the_search_stream_is_the_eager_pool(monkeypatch):
     factored = counting(monkeypatch, "irreducible_factors_best_effort")
     for module, want in zip(modules, wants):
         pools.clear()
+        factored.clear()
         with memo_scope():
             stream = testmod._candidate_elements(module)
             head = 1 + module.ring.nvars
@@ -194,10 +204,10 @@ def test_the_search_stream_is_the_eager_pool(monkeypatch):
             assert tuple(c for c, _pair in read) == want[0]
             assert {c: pair for c, pair in read if pair is not None} \
                 == want[1]
-            before = len(factored)
+            streamed = len(factored)
             assert testmod._candidate_pool(module) == want
             assert candidate_elements(module) == list(want[0])
-            assert len(factored) == before
+            assert len(factored) == 2 * streamed
     assert len(modules) > 30
 
 
@@ -271,8 +281,8 @@ def test_find_test_elements_after_tau_in_one_scope(first):
 def test_a_factoring_fault_stores_nothing(monkeypatch):
     """A fault while factoring the pool reaches the stream's reader at the
     fourth candidate, after ``1``, x and y, and then the reader of the
-    whole pool; neither table stores anything.  The next read builds the
-    whole pool."""
+    whole pool; the memo stores no pool.  The next read builds the whole
+    pool."""
     cm = nested_draw(3, 42)
     want = eager_pool(cm)
     real = testmod.irreducible_factors_best_effort
@@ -293,11 +303,9 @@ def test_a_factoring_fault_stores_nothing(monkeypatch):
         assert read == list(want[0][:3])
         with pytest.raises(ResourceCapError):
             testmod._candidate_pool(cm)
-        assert not memo.get("factor_pool") and not memo.get("candidate_pool")
+        assert not memo.get("candidate_pool")
         assert testmod._candidate_pool(cm) == want
         assert candidate_elements(cm) == list(want[0])
-        assert list(memo["factor_pool"].values()) \
-            == [testmod._factor_pool(cm)]
 
 
 SCENE = """
@@ -311,7 +319,7 @@ pair P module=N algebra=C
 
 @pytest.mark.parametrize("task", ["testelements", "fregular"])
 def test_a_tau_task_before_a_reporting_task(task):
-    """In one scene a ``tau`` task fills the ``verify`` table first; the
+    """In one scene a ``tau`` task fills the scene's memo first; the
     ``testelements`` and ``fregular`` tasks that follow on the same pair
     report what they report in a scene of their own.  The ``testelements``
     task prints only (prime, element) pairs, so the certificates it leaves
@@ -324,7 +332,6 @@ def test_a_tau_task_before_a_reporting_task(task):
         return canonical_json(run_task(scene, task, {}).serialize())
 
     run_task(shared, shared.tasks[0], {})
-    assert shared.memo["verify"]
     assert report(shared, shared.tasks[1]) == report(alone, alone.tasks[0])
     cm = shared.pairs["P"]
     fresh = canonical_json(find_test_elements(cm).serialize())

@@ -1,7 +1,8 @@
 """The ``tau`` and functor-report tables of a memo scope.
 
-``tau`` and ``tau_prime`` are memoised on the structure key, the carrier's
-basis and ``e0``; supplied test elements bypass the table.
+``tau`` is memoised on the structure key, the carrier's basis and ``e0``;
+supplied test elements bypass the table.  ``tau_prime`` keeps no table,
+but shares the scope's tables beneath it with ``tau``.
 ``commutation_suite`` is memoised on the module, its carrier and the map,
 so a scene's ``pushforward`` task reads back the report that its
 ``pullback`` twin built.  Every read must equal a fresh computation.
@@ -114,7 +115,9 @@ def test_tau_of_a_smaller_carrier_is_its_own_entry(fn):
         assert got.certificate == want.certificate
 
 
-def test_tau_and_tau_prime_keep_their_own_tables():
+def test_tau_prime_after_tau_in_one_scope_is_its_own():
+    """``tau_prime`` reads no ``tau`` entry: in a scope where ``tau`` ran
+    first it returns its own, different answer."""
     cm = corpus_pair("intro_example_p2")
     fresh = [testmod.tau(cm).submodule, testmod.tau_prime(cm).submodule]
     with memo_scope():

@@ -126,7 +126,7 @@ class TestCorpus:
         scene = parse_scene(FLOOR)
         run_task(scene, scene.tasks[0], {})
         assert groebner._MEMO.get() is None
-        assert scene.memo["verify"]
+        assert scene.memo["tau"]
 
     def test_scene_names_stable(self):
         names = corpus_scene_names()

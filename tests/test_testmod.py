@@ -107,7 +107,7 @@ class TestFindTestElements:
         # verify those again, and the error names each candidate once
         verified = []
 
-        def failing(cmc, prime, c, piece):
+        def failing(cmc, c, piece):
             verified.append(str(c))
             return False, {}
 
