@@ -22,7 +22,7 @@ from itertools import product as iproduct
 from .errors import (InvalidStructureError, NotEquivariantError,
                      ResourceCapError, UnsupportedShapeError)
 from .fpmod import Submodule, support_vanishes, torsion
-from .groebner import VecPoly, memo_scope, memo_table
+from .groebner import VecPoly, memo_scope, memoised
 from .idealkit import (PrimeIdeal, minimal_primes,
                        monomial_associated_primes, small_power)
 
@@ -176,11 +176,6 @@ class CartierAlgebraSpec:
         return CartierAlgebraSpec(self.generators)
 
     def with_twist(self, ideal, t):
-        t = Fraction(t)
-        if t < 0:
-            raise ValueError("twist exponent must be >= 0")
-        if t == 0:
-            return CartierAlgebraSpec(self.generators, list(self.twists))
         return CartierAlgebraSpec(self.generators,
                                   list(self.twists) + [(ideal, t)])
 
@@ -486,7 +481,7 @@ def _apply_generator(cm, op, gens):
 def _graded_step(cm, op, mult, state):
     """The images of the reduced state ``state`` (a tuple of vectors) under
     the letter ``op`` after multiplying by the digit multiplier ``mult``
-    (None for 1), from the ``graded_step`` table of the open memo scope.
+    (None for 1), from the ``graded_step`` table.
 
     The table is the transition table of the graded walks of one scope
     (``graded_piece_gens`` and the closing check of ``_graded_sum``); its
@@ -495,17 +490,17 @@ def _graded_step(cm, op, mult, state):
     the ring, its caps (the degree checks of the products) and nothing of
     the module, so its relations, an inverted element, a carrier or a
     twist exponent does not change them.  The caps are in the key, so a
-    hit never skips a ``ResourceCapError`` that a fresh step would raise,
-    and a step that raises stores nothing.  Never mutate the tuple.
+    hit never skips a ``ResourceCapError`` that a fresh step would raise.
+    Never mutate the tuple.
     """
-    table = memo_table("graded_step")
     ring = cm.ring
-    key = (ring, ring.caps, op, mult, state)
-    images = table.get(key)
-    if images is None:
-        scaled = state if mult is None else [v.mul_poly(mult) for v in state]
-        images = table[key] = tuple(_apply_generator(cm, op, scaled))
-    return images
+    return memoised("graded_step", (ring, ring.caps, op, mult, state),
+                    _step_images, cm, op, mult, state)
+
+
+def _step_images(cm, op, mult, state):
+    scaled = state if mult is None else [v.mul_poly(mult) for v in state]
+    return tuple(_apply_generator(cm, op, scaled))
 
 
 def graded_piece_gens(cm, e, seed_gens):
@@ -649,17 +644,16 @@ def graded_sum(cm, seed, e_min=0):
     A sum that reaches the module's carrier, from a seed inside it, stops
     there: the carrier is algebra-stable, so no later degree can add to the
     sum, and the info reports the degree the scan would have stopped at.
-    Sums are memoised for the open memo scope; the carrier is not part of
-    the key, because it changes only when the scan ends, not its result.
+    Sums are memoised in the ``graded_sum`` table on the structure key, the
+    seed's basis and ``e_min``; the carrier is not part of the key, because
+    it changes only when the scan ends, not its result.  Each call gets its
+    own copy of the info dict.
     """
     seed = seed if isinstance(seed, Submodule) else cm.canon(seed)
     seed_gens = seed.basis()
-    memo = memo_table("graded_sum")
     key = (cm.structure_key(), seed_gens, e_min)
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = _graded_sum(cm, seed_gens, e_min)
-    total, info = entry
+    total, info = memoised("graded_sum", key, _graded_sum, cm, seed_gens,
+                           e_min)
     return total, dict(info)
 
 
@@ -688,10 +682,10 @@ def _graded_sum(cm, seed_gens, e_min):
     quiet/growth decision, every total and every info dict is unchanged.
 
     The walks and the closing stability check take their letter steps
-    from the step table of the open memo scope (``_graded_step``).  A hit
-    is exact: a step is a function of its key (ring, caps, operator,
-    multiplier, state), so every piece, its order and every
-    ``ResourceCapError`` are those of a fresh scan.
+    from the ``graded_step`` table (``_graded_step``).  A hit is exact: a
+    step is a function of its key (ring, caps, operator, multiplier,
+    state), so every piece, its order and every ``ResourceCapError`` are
+    those of a fresh scan.
     """
     e_cap = cm.ring.caps.chain_cap
     max_gen_e = max(op.e for op in cm.algebra.generators)
@@ -757,17 +751,13 @@ def underline(cm, start=None):
 
     Returns (Submodule, exponent).  The chain descends because the start is
     algebra-stable; stabilization is certified by the first equal step.
-    Chains are memoised for the open memo scope on the structure key and
+    Chains are memoised in the ``underline`` table on the structure key and
     the start's basis; the carrier enters only as the default start.  A
     chain that is stationary at once returns the caller's own start.
     """
     current = cm.canon_sub(start if start is not None else cm.carrier_sub())
-    memo = memo_table("underline")
-    key = (cm.structure_key(), current.basis())
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = _underline(cm, current)
-    core, k = entry
+    core, k = memoised("underline", (cm.structure_key(), current.basis()),
+                       _underline, cm, current)
     return (current if k == 0 else core), k
 
 
@@ -828,9 +818,7 @@ def _candidate_primes(cm, core):
     for J in colon_ideals:
         if J.is_unit():
             continue
-        if J.is_zero():
-            primes = minimal_primes(J)
-        elif J.is_monomial():
+        if not J.is_zero() and J.is_monomial():
             try:
                 primes = monomial_associated_primes(J)
             except UnsupportedShapeError:
@@ -849,35 +837,32 @@ def _candidate_primes(cm, core):
 @memo_scope()
 def stable_torsion(cm, prime, within):
     """The stable core of the ``prime``-power torsion of ``within``,
-    memoised for the open memo scope on the structure key, the prime and
-    the basis of ``within``."""
-    memo = memo_table("stable_torsion")
-    key = (cm.structure_key(), prime, within.basis())
-    core = memo.get(key)
-    if core is None:
-        tor = cm.canon_sub(torsion(cm.module, prime.ideal, within=within))
-        core = memo[key] = (tor if tor.is_trivial()
-                            else underline(cm, start=tor)[0])
-    return core
+    memoised in the ``stable_torsion`` table on the structure key, the
+    prime and the basis of ``within``."""
+    return memoised("stable_torsion",
+                    (cm.structure_key(), prime, within.basis()),
+                    _stable_torsion, cm, prime, within)
+
+
+def _stable_torsion(cm, prime, within):
+    tor = cm.canon_sub(torsion(cm.module, prime.ideal, within=within))
+    return tor if tor.is_trivial() else underline(cm, start=tor)[0]
 
 
 @memo_scope()
 def ass_cartier(cm):
     """Primes eta whose eta-torsion stays non-nilpotent after localizing.
 
-    Filters the module-level candidates of ``_candidate_primes`` by the
-    nilpotence test on the stabilized torsion submodule.  Memoised for the
-    open memo scope on the structure key and the core's basis.
+    Filters the module-level candidates of ``_candidate_primes``, in their
+    sorted order, by the nilpotence test on the stabilized torsion
+    submodule.  Memoised in the ``ass_cartier`` table on the structure key
+    and the core's basis.
     """
     core, _ = underline(cm)
     if core.is_trivial():
         return []
-    memo = memo_table("ass_cartier")
-    key = (cm.structure_key(), core.basis())
-    primes = memo.get(key)
-    if primes is None:
-        primes = memo[key] = tuple(_ass_cartier(cm, core))
-    return list(primes)
+    return list(memoised("ass_cartier", (cm.structure_key(), core.basis()),
+                         _ass_cartier, cm, core))
 
 
 def _ass_cartier(cm, core):
@@ -887,8 +872,7 @@ def _ass_cartier(cm, core):
         if not (stable.is_trivial()
                 or support_vanishes(stable, pr.ideal, inverted=cm.inverted)):
             out.append(pr)
-    out.sort(key=lambda pr: tuple(pr.ideal.serialize()))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from .cartiercore import (CartierAlgebraSpec, CartierModule, CartierOp,
 from .errors import GaugeBoundError, UnsupportedShapeError
 from .fppoly import Poly, gauge_of
 from .fpmod import PresentedModule, Submodule
-from .groebner import VecPoly, memo_scope, memo_table
+from .groebner import VecPoly, memo_scope, memoised
 from .idealkit import Ideal, PrimeIdeal, _coeffs_in_var, minimal_primes
 
 
@@ -631,20 +631,16 @@ def commutation_suite(cm, rmap):
     statement that does not apply is None: the shriek half on a module given
     upstairs, and the pushforward half on a twisted module pulled back.
 
-    Reports are memoised in the ``commutation_suite`` table of the open
-    memo scope on the module's structure key, its carrier's basis, the map
-    (its serialized kind and data, source and target ring), so a scene's
-    ``pushforward`` task reads back the report its ``pullback`` twin built;
-    no argument bypasses the table.  Each call gets its own copy of
-    the report dict.
+    Reports are memoised in the ``commutation_suite`` table on the module's
+    structure key, its carrier's basis, the map (its serialized kind and
+    data, source and target ring), so a scene's ``pushforward`` task reads
+    back the report its ``pullback`` twin built; no argument bypasses the
+    table.  Each call gets its own copy of the report dict.
     """
-    memo = memo_table("commutation_suite")
     key = (cm.structure_key(), cm.carrier_sub().basis(),
            tuple(rmap.serialize().items()), rmap.source, rmap.target)
-    report = memo.get(key)
-    if report is None:
-        report = memo[key] = _commutation_suite(cm, rmap)
-    return dict(report)
+    return dict(memoised("commutation_suite", key, _commutation_suite, cm,
+                         rmap))
 
 
 def _commutation_suite(cm, rmap):

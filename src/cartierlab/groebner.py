@@ -24,31 +24,34 @@ many reductions finds its leads once.  ``interreduce`` turns a Groebner
 basis into the reduced one in a single pass once redundant leads are gone.
 
 Inside a ``memo_scope`` (opened by the top-level calls of the
-``cartiercore``, test-module, filtration and functor layers), ``buchberger``
-remembers each reduced basis it computed, keyed on its exact input.  A
-library call's memo is dropped when its outermost scope exits; the tasks of
-one parsed ``Scene`` share the memo the scene holds.  ``memo_scope`` is a
-small class: as a decorator it calls straight through when a scope is
-already open, so a nested call costs one context-variable read.  A hit
-returns exactly what a fresh computation would, so answers never depend on
-what ran earlier.  Other layers keep their own tables in the same memo via
-``memo_table``, each opened by one function: Frobenius-root digit steps
-and ascent checks (one ``RootAutomaton`` per f) and small powers g^a
-(``idealkit``; the
-twisted graded walk of ``cartiercore`` takes its powers from the same
-table); graded sums, the graded walk's letter steps, stable cores, stable
-torsion and associated primes (``cartiercore``); candidate pools and
-``tau`` results (``testmod``); and ``commutation_suite`` reports
-(``functorops``).  Every entry is a finished value, stored once its
-computation returns, and every table is one that the corpus reads back.
+``cartiercore``, test-module, filtration and functor layers), memoised
+work is kept in named tables of one memo.  A library call's memo is
+dropped when its outermost scope exits; the tasks of one parsed ``Scene``
+share the memo the scene holds.  ``memo_scope`` is a small class: as a
+decorator it calls straight through when a scope is already open, so a
+nested call costs one context-variable read.
+
+Every table is read and filled through ``memoised(name, key, compute,
+*args)``, the one lookup of the engine: one ``dict.get`` per call, and on
+a miss the value of ``compute(*args)`` is stored once that call returns,
+so a computation that raises stores nothing.  Outside a scope it just
+computes.  No value is ``None``, the helper's miss sentinel.  Each table
+is filled by one function: ``buchberger`` (reduced bases, here);
+``small_power`` and ``frobenius_root_of_power`` (one ``RootAutomaton`` per
+f, ``idealkit``; the twisted graded walk of ``cartiercore`` takes its
+powers from the same table); ``graded_step``, ``graded_sum``,
+``underline``, ``stable_torsion`` and ``ass_cartier`` (``cartiercore``);
+``candidate_pool`` and ``tau`` (``testmod``); and ``commutation_suite``
+(``functorops``).  A hit returns exactly what a fresh computation would,
+so answers never depend on what ran earlier, and every table is one that
+the corpus reads back.
 
 Keys are built from values that are already at hand, so a hit costs little
 more than its dict lookup: ``buchberger`` keys on each generator's cached
 ``VecPoly.frozen()``, and the tables of the upper layers key on the stored
 basis tuples of ``Submodule.basis()`` and ``relation_gb()``, on the
 once-hashed ``CartierModule.structure_key()`` and on the once-hashed
-``EngineCaps``.  Keys are equal exactly when their inputs are, and a hit
-is one ``dict.get``.
+``EngineCaps``.  Keys are equal exactly when their inputs are.
 """
 
 import contextvars
@@ -300,15 +303,16 @@ _MEMO = contextvars.ContextVar("cartierlab_groebner_memo", default=None)
 
 
 class memo_scope:
-    """Memoise ``buchberger`` and the ``memo_table`` tables while the
-    scope of a top-level call or a scene task is open.
+    """Open the memo of ``memoised`` for the scope of a top-level call or a
+    scene task.
 
     Usable as ``with memo_scope():`` and as the decorator ``@memo_scope()``.
     Reentrant: an inner entry joins the open memo, and a decorated call
-    made while a scope is open calls straight through.  The outermost entry
-    holds its tables in ``memo``, so the caller that passes a dict decides
-    how long they live (a ``Scene`` keeps one for all of its tasks); with
-    ``memo=None`` it starts a fresh dict that its exit drops.
+    made while a scope is open calls straight through.  The outermost
+    ``with`` entry holds its tables in ``memo``, so the caller that passes
+    a dict decides how long they live (a ``Scene`` keeps one for all of its
+    tasks); with ``memo=None``, and always for a decorated call, it starts
+    a fresh dict that its exit drops.
     """
 
     __slots__ = ("memo", "_token")
@@ -327,13 +331,11 @@ class memo_scope:
             self._token = None
 
     def __call__(self, func):
-        memo = self.memo
-
         @functools.wraps(func)
         def scoped(*args, **kwargs):
             if _MEMO.get() is not None:
                 return func(*args, **kwargs)
-            token = _MEMO.set({} if memo is None else memo)
+            token = _MEMO.set({})
             try:
                 return func(*args, **kwargs)
             finally:
@@ -342,36 +344,51 @@ class memo_scope:
 
 
 def memo_table(name):
-    """The table ``name`` of the open memo scope; a throwaway table outside
-    any scope."""
+    """The table ``name`` of the open memo scope, for inspecting its
+    entries; a throwaway table outside any scope.  The library reads and
+    fills tables only through ``memoised``."""
     memo = _MEMO.get()
     return {} if memo is None else memo.setdefault(name, {})
+
+
+def memoised(name, key, compute, *args):
+    """``compute(*args)``, kept under ``key`` in the table ``name`` of the
+    open memo scope.
+
+    Outside any scope it computes and keeps nothing.  Inside one it makes
+    one ``get``, and on a miss stores the value once ``compute`` returns,
+    so a call that raises stores nothing and a retry computes afresh.
+    ``None`` marks a miss, so ``compute`` never returns it.  The stored
+    value is shared by every hit: callers hand out copies of mutable parts.
+    """
+    memo = _MEMO.get()
+    if memo is None:
+        return compute(*args)
+    table = memo.setdefault(name, {})
+    value = table.get(key)
+    if value is None:
+        value = table[key] = compute(*args)
+    return value
 
 
 def buchberger(gens):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     The basis depends on the generator order and on the ring's caps (its
-    ``pair_cap``), so both are part of the memo key; a ``ResourceCapError``
-    is raised afresh each time.  The key holds each generator's cached
-    ``VecPoly.frozen()``, not the vector itself: callers such as
-    ``Ideal.groebner`` wrap fresh vectors on every call, and a hit then
-    compares frozensets in C instead of running ``VecPoly.__eq__`` per
+    ``pair_cap``), so both are part of the ``buchberger`` key; a
+    ``ResourceCapError`` is raised afresh each time.  The key holds each
+    generator's cached ``VecPoly.frozen()``, not the vector itself: callers
+    such as ``Ideal.groebner`` wrap fresh vectors on every call, and a hit
+    then compares frozensets in C instead of running ``VecPoly.__eq__`` per
     generator.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     ring = gens[0].ring
-    if _MEMO.get() is None:
-        return _buchberger(gens, ring)
-    memo = memo_table("buchberger")
     # equal rings may differ in caps, and the basis carries its ring
     key = (ring, ring.caps, gens[0].rank, tuple(g.frozen() for g in gens))
-    basis = memo.get(key)
-    if basis is None:
-        basis = memo[key] = tuple(_buchberger(gens, ring))
-    return list(basis)
+    return list(memoised("buchberger", key, _buchberger, gens, ring))
 
 
 def _buchberger(gens, ring):
@@ -419,7 +436,7 @@ def _buchberger(gens, ring):
             e = pair_entry(i2, k)
             if e is not None:
                 heapq.heappush(pairs, e)
-    return interreduce(basis)
+    return tuple(interreduce(basis))
 
 
 def interreduce(basis):

@@ -16,7 +16,7 @@ from .errors import (CartierLabError, ResourceCapError, RingMismatchError,
                      UnsupportedShapeError)
 from .fppoly import Poly, pe_decompose
 from .groebner import (VecPoly, _divides, buchberger, intersection,
-                       memo_table, normal_form, syzygies)
+                       memoised, normal_form, syzygies)
 
 IRREDUCIBILITY_DEGREE_CAP = 8
 _POINT_ENUM_CAP = 4096
@@ -203,20 +203,14 @@ def frobenius_root(ideal, e):
 
 
 def small_power(g, a):
-    """``g ** a``, memoised in the ``small_power`` table of the open memo
-    scope.
+    """``g ** a``, memoised in the ``small_power`` table.
 
     The key holds the ring's caps: ``RingSpec`` equality ignores them, and
     the power carries its ring, whose caps the degree checks of later
     products read.  A power cached under a roomy ring would otherwise let a
     product on an equal but tighter ring skip its ``ResourceCapError``.
     """
-    powers = memo_table("small_power")
-    key = (g.ring.caps, g, a)
-    power = powers.get(key)
-    if power is None:
-        power = powers[key] = g ** a
-    return power
+    return memoised("small_power", (g.ring.caps, g, a), pow, g, a)
 
 
 class RootAutomaton:
@@ -309,16 +303,13 @@ class RootAutomaton:
 
 
 def root_automaton(f):
-    """The ``RootAutomaton`` of f in the open memo scope, one per (caps, f).
+    """The ``RootAutomaton`` of f, one per (caps, f) in the
+    ``frobenius_root_of_power`` table.
 
     The caps are in the key because degree checks read them, so a hit
     never skips a ``ResourceCapError`` that a fresh walk would raise."""
-    automata = memo_table("frobenius_root_of_power")
-    key = f.ring.caps, f
-    automaton = automata.get(key)
-    if automaton is None:
-        automaton = automata[key] = RootAutomaton(f)
-    return automaton
+    return memoised("frobenius_root_of_power", (f.ring.caps, f),
+                    RootAutomaton, f)
 
 
 def frobenius_root_of_power(f, exponent, e):

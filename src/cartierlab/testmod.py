@@ -59,7 +59,7 @@ from .cartiercore import (ass_cartier, ceil_pattern_period, graded_sum,
 from .errors import (CartierLabError, NoStabilizationError,
                      SearchBudgetError, UnsupportedShapeError)
 from .fpmod import Submodule, torsion, unit_at
-from .groebner import memo_scope, memo_table
+from .groebner import memo_scope, memoised
 from .idealkit import (PrimeIdeal, irreducible_factors_best_effort,
                        minimal_primes, root_automaton)
 
@@ -148,19 +148,20 @@ def candidate_elements(cm):
 def _candidate_pool(cm):
     """(candidates, factors): the whole pool of ``candidate_elements`` and
     a dict sending each product a*b the pool emits to its factors (a, b).
-    Memoised in the ``candidate_pool`` table of the open memo scope on the
-    structure key and the carrier's basis, once the stream has ended."""
-    memo = memo_table("candidate_pool")
-    key = (cm.structure_key(), cm.carrier_sub().basis())
-    entry = memo.get(key)
-    if entry is None:
-        candidates, factors = [], {}
-        for f, pair in _candidate_elements(cm):
-            candidates.append(f)
-            if pair is not None:
-                factors[f] = pair
-        entry = memo[key] = (tuple(candidates), factors)
-    return entry
+    Memoised in the ``candidate_pool`` table on the structure key and the
+    carrier's basis, once the stream has ended."""
+    return memoised("candidate_pool",
+                    (cm.structure_key(), cm.carrier_sub().basis()),
+                    _finished_pool, cm)
+
+
+def _finished_pool(cm):
+    candidates, factors = [], {}
+    for f, pair in _candidate_elements(cm):
+        candidates.append(f)
+        if pair is not None:
+            factors[f] = pair
+    return tuple(candidates), factors
 
 
 def _candidate_elements(cm):
@@ -553,20 +554,16 @@ def _tau_engine(cmc, stab, primes, test_elements, e0, holds_at):
 def tau(cm, test_elements=None, e0=0):
     """Test module via the per-prime closure formula, with verification.
 
-    Memoised in the ``tau`` table of the open memo scope on the structure
-    key, the carrier's basis and ``e0``: the associated primes and the test
-    elements are computed from those alone, so the answer and its
-    certificate depend on nothing else.  A call that supplies
-    ``test_elements`` bypasses the table.  Each call gets its own copy of
-    the certificate dict.
+    Memoised in the ``tau`` table on the structure key, the carrier's basis
+    and ``e0``: the associated primes and the test elements are computed
+    from those alone, so the answer and its certificate depend on nothing
+    else.  A call that supplies ``test_elements`` bypasses the table.  Each
+    call gets its own copy of the certificate dict.
     """
     if test_elements is not None:
         return _tau(cm, test_elements, e0)
-    memo = memo_table("tau")
     key = (cm.structure_key(), cm.carrier_sub().basis(), e0)
-    result = memo.get(key)
-    if result is None:
-        result = memo[key] = _tau(cm, None, e0)
+    result = memoised("tau", key, _tau, cm, None, e0)
     return TauResult(result.submodule, dict(result.certificate))
 
 

@@ -1,11 +1,15 @@
 """The scoped memo of reduced Groebner bases, graded sums and the derived
 invariants of a Cartier module.
 
-Inside a ``memo_scope`` a repeated ``buchberger``, ``graded_sum``,
-``underline``, ``stable_torsion``, ``ass_cartier`` or ``candidate_elements``
-input returns the stored result; these tests pin down that a hit is
-indistinguishable from a fresh computation, that an error is raised afresh,
-and that the memo never outlives its outermost scope.
+Every table is read and filled through ``groebner.memoised``; its own
+tests pin down that a call that raises stores nothing, that nothing is
+kept outside a scope, that only ``None`` is a miss and that nested scopes
+share one table.  Inside a ``memo_scope`` a repeated ``buchberger``,
+``graded_sum``, ``underline``, ``stable_torsion``, ``ass_cartier`` or
+``candidate_elements`` input returns the stored result; these tests pin
+down that a hit is indistinguishable from a fresh computation, that an
+error is raised afresh, and that the memo never outlives its outermost
+scope.
 
 Keys are equal exactly when their inputs are, and are built from values at
 hand: ``buchberger`` keys on each vector's cached ``VecPoly.frozen()``, and
@@ -30,7 +34,8 @@ from cartierlab.errors import ResourceCapError
 from cartierlab.fpmod import PresentedModule
 from cartierlab.filtration import gr, skoda_report
 from cartierlab.fppoly import EngineCaps, Poly, RingSpec
-from cartierlab.groebner import VecPoly, buchberger, memo_scope
+from cartierlab.groebner import (VecPoly, buchberger, memo_scope,
+                                 memoised)
 from cartierlab.idealkit import Ideal, PrimeIdeal
 from cartierlab.testmod import candidate_elements, tau, tau_bms
 
@@ -393,6 +398,78 @@ def test_a_decorated_call_inside_a_given_memo_writes_into_it():
     with memo_scope({}):
         with memo_scope(memo):
             assert groebner._MEMO.get() is not memo
+
+
+def test_memoised_stores_nothing_for_a_call_that_raises():
+    calls = []
+
+    def compute(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise ResourceCapError("cap reached once")
+        return x * 2
+
+    memo = {}
+    with memo_scope(memo):
+        with pytest.raises(ResourceCapError):
+            memoised("probe", "k", compute, 3)
+        assert memo["probe"] == {}
+        assert memoised("probe", "k", compute, 3) == 6
+        assert memoised("probe", "k", compute, 3) == 6
+    assert calls == [3, 3]
+    assert memo["probe"] == {"k": 6}
+
+
+def test_memoised_outside_a_scope_computes_every_call():
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return (1,)
+
+    assert groebner._MEMO.get() is None
+    assert memoised("probe", "k", compute) == memoised("probe", "k",
+                                                       compute) == (1,)
+    assert calls == [1, 1]
+    assert groebner._MEMO.get() is None
+
+
+def test_memoised_reads_an_empty_tuple_back():
+    """Only ``None`` marks a miss: an empty basis or an empty list of
+    primes is a stored value like any other."""
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return ()
+
+    with memo_scope():
+        first = memoised("probe", "k", compute)
+        assert memoised("probe", "k", compute) is first == ()
+    assert calls == [1]
+
+
+def test_nested_scopes_fill_one_table():
+    calls = []
+
+    def compute(x):
+        calls.append(x)
+        return [x]
+
+    @memo_scope()
+    def decorated(x):
+        return memoised("probe", x, compute, x)
+
+    memo = {}
+    with memo_scope(memo):
+        outer = memoised("probe", 1, compute, 1)
+        with memo_scope():
+            assert memoised("probe", 1, compute, 1) is outer
+            inner = memoised("probe", 2, compute, 2)
+        assert decorated(2) is inner
+        assert decorated(3) == [3]
+    assert calls == [1, 2, 3]
+    assert memo == {"probe": {1: [1], 2: [2], 3: [3]}}
 
 
 def test_equal_vectors_filled_in_other_orders_share_one_entry(monkeypatch):

@@ -1,7 +1,8 @@
 """Repository layout: the corpus is the one home of the worked examples,
 every library name the bench tracer hooks exists, no library module
-keeps a cache of its own, each memo table has one owner and is read back
-by the corpus, and every memo entry is a finished value."""
+keeps a cache of its own, every memo table is filled through
+``groebner.memoised`` by one owner and is read back by the corpus, and
+every memo entry is a finished value."""
 
 import ast
 from collections.abc import Iterator
@@ -64,8 +65,8 @@ def _empty_container(node):
 
 def test_no_library_module_binds_an_empty_container():
     """Module-level caches make an answer depend on what ran earlier in the
-    process; memoised work belongs in a ``memo_table`` of the open
-    ``memo_scope``."""
+    process; memoised work belongs in a table of the open ``memo_scope``,
+    filled through ``groebner.memoised``."""
     found = []
     for path in sorted((ROOT / "src" / "cartierlab").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -76,9 +77,10 @@ def test_no_library_module_binds_an_empty_container():
     assert found == []
 
 
-def _memo_table_openers():
-    """{table name: functions of ``src/cartierlab`` that call
-    ``memo_table("<name>")``}."""
+def _memo_calls(callee):
+    """{first argument: functions of ``src/cartierlab`` that call
+    ``callee``}, keyed by the argument when it is a constant (a table
+    name), else by None."""
     owners = {}
 
     def visit(node, where):
@@ -90,9 +92,11 @@ def _memo_table_openers():
             elif isinstance(child, ast.Call):
                 func = child.func
                 name = getattr(func, "id", getattr(func, "attr", None))
-                if name == "memo_table" and child.args \
-                        and isinstance(child.args[0], ast.Constant):
-                    owners.setdefault(child.args[0].value, set()).add(where)
+                if name == callee:
+                    first = child.args[0] if child.args else None
+                    label = (first.value if isinstance(first, ast.Constant)
+                             else None)
+                    owners.setdefault(label, set()).add(where)
             visit(child, inner)
 
     for path in sorted((ROOT / "src" / "cartierlab").glob("*.py")):
@@ -100,14 +104,35 @@ def _memo_table_openers():
     return owners
 
 
+def _memo_table_openers():
+    """{table name: functions of ``src/cartierlab`` that call
+    ``memoised("<name>", ...)``}."""
+    return _memo_calls("memoised")
+
+
 def test_each_memo_table_is_opened_in_one_function():
-    """A table opened in two places can be filled under two key shapes;
+    """A table filled in two places can be filled under two key shapes;
     one function per table keeps one."""
     owners = _memo_table_openers()
     assert "small_power" in owners and "buchberger" in owners
     shared = {name: sorted(where) for name, where in owners.items()
-              if len(where) != 1}
+              if len(where) != 1 or name is None}
     assert shared == {}
+
+
+def test_only_groebner_reads_a_memo_table():
+    """Every table is read and filled through ``groebner.memoised``: no
+    other library module opens a table with ``memo_table`` or touches the
+    memo's context variable."""
+    callers = {where.split(".")[0]
+               for owners in _memo_calls("memo_table").values()
+               for where in owners}
+    assert callers <= {"groebner"}
+    touching = [path.name
+                for path in sorted((ROOT / "src" / "cartierlab").glob("*.py"))
+                if path.name != "groebner.py"
+                and "_MEMO" in path.read_text()]
+    assert touching == []
 
 
 def _iterators_in(value):
@@ -142,7 +167,8 @@ def _iterators_in(value):
 
 def test_every_memo_entry_of_the_corpus_is_a_finished_value():
     """After the 13 corpus scenes run into one scene memo, no table value
-    holds a generator or another iterator: an entry that keeps a half-read
+    is ``None``, the miss sentinel of ``groebner.memoised``, and none holds
+    a generator or another iterator: an entry that keeps a half-read
     stream answers later readers by what earlier ones read."""
     folder = importlib.resources.files("cartierlab").joinpath("corpus")
     names = corpus_scene_names()
@@ -155,6 +181,9 @@ def test_every_memo_entry_of_the_corpus_is_a_finished_value():
         for task in scene.tasks:
             run_task(scene, task, {"seed": 0})
     assert {"candidate_pool", "graded_step", "tau"} <= set(memo)
+    empty = [table for table, entries in memo.items()
+             if any(value is None for value in entries.values())]
+    assert empty == []
     found = [f"{table}{path}" for table, entries in memo.items()
              for path in _iterators_in(entries)]
     assert found == []
