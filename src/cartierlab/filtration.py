@@ -91,7 +91,6 @@ class _TauSampler:
             else:
                 J = tau_bms(self.ideal.gens[0], t)
             sub = self.cm.module.submodule([[g] for g in J.groebner()])
-            sub = self.cm.canon(sub.gens)
         else:
             twisted = self.cm.with_algebra(
                 self.cm.algebra.with_twist(self.ideal, t))

@@ -247,14 +247,16 @@ class RootAutomaton:
         self.steps = {}
         self.ascents = {}
 
-    def walk(self, exponent, e):
-        """(state, exponent // p^e) after the lowest e digits of
-        ``exponent``; (zero state, 0) once a step reaches the zero ideal,
-        which no later step leaves."""
+    def walk(self, exponent, e, state=0):
+        """The pair (state', exponent // p^e) reached by walking the lowest
+        e digits of ``exponent`` from ``state``; (zero state, 0) once a
+        step reaches the zero ideal, which no later step leaves.  From the
+        unit state the pair names root_e(f^exponent).  A walk resumes from
+        a pair it returned, so walk(A, e) equals walk(m, e - k, s) with
+        (s, m) = walk(A, k); walk(A, 0) is (unit state, A)."""
         f = self.f
         p = f.ring.p
         states, steps = self.states, self.steps
-        state = 0
         for _ in range(e):
             exponent, digit = divmod(exponent, p)
             target = steps.get((state, digit))
@@ -320,8 +322,9 @@ def frobenius_root_of_power(f, exponent, e):
     (exponent // p^e) at the bottom, so intermediate degrees stay
     contracted.  The digit powers f^d and the tail power come from
     ``small_power``, so a sweep builds each of them once.  ``tau_bms``
-    walks the same automaton on state pairs and builds an ideal only for
-    the level it returns and for its ascent checks.
+    walks the same automaton on state pairs, resuming each level's walk
+    from its certificate pair, and builds an ideal only for the level it
+    returns and for its ascent checks.
     """
     roots = root_automaton(f)
     return roots.ideal(roots.walk(exponent, e))

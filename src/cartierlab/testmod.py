@@ -618,15 +618,16 @@ def tau_bms(f, t, e_max=None):
     root_pre(K_n) and the J chain ascends, so J is constant from level
     pre + nk on, and the level pre + (n+1)k where the equality is seen is
     returned.  With A = ceil(t*p^e) at e = pre + nk, K_n = f^m * L_n for
-    m = A // p^(nk) and L_n = root_(nk)(f^(A mod p^(nk))), the ideal the
-    chain's own root walk reached after the lowest nk digits of A.
+    m = A // p^(nk) and L_n = root_(nk)(f^(A mod p^(nk))).
 
-    The chain runs on ``root_automaton(f)``: each J_e is a pair (state,
-    quotient) of its walk, and an ``Ideal`` is built only for the returned
-    level and for an ascent check.  L_n has quotient 0, so it is a state,
-    states are interned by reduced basis, and K_(n+1) = K_n is the
-    equality of the integer pairs (m, L_n); K_0 is (ceil(t*p^pre), unit
-    state).
+    The chain runs on ``root_automaton(f)``, and each level walks the
+    lowest e digits of A once.  The walk covers the lowest nk digits
+    first; the pair it reaches there is K_n.  It then resumes from that
+    pair over the remaining pre digits, which gives J_e = root_pre(K_n).
+    K_0 is the pair walk(ceil(t*p^pre), 0).  States are interned by
+    reduced basis, so K_(n+1) = K_n is the equality of two pairs, and an
+    ``Ideal`` is built only for the returned level and for an ascent
+    check.
 
     Raises NoStabilizationError when level e_max passes without that
     equality.  The chain must ascend: where consecutive pairs differ,
@@ -646,18 +647,17 @@ def tau_bms(f, t, e_max=None):
     pre, period = ceil_pattern_period(p, t)
     num, den = t.numerator, t.denominator
     roots = root_automaton(f)
-    prev_step = (-(-num * p ** pre // den), 0)  # K_0
+    prev_step = roots.walk(-(-num * p ** pre // den), 0)  # K_0
     prev = None
     for e in range(1, e_max + 1):
         exponent = -(-num * p ** e // den)  # ceil(t * p^e)
-        current = roots.walk(exponent, e)
+        step = roots.walk(exponent, max(e - pre, 0))
+        current = roots.walk(step[1], min(e, pre), step[0])
         if (prev is not None and current != prev
                 and not roots.contains(current, prev)):
             raise AssertionError(
                 "root chain failed to ascend (internal error)")
         if e > pre and (e - pre) % period == 0:
-            q = p ** (e - pre)
-            step = (exponent // q, roots.walk(exponent % q, e - pre)[0])
             if step == prev_step:
                 return roots.ideal(current)
             prev_step = step

@@ -6,10 +6,11 @@ These tests pin down that a root walked on shared transitions equals the
 root of the expanded power and the root of a fresh walk, in any call order,
 that each transition is computed once, that a hit never hides a degree-cap
 error (neither a transition hit nor a power that the twisted graded walk
-left in the shared small-power table), and that ``tau_bms`` roots at
-exactly ceil(t*p^e) and certifies its stop on the chain's own digit
-prefixes.  A work-count guard pins the fresh transitions and the ascent
-checks of the sweeps of one bms-spectrum benchmark unit.
+left in the shared small-power table), that a walk resumes from a pair it
+returned, and that ``tau_bms`` roots at exactly ceil(t*p^e) and certifies
+its stop on the pair its own walk reaches partway through a level.
+Work-count guards pin the fresh transitions, the ascent checks and the
+digit steps of the sweeps of one bms-spectrum benchmark unit.
 """
 
 import math
@@ -130,6 +131,30 @@ def test_each_transition_takes_one_root(p, monkeypatch):
     assert computed < sum(e for _f, _A, e in calls)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_walk_resumes_from_the_pair_it_returned(p):
+    """walk(A, e) equals walk(m, e - k, s) with (s, m) = walk(A, k) for
+    every k <= e, and a zero-digit walk is the pair (unit state, A)."""
+    rng = random.Random(7500 + p)
+    ring = RingSpec(p, ("x", "y"))
+    resumed = set()
+    with memo_scope():
+        for f in [ring.parse(c) for c in CUSPS] + [random_nonunit(ring, rng)]:
+            roots = idealkit.root_automaton(f)
+            for _ in range(8):
+                e = rng.randint(1, 4)
+                A = rng.randrange(2 * p ** e)
+                assert roots.walk(A, 0) == (0, A)
+                whole = roots.walk(A, e)
+                for k in range(e + 1):
+                    s, m = roots.walk(A, k)
+                    assert roots.walk(m, e - k, s) == whole, (f, A, e, k)
+                    if k < e:
+                        resumed.add(s)
+    # some walk resumed from a proper ideal, not only from the unit state
+    assert resumed - {0}, p
+
+
 def test_tau_bms_over_a_sweep_equals_each_point_alone():
     ring = RingSpec(3, ("x", "y"))
     f = ring.parse("x^3 + y^2")
@@ -204,9 +229,11 @@ def ceil_fractions(p):
 def test_tau_bms_roots_at_ceil_of_t_times_p_to_the_e(p, monkeypatch):
     """tau_bms computes ceil(t*p^e) in integers; every exponent its chain
     walks the root automaton for equals math.ceil(t * p**e) on a Fraction.
-    After the chain's walk at a level e = pre + nk (n >= 1), the certificate
-    walks the chain's digit prefix of nk levels, (ceil(t*p^e) mod p^(nk),
-    nk)."""
+    Each level e walks the lowest e digits of that exponent once: the
+    lowest e - pre digits from the unit state, then the rest from the pair
+    reached there.  At a level e = pre + nk (n >= 1) the certificate
+    compares that pair, K_n, with the previous one (K_0 is the zero-digit
+    walk of ceil(t*p^pre)) and stops at the first equality."""
     x = RingSpec(p, ("x",)).var("x")
     real = RootAutomaton.walk
     levels = set()
@@ -214,28 +241,33 @@ def test_tau_bms_roots_at_ceil_of_t_times_p_to_the_e(p, monkeypatch):
         pre, k = ceil_pattern_period(p, t)
         asked = []
 
-        def recording(automaton, exponent, e):
-            asked.append((exponent, e))
-            return real(automaton, exponent, e)
+        def recording(automaton, exponent, e, state=0):
+            pair = real(automaton, exponent, e, state)
+            asked.append(((exponent, e, state), pair))
+            return pair
 
         monkeypatch.setattr(RootAutomaton, "walk", recording)
         try:
             tau_bms(x, t, e_max=8)
+            stopped = True
         except NoStabilizationError:
-            pass
-        chain, certificate = [], []
-        calls = iter(asked)
-        for call in calls:
-            chain.append(call)
-            e = len(chain)
+            stopped = False
+        (start, k0), rest = asked[0], asked[1:]
+        assert start == (math.ceil(t * p ** pre), 0, 0), t
+        assert len(rest) % 2 == 0, t
+        chain = list(zip(rest[::2], rest[1::2]))
+        certificate = [k0]
+        for e, ((prefix, step), (resumed, _current)) in enumerate(chain, 1):
+            assert prefix == (math.ceil(t * p ** e), max(e - pre, 0), 0), t
+            assert resumed == (step[1], min(e, pre), step[0]), t
+            assert prefix[1] + resumed[1] == e, t
             if e > pre and (e - pre) % k == 0:
-                certificate.append((e, next(calls, None)))
-        assert chain == [(math.ceil(t * p ** e), e)
-                         for e in range(1, len(chain) + 1)], t
-        assert certificate == [
-            (e, (math.ceil(t * p ** e) % p ** (e - pre), e - pre))
-            for e in range(pre + k, len(chain) + 1, k)], t
-        levels.update(e for _exponent, e in chain)
+                certificate.append(step)
+        equal = [n for n in range(1, len(certificate))
+                 if certificate[n] == certificate[n - 1]]
+        assert equal == ([len(certificate) - 1] if stopped else []), t
+        assert len(chain) == (pre + k * equal[0] if stopped else 8), t
+        levels.update(range(1, len(chain) + 1))
     assert levels == set(range(1, 9))
 
 
@@ -248,6 +280,9 @@ BMS_UNIT = ((2, "x^3 + y^2"), (3, "x^3 + y^3"), (3, "x*y"), (3, "x^2*y + y^3"),
 # pairs of a chain, each pair of pairs once per sweep
 UNIT_TRANSITIONS = 63
 UNIT_ASCENT_CHECKS = 21
+# digit steps, summed as e over RootAutomaton.walk calls: each chain level
+# walks its digits once, the certificate pair included
+UNIT_DIGIT_STEPS = 2375
 
 
 def test_the_root_work_of_a_bms_unit_is_pinned(monkeypatch):
@@ -279,3 +314,25 @@ def test_the_root_work_of_a_bms_unit_is_pinned(monkeypatch):
         assert spectrum.exactness == "EXACT"
     assert roots == [1] * UNIT_TRANSITIONS
     assert len(checks) == UNIT_ASCENT_CHECKS
+
+
+def test_a_bms_unit_walks_each_digit_once(monkeypatch):
+    """The sweeps of ``BMS_UNIT``, as above, walk each chain level's digits
+    once: the certificate pair is read partway through the level's walk."""
+    real = RootAutomaton.walk
+    digits = []
+
+    def counting(automaton, exponent, e, *state):
+        digits.append(e)
+        return real(automaton, exponent, e, *state)
+
+    monkeypatch.setattr(RootAutomaton, "walk", counting)
+    for p, text in BMS_UNIT:
+        ring = RingSpec(p, ("x", "y"))
+        cm = validate_structure(
+            PresentedModule.free(ring, 1),
+            CartierAlgebraSpec([CartierOp(1, [[ring.one()]])]))
+        spectrum = jumping_numbers(cm, Ideal(ring, [ring.parse(text)]), 1,
+                                   caps=(2, 2))
+        assert spectrum.exactness == "EXACT"
+    assert sum(digits) == UNIT_DIGIT_STEPS

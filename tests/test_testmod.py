@@ -269,12 +269,15 @@ class TestTauBms:
 
     def test_a_descending_root_chain_is_an_internal_error(self, monkeypatch):
         # every root of a power of x is a power of x: the pair (unit state,
-        # m) names (x^m), so the walk below feeds the chain (x), then (x^2)
+        # m) names (x^m), so the walk below feeds the chain (x), then (x^2).
+        # A zero-digit walk keeps its pair, as the real one does.  At
+        # t = 3/2 (pre 0, period 1) K_0 is (unit state, 2), so the
+        # certificate does not stop the chain at level 1.
         R = RingSpec(3, ("x", "y"))
         x = R.var("x")
 
-        def descending(automaton, exponent, e):
-            return 0, 1 if e == 1 else 2
+        def descending(automaton, exponent, e, state=0):
+            return (state, exponent) if e == 0 else (0, 1 if e == 1 else 2)
 
         monkeypatch.setattr(RootAutomaton, "walk", descending)
         automaton = root_automaton(x)
@@ -282,7 +285,7 @@ class TestTauBms:
         assert automaton.ideal((0, 2)) == Ideal(R, [x ** 2])
         with pytest.raises(AssertionError,
                            match="root chain failed to ascend"):
-            tau_bms(x, Fraction(1, 2))
+            tau_bms(x, Fraction(3, 2))
 
     def test_fast_path_equivalence_small(self):
         for p, ftxt, t in ((2, "x^3 + y^2", Fraction(1, 2)),
